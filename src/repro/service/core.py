@@ -36,6 +36,7 @@ from repro.service.query import parse_point_query
 from repro.service.scheduler import DEFAULT_MAX_QUEUE, ColdScheduler
 from repro.service.singleflight import (
     CANCELLED,
+    DONE,
     FAILED,
     SingleFlight,
     Ticket,
@@ -180,13 +181,24 @@ class BenchmarkService:
                 200, dump_record_text(record).encode("utf-8"))
         ticket, created = self.flight.admit(query.key, query)
         if created:
+            # The store read above may have missed just before another
+            # request's ticket stored the record and left the table.
+            record = self.store.fetch_record(query.key)
+            if record is not None:
+                self.flight.resolve(ticket, DONE)
+                self._record_warm_hit()
+                return ServiceResponse(
+                    200, dump_record_text(record).encode("utf-8"))
             self._count("cold_misses")
             if not self.scheduler.submit(ticket):
                 self.flight.resolve(ticket, CANCELLED,
                                     "cold-point queue is full")
                 self._count("rejected")
                 return ServiceResponse(503, ticket.snapshot())
-        elif not ticket.resolved:
+        elif ticket.state != FAILED or not ticket.resolved:
+            # Done and cancelled tickets leave the table when they
+            # resolve, so only a failed one can have resolved before
+            # this request joined it.
             self._count("coalesced")
         if timeout is not None and not ticket.resolved:
             ticket.wait(timeout)

@@ -181,23 +181,31 @@ class _Condition(Event):
         for ev in self._events:
             if ev.sim is not sim:
                 raise SimulationError("condition mixes events from two simulators")
-        self._pending = 0
-        for ev in self._events:
+        # Each distinct event is watched once; ``_pending`` counts the
+        # distinct events not yet seen to succeed.
+        distinct = list(dict.fromkeys(self._events))
+        self._pending = sum(1 for ev in distinct
+                            if not (ev.processed and ev.ok))
+        for ev in distinct:
             if ev.processed:
-                self._observe(ev)
+                self._settle(ev)
             else:
-                self._pending += 1
                 ev.add_callback(self._observe)
         if not self.triggered:
             self._check(initial=True)
 
     def _observe(self, event: Event) -> None:
+        if event.ok:
+            self._pending -= 1
+        self._settle(event)
+
+    def _settle(self, event: Event) -> None:
+        """Fail on a failed constituent, else re-check the condition."""
         if not event.ok:
             if not self.triggered:
                 event._defused = True  # type: ignore[attr-defined]
                 self.fail(event.value)
             return
-        self._pending -= 1
         if not self.triggered:
             self._check(initial=False)
 
@@ -217,8 +225,7 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _check(self, initial: bool) -> None:
-        remaining = sum(1 for ev in self._events if not ev.processed)
-        if remaining == 0 and all(ev.ok for ev in self._events if ev.triggered):
+        if self._pending == 0:
             self.succeed(self._collect())
 
 

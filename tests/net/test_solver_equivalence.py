@@ -27,10 +27,11 @@ from repro.sim import Simulator
 
 
 class _FakeFlow:
-    __slots__ = ("links",)
+    __slots__ = ("links", "class_id")
 
-    def __init__(self, links):
+    def __init__(self, links, class_id):
         self.links = links
+        self.class_id = class_id
 
     def __repr__(self):
         return f"flow{self.links!r}"
@@ -46,49 +47,98 @@ def _fabric_links(src, dst, racks):
     return links
 
 
-# Up to 40 flows over 6 hosts split across 2 racks; loopback allowed.
-_pairs = st.lists(
-    st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=40
-)
-_rack_split = st.one_of(st.none(), st.integers(1, 5))
+def _grouped_inputs(pairs, hosts, racks, cap_of, order_seed):
+    """Flows plus the fabric-shaped class and link tables for them.
+
+    Like a fabric that has seen many flows come and go, the tables
+    intern every (src, dst) class of the host set, in an order shuffled
+    by ``order_seed``, so class and link ids say nothing about which
+    flows are active or which link they touch first.
+    """
+    every = [_fabric_links(s, d, racks)
+             for s in range(hosts) for d in range(hosts)]
+    random.Random(order_seed).shuffle(every)
+    link_ids, class_ids, class_links, caps = {}, {}, [], []
+    for links in every:
+        ids = []
+        for link in links:
+            if link not in link_ids:
+                link_ids[link] = len(caps)
+                caps.append(cap_of(link))
+            ids.append(link_ids[link])
+        class_ids[links] = len(class_links)
+        class_links.append(tuple(ids))
+    flows = []
+    for s, d in pairs:
+        links = _fabric_links(s, d, racks)
+        flows.append(_FakeFlow(links, class_ids[links]))
+    caps_by_link = {link: caps[i] for link, i in link_ids.items()}
+    return flows, class_links, caps, caps_by_link
+
+
+def _assert_grouped_matches_reference(flows, class_links, caps, caps_by_link):
+    reference = compute_max_min(flows, caps_by_link, lambda f: f.links)
+    grouped = solve_max_min_grouped(flows, class_links, caps)
+    assert set(grouped) == {f.class_id for f in flows}
+    for flow in flows:
+        # Bit-exact, not approx: the fabric swap relies on it.
+        assert grouped[flow.class_id] == reference[flow], flow
+
+
+# Figure-scale solves: up to 300 flows over up to 16 hosts (the fig3
+# solves run ~75 flows over 8 hosts), loopback allowed. Few hosts and
+# many flows make classes with k > 1 members common, and one NIC
+# capacity for every host makes exact fair-share ties common.
+_hosts = st.integers(1, 16)
 _caps = st.floats(min_value=0.5, max_value=1e9)
 
 
-@given(_pairs, _rack_split, _caps, _caps, _caps)
+@st.composite
+def _solves(draw):
+    """``(pairs, hosts, racks, seed)``: a seeded draw of up to 300
+    flows, since hypothesis' own lists stay far smaller than that."""
+    hosts = draw(_hosts)
+    flows = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(hosts), rng.randrange(hosts))
+             for _ in range(flows)]
+    split = draw(st.one_of(st.none(), st.integers(0, hosts)))
+    racks = None if split is None else {h: int(h >= split)
+                                        for h in range(hosts)}
+    return pairs, hosts, racks, seed
+
+
+@given(_solves(), _caps, _caps, _caps)
 @settings(max_examples=200, deadline=None)
-def test_grouped_solver_matches_reference_bitwise(pairs, split, nic_cap,
+def test_grouped_solver_matches_reference_bitwise(solve, nic_cap,
                                                   loop_cap, rack_cap):
-    racks = None if split is None else {h: int(h >= split) for h in range(6)}
-    flows = [_FakeFlow(_fabric_links(s, d, racks)) for s, d in pairs]
-    caps = {}
-    for flow in flows:
-        for link in flow.links:
-            kind = link[0]
-            caps[link] = (loop_cap if kind == "loop"
-                          else rack_cap if kind.startswith("rack")
-                          else nic_cap)
-    reference = compute_max_min(flows, caps, lambda f: f.links)
-    grouped = solve_max_min_grouped(flows, caps)
-    assert set(grouped) == set(reference)
-    for flow in flows:
-        # Bit-exact, not approx: the fabric swap relies on it.
-        assert grouped[flow] == reference[flow], flow
+    pairs, hosts, racks, order_seed = solve
+
+    def cap_of(link):
+        kind = link[0]
+        return (loop_cap if kind == "loop"
+                else rack_cap if kind.startswith("rack")
+                else nic_cap)
+
+    _assert_grouped_matches_reference(
+        *_grouped_inputs(pairs, hosts, racks, cap_of, order_seed))
 
 
-@given(_pairs, _caps)
+@given(_solves(), _caps)
 @settings(max_examples=100, deadline=None)
-def test_grouped_solver_uneven_caps(pairs, base_cap):
+def test_grouped_solver_uneven_caps(solve, base_cap):
     """Per-link capacity perturbations (deterministic in the link) so
     classes hit different bottlenecks than their neighbours."""
-    flows = [_FakeFlow(_fabric_links(s, d, None)) for s, d in pairs]
-    caps = {}
-    for flow in flows:
-        for link in flow.links:
-            caps[link] = base_cap * (1.0 + 0.1 * (hash(link) % 7))
-    reference = compute_max_min(flows, caps, lambda f: f.links)
-    grouped = solve_max_min_grouped(flows, caps)
-    for flow in flows:
-        assert grouped[flow] == reference[flow]
+    pairs, hosts, racks, order_seed = solve
+    kinds = {"out": 0, "in": 1, "loop": 2, "rack-up": 3, "rack-down": 4}
+
+    def cap_of(link):
+        kind, where = link
+        return base_cap * (1.0 + 0.1 * ((5 * where + kinds[kind]) % 7))
+
+    _assert_grouped_matches_reference(
+        *_grouped_inputs(pairs, hosts, racks, cap_of, order_seed))
 
 
 # -- fabric level -------------------------------------------------------

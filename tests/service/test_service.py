@@ -130,6 +130,31 @@ class TestSingleFlight:
         assert (counters["coalesced"] + counters["warm_hits"]
                 == len(responses) - 1)
 
+    def test_straggler_that_missed_the_store_is_a_warm_hit(
+            self, service, monkeypatch):
+        """A store read that misses just before the single ticket
+        resolves must not start a second ticket and simulation."""
+        first = service.query_point(tiny_query(wait=True))
+        assert first.status == 200
+        assert service.flight.in_flight() == 0
+        fetch = service.store.fetch_record
+        reads = []
+
+        def stale_first_read(key):
+            reads.append(key)
+            return None if len(reads) == 1 else fetch(key)
+
+        monkeypatch.setattr(service.store, "fetch_record", stale_first_read)
+        straggler = service.query_point(tiny_query(wait=True))
+        assert straggler.status == 200
+        assert straggler.payload == first.payload
+        assert len(reads) == 2
+        counters = service._counters
+        assert counters["cold_misses"] == 1
+        assert counters["warm_hits"] == 1
+        assert service.scheduler.cold_units == 1
+        assert service.flight.in_flight() == 0
+
     def test_done_ticket_leaves_the_table(self, service):
         service.query_point(tiny_query(wait=True))
         assert service.flight.in_flight() == 0

@@ -135,6 +135,87 @@ def test_allof_with_already_processed_events():
     assert set(result.values()) == {"a", "b"}
 
 
+def _processed_failure(sim, message):
+    """A failed event that a waiting process already observed."""
+    bad = sim.event()
+
+    def waiter():
+        try:
+            yield bad
+        except RuntimeError:
+            pass
+
+    sim.process(waiter())
+    bad.fail(RuntimeError(message))
+    sim.run()
+    assert bad.processed
+    return bad
+
+
+def test_allof_counts_only_unprocessed_events():
+    sim = Simulator()
+    done = sim.timeout(1.0, value="done")
+    sim.run()
+    late = sim.timeout(2.0, value="late")
+    cond = AllOf(sim, [done, late])
+    assert cond._pending == 1
+    assert sim.run_until_event(cond) == {done: "done", late: "late"}
+    assert cond._pending == 0
+    assert sim.now == 3.0
+
+
+def test_allof_fires_in_the_last_constituents_callback():
+    """The condition triggers while its last constituent is processed,
+    before callbacks that were added to that event after it."""
+    sim = Simulator()
+    first = sim.timeout(1.0)
+    last = sim.timeout(2.0)
+    cond = AllOf(sim, [first, last, first])
+    seen = []
+    first.add_callback(lambda _ev: seen.append(("first", cond.triggered)))
+    last.add_callback(lambda _ev: seen.append(("last", cond.triggered)))
+    sim.run_until_event(cond)
+    assert seen == [("first", False), ("last", True)]
+    assert cond._pending == 0
+
+
+def test_allof_mixed_processed_pending_and_failing():
+    sim = Simulator()
+    done = sim.timeout(0.5, value="done")
+    sim.run()
+    ok = sim.timeout(1.0, value="ok")
+    bad = sim.event()
+    cond = AllOf(sim, [done, ok, bad])
+    assert cond._pending == 2
+    bad.fail(RuntimeError("late failure"), delay=2.0)
+    with pytest.raises(RuntimeError, match="late failure"):
+        sim.run_until_event(cond)
+    assert sim.now == 2.5
+    assert cond._pending == 1  # ``ok`` succeeded, ``bad`` never will
+
+
+def test_allof_with_processed_failure_fails():
+    sim = Simulator()
+    done = sim.timeout(1.0)
+    sim.run()
+    bad = _processed_failure(sim, "already failed")
+    for events in ([done, bad], [bad, done]):
+        cond = AllOf(sim, events)
+        assert cond.triggered and not cond.ok
+        assert str(cond.value) == "already failed"
+        cond._defused = True
+
+
+def test_anyof_keeps_its_first_processed_success():
+    """A processed success listed before a processed failure wins."""
+    sim = Simulator()
+    done = sim.timeout(1.0, value="done")
+    sim.run()
+    bad = _processed_failure(sim, "ignored")
+    cond = AnyOf(sim, [done, bad])
+    assert sim.run_until_event(cond) == {done: "done"}
+
+
 def test_anyof_fires_on_first():
     sim = Simulator()
     a = sim.timeout(1.0, value="fast")

@@ -142,15 +142,16 @@ def plan_batches(suite, configs: Sequence[BenchmarkConfig],
     )
 
 
-def replicate_result(result, config: BenchmarkConfig) -> StoredResult:
-    """A sibling's record: the representative's result under the
+def replicate_result(stored: StoredResult,
+                     config: BenchmarkConfig) -> StoredResult:
+    """A sibling's record: the representative's stored result under the
     sibling's own config.
 
     The returned :class:`~repro.store.StoredResult` is byte-identical
     to what simulating the sibling directly would have stored (floats
     round-trip through ``repr`` exactly; every other payload field is
-    signature-determined).
+    signature-determined). Siblings share the representative's
+    ``phase_rows``, so the caller converts a ``SimJobResult`` once per
+    unit, not once per sibling.
     """
-    stored = (result if isinstance(result, StoredResult)
-              else StoredResult.from_sim_result(result))
     return replace(stored, config=config)

@@ -83,6 +83,7 @@ from repro.core.config import BenchmarkConfig
 from repro.core.matrix import precompute_matrices
 from repro.core.suite import MicroBenchmarkSuite, ResultLike
 from repro.sim.trace import CAT_HARNESS, Tracer
+from repro.store import StoredResult
 
 
 @dataclass(frozen=True)
@@ -411,13 +412,16 @@ class CampaignExecutor:
                    result, attempts: int, wall: float) -> None:
         """Serve a unit's siblings from its representative's result.
 
-        Each sibling gets the representative's payload under its own
-        config (byte-identical to simulating it directly — see
+        Each sibling gets the representative's payload, converted to a
+        ``StoredResult`` once for the whole unit, under its own config
+        (byte-identical to simulating it directly — see
         :mod:`repro.campaign.batch`), recorded through one batched
         store write, and finishes ``STATUS_OK`` like any other
         simulated point.
         """
-        clones = [(i, replicate_result(result, configs[i]))
+        stored = (result if isinstance(result, StoredResult)
+                  else StoredResult.from_sim_result(result))
+        clones = [(i, replicate_result(stored, configs[i]))
                   for i in unit[1:]]
         if self.tag_plan is not None:
             name, metas = self.tag_plan

@@ -11,11 +11,16 @@ back. While a unit simulates, a daemon thread heartbeats every
 simulation is deterministic, so whichever worker ends up computing a
 point produces the same bytes.
 
-Graceful shutdown: SIGINT/SIGTERM set a drain flag — an idle worker
-exits immediately, a busy one finishes its unit, sends the result, and
-exits. The exit code is 130, mirroring ``repro campaign run``'s
-interrupted convention. A closed coordinator connection is a normal
-exit (code 0), as is a ``shutdown`` message.
+Graceful shutdown: SIGINT/SIGTERM set a drain flag — a worker blocked
+waiting for its next unit exits immediately, a busy one finishes its
+unit, sends the result, and exits. The exit code is 130, mirroring
+``repro campaign run``'s interrupted convention. A closed (or reset)
+coordinator connection is a normal exit (code 0), as is a ``shutdown``
+message. Only the wait for a unit is interrupted: a signal that lands
+anywhere else (closing the socket, returning from :func:`run_worker`,
+interpreter shutdown) just sets the flag, so the SIGTERM that
+``PoolBackend.close()`` sends a worker already on its way out never
+prints a traceback.
 
 Chaos hooks: the worker honours the same env-gated sabotage switches
 as local supervised children (``REPRO_CHAOS_CRASH`` / ``_HANG`` /
@@ -59,16 +64,35 @@ from repro.core.suite import _run_point
 #: Exit code when a signal drained the worker (mirrors campaign run).
 EXIT_INTERRUPTED = 130
 
-_busy = False
+#: True only while :func:`_next_message` waits for the coordinator.
+_waiting = False
 _draining = False
 
 
 def _on_signal(signum, frame) -> None:
-    """Drain: finish the in-flight unit, then exit; idle exits now."""
+    """Drain: stop waiting for units now, else finish what is running."""
     global _draining
     _draining = True
-    if not _busy:
+    if _waiting:
         raise KeyboardInterrupt
+
+
+def _next_message(sock):
+    """Receive one frame; a drain signal interrupts only this wait.
+
+    The caller catches the ``KeyboardInterrupt``: ``_waiting`` is set
+    and cleared inside its ``try``, so the handler cannot raise outside
+    it, and a signal that landed just before the wait began is seen by
+    the re-check of ``_draining``.
+    """
+    global _waiting
+    _waiting = True
+    try:
+        if _draining:
+            raise KeyboardInterrupt
+        return recv_message(sock)
+    finally:
+        _waiting = False
 
 
 def _should_mute(index: int, dispatch0: int) -> bool:
@@ -120,8 +144,8 @@ def _execute_unit(sock, lock: threading.Lock, message) -> None:
 def run_worker(host: str, port: int,
                connect_timeout: float = 30.0) -> int:
     """Serve units from one coordinator until told (or made) to stop."""
-    global _busy, _draining
-    _busy = False
+    global _waiting, _draining
+    _waiting = False
     _draining = False
     sock = socket.create_connection((host, port), timeout=connect_timeout)
     sock.settimeout(None)
@@ -140,21 +164,17 @@ def run_worker(host: str, port: int,
             if _draining:
                 return EXIT_INTERRUPTED
             try:
-                message = recv_message(sock)
+                message = _next_message(sock)
             except KeyboardInterrupt:
                 return EXIT_INTERRUPTED
-            except ConnectionClosed:
+            except (ConnectionClosed, ConnectionResetError):
                 return 0
             tag = message[0]
             if tag == MSG_SHUTDOWN:
                 return 0
             if tag != MSG_UNIT:
                 continue  # forward-compatible: ignore unknown frames
-            _busy = True
-            try:
-                _execute_unit(sock, lock, message)
-            finally:
-                _busy = False
+            _execute_unit(sock, lock, message)
             if _draining:
                 return EXIT_INTERRUPTED
     except (ConnectionClosed, BrokenPipeError):

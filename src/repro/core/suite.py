@@ -15,9 +15,10 @@ Results are returned in the same deterministic order regardless of
 the *times* are bit-identical too — asserted by the integration tests).
 
 Completed points are also memoized in a process-wide cache keyed by the
-full (config, cluster, jobconf, cost-model, fault-plan) tuple: the
-figure benchmarks re-run several sweep points when deriving ratios and
-summary tables, and those repeats are answered from the cache.
+point's store key (the stable digest of its config, cluster, jobconf,
+cost model and fault plan): the figure benchmarks re-run several sweep
+points when deriving ratios and summary tables, and those repeats are
+answered from the cache.
 
 The memo cache can additionally be *backed* by a persistent
 :class:`~repro.store.ResultStore` (``MicroBenchmarkSuite(store=...)``):
@@ -56,14 +57,21 @@ ResultLike = Union[SimJobResult, StoredResult]
 
 BenchmarkLike = Union[str, MicroBenchmark]
 
-#: Process-wide (config, cluster, jobconf, cost model, fault plan) ->
-#: SimJobResult memo. All key components are frozen dataclasses, and
-#: simulations are deterministic functions of the key (fault plans are
-#: seeded), so sharing results is safe.
-_RESULT_CACHE: Dict[tuple, SimJobResult] = {}
+#: Process-wide store key -> result memo. Simulations are deterministic
+#: functions of the key (fault plans are seeded), so sharing results is
+#: safe. It is keyed by the store key rather than the (config, cluster,
+#: jobconf, cost model, fault plan) tuple because that tuple compares by
+#: value: points differing only in an int/float spelling (``seed`` 7 vs
+#: 7.0) are equal tuples but distinct store keys, and must not share an
+#: entry.
+_RESULT_CACHE: Dict[str, ResultLike] = {}
 
 #: Cache bookkeeping for tests/diagnostics.
 _CACHE_STATS = {"hits": 0, "misses": 0}
+
+#: Most config objects one suite's store-key cache holds before it
+#: starts over (a long-lived suite builds a new config per ``run``).
+STORE_KEY_CACHE_LIMIT = 1 << 14
 
 
 def clear_result_cache() -> None:
@@ -190,12 +198,14 @@ class MicroBenchmarkSuite:
         self.store: Optional[ResultStore] = (
             ResultStore(store) if isinstance(store, (str, Path)) else store
         )
-        #: Memo-key -> store-key digest cache. A point's store key is a
-        #: canonical-JSON digest (~0.5 ms); the batch executor derives
-        #: it up to three times per point (lookup, keys list, record),
-        #: so it is cached on the same full point key as the result
-        #: memo.
-        self._store_key_cache: Dict[tuple, str] = {}
+        #: ``(id(config), id(plan)) -> (config, plan, store key)``. The
+        #: batch executor needs a point's key up to three times (keys
+        #: list, lookup, record), so it is derived once per config
+        #: object. The cache is keyed by identity (the entry keeps both
+        #: objects alive, so their ids stay theirs), never by value:
+        #: equal configs may spell a field differently (7 vs 7.0), and
+        #: their keys differ.
+        self._store_key_cache: Dict[Tuple[int, int], tuple] = {}
 
     # -- single runs ----------------------------------------------------
 
@@ -210,8 +220,9 @@ class MicroBenchmarkSuite:
     ) -> ResultLike:
         """Run one fully-specified configuration.
 
-        Results are memoized on the full (config, cluster, jobconf,
-        cost model, fault plan) key unless ``memoize=False``. When the
+        Results are memoized on the point's store key (a digest of the
+        full config, cluster, jobconf, cost model and fault plan) unless
+        ``memoize=False``. When the
         suite has a :attr:`store`, memo misses consult the disk store
         (returning a :class:`~repro.store.StoredResult` on a hit) and
         fresh simulations are recorded to it. Runs with a custom
@@ -224,20 +235,19 @@ class MicroBenchmarkSuite:
         plan = fault_plan if fault_plan is not None else self.fault_plan
         if (memoize and transport is None and monitor_interval is None
                 and tracer is None):
-            key = self._point_key(config, plan)
-            cached = _RESULT_CACHE.get(key)
+            skey = self.store_key(config, plan)
+            cached = _RESULT_CACHE.get(skey)
             if cached is not None:
                 _CACHE_STATS["hits"] += 1
                 return cached
             _CACHE_STATS["misses"] += 1
             if self.store is not None:
-                skey = self.store_key(config, plan)
                 stored = self.store.get(skey)
                 if stored is not None:
-                    _RESULT_CACHE[key] = stored
+                    _RESULT_CACHE[skey] = stored
                     return stored
-            result = _run_point(key)
-            _RESULT_CACHE[key] = result
+            result = _run_point(self.point_payload(config, plan))
+            _RESULT_CACHE[skey] = result
             if self.store is not None:
                 self.store.put(skey, StoredResult.from_sim_result(result),
                                provenance=self._provenance(config, plan))
@@ -253,23 +263,20 @@ class MicroBenchmarkSuite:
             fault_plan=plan,
         )
 
-    def _point_key(self, config: BenchmarkConfig,
-                   fault_plan: Optional[FaultPlan] = None) -> tuple:
-        """Hashable key fully determining one simulation point."""
-        plan = fault_plan if fault_plan is not None else self.fault_plan
-        return (config, self.cluster, self.jobconf, self.cost_model, plan)
-
     # -- point-level execution hooks (campaign executor surface) ---------
 
-    def point_payload(self, config: BenchmarkConfig) -> tuple:
+    def point_payload(self, config: BenchmarkConfig,
+                      fault_plan: Optional[FaultPlan] = None) -> tuple:
         """The picklable payload that fully determines one point.
 
         This is exactly what :func:`_run_point` consumes, so an
         external executor (the hardened campaign engine, a future
         distributed runner) can dispatch points to worker processes
-        without reaching into suite internals.
+        without reaching into suite internals. ``fault_plan``
+        overrides the suite-level plan.
         """
-        return self._point_key(config)
+        plan = fault_plan if fault_plan is not None else self.fault_plan
+        return (config, self.cluster, self.jobconf, self.cost_model, plan)
 
     def lookup_point(self, config: BenchmarkConfig) -> Optional[ResultLike]:
         """Serve one point from the memo cache or the disk store.
@@ -280,14 +287,14 @@ class MicroBenchmarkSuite:
         ("the second run executed 0 simulations") keep holding when
         points run through an external executor.
         """
-        key = self._point_key(config)
+        key = self.store_key(config)
         cached = _RESULT_CACHE.get(key)
         if cached is not None:
             _CACHE_STATS["hits"] += 1
             return cached
         _CACHE_STATS["misses"] += 1
         if self.store is not None:
-            stored = self.store.get(self.store_key(config))
+            stored = self.store.get(key)
             if stored is not None:
                 _RESULT_CACHE[key] = stored
                 return stored
@@ -307,7 +314,7 @@ class MicroBenchmarkSuite:
         results: List[Optional[ResultLike]] = [None] * len(configs)
         store_queries: List[Tuple[int, str]] = []
         for i, config in enumerate(configs):
-            key = self._point_key(config)
+            key = self.store_key(config)
             cached = _RESULT_CACHE.get(key)
             if cached is not None:
                 _CACHE_STATS["hits"] += 1
@@ -315,12 +322,12 @@ class MicroBenchmarkSuite:
                 continue
             _CACHE_STATS["misses"] += 1
             if self.store is not None:
-                store_queries.append((i, self.store_key(config)))
+                store_queries.append((i, key))
         if store_queries:
             stored = self.store.get_batch([k for _i, k in store_queries])
-            for (i, _key), result in zip(store_queries, stored):
+            for (i, key), result in zip(store_queries, stored):
                 if result is not None:
-                    _RESULT_CACHE[self._point_key(configs[i])] = result
+                    _RESULT_CACHE[key] = result
                     results[i] = result
         return results
 
@@ -332,10 +339,10 @@ class MicroBenchmarkSuite:
         simulated ``point_payload(config)`` and the parent records the
         result (memo cache + disk store, with provenance).
         """
-        _RESULT_CACHE[self._point_key(config)] = result
+        key = self.store_key(config)
+        _RESULT_CACHE[key] = result
         if self.store is not None:
-            self.store.put(self.store_key(config),
-                           StoredResult.from_sim_result(result),
+            self.store.put(key, StoredResult.from_sim_result(result),
                            provenance=self._provenance(config))
 
     def record_points(
@@ -358,12 +365,12 @@ class MicroBenchmarkSuite:
         for entry in entries:
             config, result = entry[0], entry[1]
             tags = entry[2] if len(entry) > 2 else None
-            _RESULT_CACHE[self._point_key(config)] = result
+            key = self.store_key(config)
+            _RESULT_CACHE[key] = result
             if self.store is not None:
                 stored = (result if isinstance(result, StoredResult)
                           else StoredResult.from_sim_result(result))
-                puts.append((self.store_key(config), stored,
-                             self._provenance(config), tags))
+                puts.append((key, stored, self._provenance(config), tags))
         if puts and self.store is not None:
             self.store.put_many(puts)
 
@@ -382,17 +389,20 @@ class MicroBenchmarkSuite:
                   fault_plan: Optional[FaultPlan] = None) -> str:
         """Stable content-addressed store key of one point (hex digest).
 
-        Covers the same five components as the in-memory memo key plus
-        the store schema version; see :func:`repro.store.point_key`.
+        Covers the five components of :meth:`point_payload` plus the
+        store schema version; see :func:`repro.store.point_key`. It is
+        also the in-process memo's key.
         """
         plan = fault_plan if fault_plan is not None else self.fault_plan
-        cache_key = self._point_key(config, plan)
-        cached = self._store_key_cache.get(cache_key)
+        ident = (id(config), id(plan))
+        cached = self._store_key_cache.get(ident)
         if cached is not None:
-            return cached
+            return cached[2]
         key = point_key(config, self.cluster, jobconf=self.jobconf,
                         cost_model=self.cost_model, fault_plan=plan)
-        self._store_key_cache[cache_key] = key
+        if len(self._store_key_cache) >= STORE_KEY_CACHE_LIMIT:
+            self._store_key_cache.clear()
+        self._store_key_cache[ident] = (config, plan, key)
         return key
 
     def _provenance(self, config: BenchmarkConfig,
@@ -484,12 +494,12 @@ class MicroBenchmarkSuite:
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        keys = [self._point_key(config) for config in configs]
+        payloads = [self.point_payload(config) for config in configs]
         if jobs == 1 or len(configs) < 2:
             return [
                 self.run_config(config, memoize=memoize) for config in configs
             ]
-        results: List[Optional[ResultLike]] = [None] * len(keys)
+        results: List[Optional[ResultLike]] = [None] * len(payloads)
         pending: List[int] = []
         for i, config in enumerate(configs):
             if memoize:
@@ -501,7 +511,8 @@ class MicroBenchmarkSuite:
         if pending:
             with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
                 for i, result in zip(
-                    pending, pool.map(_run_point, [keys[i] for i in pending])
+                    pending, pool.map(_run_point,
+                                      [payloads[i] for i in pending])
                 ):
                     results[i] = result
                     if memoize:

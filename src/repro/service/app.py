@@ -31,6 +31,7 @@ import threading
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.service.core import BenchmarkService, ServiceResponse
+from repro.store import dump_record_text
 
 #: Upper bound on request head (request line + headers) bytes.
 MAX_HEAD_BYTES = 16 * 1024
@@ -51,8 +52,7 @@ def _encode(response: ServiceResponse, keep_alive: bool) -> bytes:
     if isinstance(response.payload, bytes):
         body = response.payload
     else:
-        body = (json.dumps(response.payload, indent=1, sort_keys=True)
-                + "\n").encode("utf-8")
+        body = (dump_record_text(response.payload) + "\n").encode("utf-8")
     reason = REASONS.get(response.status, "Unknown")
     head = (
         f"HTTP/1.1 {response.status} {reason}\r\n"

@@ -39,8 +39,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -104,7 +106,7 @@ def atomic_write_json(path: Path, payload: dict,
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
+            handle.write(dump_record_text(payload))
             if durable:
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -125,8 +127,154 @@ def dump_record_text(record: dict) -> str:
     Exactly the bytes :func:`atomic_write_json` puts in a record file;
     the SQLite backend stores the same text, which is what makes
     ``repro store migrate`` byte-identical in both directions.
+
+    The text is ``json.dumps(record, indent=1, sort_keys=True)``, built
+    faster (docs/STORE.md §4a has the argument): a *flat* container (only
+    scalar values) is one C-encoder call whose item separator carries
+    the line break and indent of its depth, and a non-flat sub-document
+    below depth 1 (a provenance ``cluster``, a result's ``phase_rows``)
+    comes from :data:`_SUBDOCS`, keyed by its compact canonical text.
+    The indented text is a function of the compact text, and JSON text
+    never holds a raw newline, so a hit moved to depth ``d`` by putting
+    ``d`` spaces after every ``"\\n"`` is exact. Anything else — non-str
+    keys, non-JSON types, a missing C encoder — takes the stdlib call.
     """
-    return json.dumps(record, indent=1, sort_keys=True)
+    if c_make_encoder is None:  # pragma: no cover - pure-Python json
+        return json.dumps(record, indent=1, sort_keys=True)
+    try:
+        return _render(record, 0)
+    except (_Fallback, TypeError, ValueError, RecursionError):
+        return json.dumps(record, indent=1, sort_keys=True)
+
+
+def compact_text(tree: object) -> str:
+    """``json.dumps(tree, sort_keys=True, separators=(",", ":"))`` of an
+    acyclic tree.
+
+    One call of a prebuilt C encoder (no per-call encoder set-up); the
+    stdlib call where the C encoder is missing.
+    """
+    if _COMPACT is None:  # pragma: no cover - pure-Python json
+        return json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    return "".join(_COMPACT(tree, 0))
+
+
+class _Fallback(Exception):
+    """The fast record-text path met something only the stdlib handles."""
+
+
+def _not_json(obj: object) -> object:
+    """C-encoder ``default`` hook, raising like ``JSONEncoder.default``."""
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
+
+
+def _c_encoder(key_separator: str, item_separator: str):
+    """A sorted-keys, ASCII, NaN-allowing C encoder (no cycle check)."""
+    if c_make_encoder is None:  # pragma: no cover - pure-Python json
+        return None
+    return c_make_encoder(None, _not_json, encode_basestring_ascii, None,
+                          key_separator, item_separator, True, False, True)
+
+
+_COMPACT = _c_encoder(":", ",")
+
+#: Exact types the fast path writes as JSON scalars (and as keys).
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_STR_TYPE = frozenset((str,))
+
+#: Indent level -> C encoder whose item separator starts that level's
+#: lines, so a flat container is one call (see :func:`_render`).
+_FLAT_ENCODERS: Dict[int, object] = {}
+
+#: Most bytes (compact keys plus indented texts) :data:`_SUBDOCS` holds
+#: before it starts over.
+SUBDOC_MEMO_BYTES = 1 << 20
+
+#: Compact canonical text of a non-flat sub-document -> its indented
+#: text at depth 0. Readers make one ``get`` (atomic under the GIL), so
+#: service threads share it without a lock; only the rare insert takes
+#: :data:`_SUBDOC_LOCK`, to keep :data:`_subdoc_bytes` (the bytes held)
+#: exact.
+_SUBDOCS: Dict[str, str] = {}
+_subdoc_bytes = 0
+_SUBDOC_LOCK = threading.Lock()
+
+
+def _render(obj: object, depth: int) -> str:
+    """The ``indent=1, sort_keys=True`` text of a container whose
+    opening bracket sits at indent ``depth``."""
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        values = obj.values()
+    elif kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        values = obj
+    else:
+        raise _Fallback(kind.__name__)
+    if _SCALAR_TYPES.issuperset(map(type, values)):
+        if kind is dict and not _STR_TYPE.issuperset(map(type, obj)):
+            raise _Fallback("non-str key")
+        inner = depth + 1
+        encoder = _FLAT_ENCODERS.get(inner)
+        if encoder is None:
+            encoder = _c_encoder(": ", ",\n" + " " * inner)
+            _FLAT_ENCODERS[inner] = encoder
+        text = "".join(encoder(obj, 0))
+        return (text[0] + "\n" + " " * inner + text[1:-1] + "\n"
+                + " " * depth + text[-1])
+    if depth < 2:
+        return _members(obj, depth)
+    # A non-flat sub-document below depth 1: memoized at depth 0.
+    key = compact_text(obj)
+    text = _SUBDOCS.get(key)
+    if text is None:
+        text = _members(obj, 0)
+        _remember(key, text)
+    return text.replace("\n", "\n" + " " * depth)
+
+
+def _members(obj: object, depth: int) -> str:
+    """A non-empty, non-flat container's text, one member per line."""
+    inner = depth + 1
+    separator = ",\n" + " " * inner
+    if type(obj) is dict:
+        if not _STR_TYPE.issuperset(map(type, obj)):
+            raise _Fallback("non-str key")
+        keys = sorted(obj)
+        body = separator.join([
+            encode_basestring_ascii(key) + ": " + _value(obj[key], inner)
+            for key in keys])
+        return "{\n" + " " * inner + body + "\n" + " " * depth + "}"
+    body = separator.join([_value(value, inner) for value in obj])
+    return "[\n" + " " * inner + body + "\n" + " " * depth + "]"
+
+
+def _value(value: object, depth: int) -> str:
+    """One member's text; a container member opens at indent ``depth``."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind in _SCALAR_TYPES:
+        return _COMPACT(value, 0)[0]
+    return _render(value, depth)
+
+
+def _remember(key: str, text: str) -> None:
+    """Store one sub-document's depth-0 text, starting over when full."""
+    global _subdoc_bytes
+    size = len(key) + len(text)  # both ASCII: characters are bytes
+    if size > SUBDOC_MEMO_BYTES:
+        return
+    with _SUBDOC_LOCK:
+        if _subdoc_bytes + size > SUBDOC_MEMO_BYTES:
+            _SUBDOCS.clear()
+            _subdoc_bytes = 0
+        _SUBDOCS[key] = text
+        _subdoc_bytes += size
 
 
 @dataclass

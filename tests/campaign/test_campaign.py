@@ -191,6 +191,35 @@ class TestRunner:
             assert meta["baseline"] == "1GigE"
             assert "shuffle_gb" in meta and "network" in meta
 
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_value_equal_spellings_are_distinct_points(self, tmp_path,
+                                                       batch):
+        """``seed`` 7 and 7.0 are equal values but distinct store keys:
+        each point is written under its own key, with provenance that
+        hashes back to it."""
+        campaign = Campaign(**dict(
+            TINY, shuffle_gbs=(0.02,), networks=("1GigE",),
+            variants=({"label": "int", "seed": 7},
+                      {"label": "float", "seed": 7.0})))
+        points = campaign.points()
+        assert points[0].config == points[1].config
+        root = str(tmp_path / "store")
+        result = run_campaign(campaign, store=root, batch=batch)
+        keys = [p.key for p in result.points]
+        assert len(set(keys)) == 2
+        store = ResultStore(root)
+        assert store.verify().clean
+        assert sorted(store.keys()) == sorted(keys)
+        for point in result.points:
+            record = store.fetch_record(point.key)
+            assert record["result"]["config"]["seed"] == point.point.config.seed
+            assert type(record["provenance"]["config"]["seed"]) is type(
+                point.point.config.seed)
+
+        clear_result_cache()
+        warm = run_campaign(campaign, store=root, batch=batch)
+        assert warm.executed == 0 and warm.from_store == 2
+
     def test_sweep_result_shapes_figures(self, tmp_path):
         outcome = run_campaign(Campaign(**TINY),
                                store=str(tmp_path / "store"))

@@ -13,11 +13,14 @@ dispatch counter, so the replayed dispatch recovers).
 """
 
 import json
+import os
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,7 @@ from repro.campaign import (
     RetryPolicy,
     create_execution_backend,
     run_campaign,
+    worker,
 )
 from repro.campaign.backend import (
     ENV_CHAOS_ATTEMPTS,
@@ -42,6 +46,7 @@ from repro.campaign.wire import (
     MSG_HEARTBEAT,
     MSG_HELLO,
     MSG_OK,
+    MSG_SHUTDOWN,
     MSG_UNIT,
     FrameDecoder,
     FrameError,
@@ -368,6 +373,104 @@ class TestGracefulDrain:
                          "--store", root, "--quiet"])
         assert rc == 0
         assert store.stats()["puts"] == 3
+
+
+#: Child body for the clean-shutdown test: the real CLI, pool backend.
+CLEAN_CHILD = """\
+import sys
+from repro.core.cli import repro_main
+sys.exit(repro_main(["campaign", "run", sys.argv[1], "--store",
+                     sys.argv[2], "--backend", "pool", "--workers", "2",
+                     "--quiet"]))
+"""
+
+
+class TestWorkerShutdown:
+    """A drain signal interrupts only a worker's wait for its next unit.
+
+    ``PoolBackend.close()`` sends SIGTERM to workers that may already be
+    closing their socket or returning from ``run_worker``; a signal
+    there must set the drain flag, not raise a ``KeyboardInterrupt``
+    that prints a traceback from a clean run.
+    """
+
+    @pytest.fixture(autouse=True)
+    def worker_flags(self, monkeypatch):
+        monkeypatch.setattr(worker, "_waiting", False)
+        monkeypatch.setattr(worker, "_draining", False)
+
+    def test_signal_outside_the_wait_only_sets_the_drain_flag(self):
+        worker._on_signal(signal.SIGTERM, None)
+        assert worker._draining
+
+    def test_signal_during_the_wait_interrupts_it(self, monkeypatch):
+        monkeypatch.setattr(worker, "_waiting", True)
+        with pytest.raises(KeyboardInterrupt):
+            worker._on_signal(signal.SIGTERM, None)
+        assert worker._draining
+
+    def test_wait_flag_covers_only_the_receive(self):
+        left, right = socket.socketpair()
+        try:
+            send_message(right, (MSG_SHUTDOWN,))
+            assert worker._next_message(left) == (MSG_SHUTDOWN,)
+            assert not worker._waiting
+            # A signal that landed just before the wait ends it unread.
+            worker._draining = True
+            with pytest.raises(KeyboardInterrupt):
+                worker._next_message(left)
+            assert not worker._waiting
+        finally:
+            left.close()
+            right.close()
+
+    def test_signal_while_closing_the_socket_exits_cleanly(
+            self, monkeypatch):
+        """SIGTERM inside ``run_worker``'s ``finally: sock.close()``."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def coordinator():
+            conn, _ = listener.accept()
+            with conn:
+                recv_message(conn)                  # the hello
+                send_message(conn, (MSG_SHUTDOWN,))
+                time.sleep(0.2)
+
+        thread = threading.Thread(target=coordinator, daemon=True)
+        thread.start()
+        monkeypatch.setattr(worker.signal, "signal", lambda *_args: None)
+        real_close = socket.socket.close
+
+        def close_under_sigterm(sock):
+            worker._on_signal(signal.SIGTERM, None)
+            real_close(sock)
+
+        monkeypatch.setattr(socket.socket, "close", close_under_sigterm)
+        try:
+            assert worker.run_worker(*listener.getsockname()[:2]) == 0
+            assert worker._draining
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+
+    def test_clean_pool_campaigns_write_nothing_to_stderr(
+            self, campaign, tmp_path):
+        """Repeated clean 3-point pool campaigns: exit 0, empty stderr."""
+        import repro
+
+        spec = tmp_path / "dist3.json"
+        spec.write_text(json.dumps(campaign.to_dict()))
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src_dir, env.get("PYTHONPATH")]))
+        for run in range(5):
+            proc = subprocess.run(
+                [sys.executable, "-c", CLEAN_CHILD, str(spec),
+                 str(tmp_path / f"store{run}")],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == "", f"run {run}: {proc.stderr}"
 
 
 class TestLeaseLedger:

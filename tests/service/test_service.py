@@ -24,7 +24,7 @@ from repro.service import (
 )
 from repro.store import ResultStore, dump_record_text
 
-from tests.service.conftest import tiny_query
+from tests.service.conftest import TINY_POINT, tiny_query
 from tests.store.conftest import store_root
 
 
@@ -159,6 +159,32 @@ class TestSingleFlight:
         service.query_point(tiny_query(wait=True))
         assert service.flight.in_flight() == 0
         assert service.flight.failed() == 0
+
+    def test_value_equal_spellings_each_get_their_own_record(
+            self, service, tmp_path, backend_name):
+        """``seed`` 7 and 7.0 name distinct store keys. Once one
+        spelling is simulated, the other must still be simulated and
+        stored under its own key, not served the first one's memo entry
+        and left answering 202."""
+        params = TINY_POINT["params"]
+        bodies = [tiny_query(params=dict(params, seed=seed))
+                  for seed in (7, 7.0)]
+        keys = [parse_point_query(body).key for body in bodies]
+        assert keys[0] != keys[1]
+        for body, key in zip(bodies, keys):
+            for _retry in range(3):
+                response = service.query_point(dict(body, wait=True))
+                assert response.status == 200, response.payload
+                record = json.loads(response.payload)
+                assert record["key"] == key
+                assert (record["provenance"]["config"]["seed"]
+                        == body["params"]["seed"])
+                assert type(record["provenance"]["config"]["seed"]) is type(
+                    body["params"]["seed"])
+        store = ResultStore(store_root(tmp_path, backend_name))
+        assert store.stats()["puts"] == 2
+        assert sorted(store.keys()) == sorted(keys)
+        assert store.verify().clean
 
 
 class TestFailures:

@@ -87,6 +87,18 @@ def run_figure_campaign(spec_file: str, name: str = None):
     return run_campaign(campaign, store=str(STORE_DIR), jobs=JOBS)
 
 
+def record_texts(root) -> Dict[str, str]:
+    """Key -> stored record text of every record under a store root."""
+    from repro.store import ResultStore
+
+    store = ResultStore(root)
+    try:
+        return dict(store.backend._db().execute(
+            "SELECT key, record FROM records ORDER BY key").fetchall())
+    finally:
+        store.close()
+
+
 def record(name: str, text: str) -> None:
     """Print a result block and persist it under benchmarks/results/."""
     RESULTS_DIR.mkdir(exist_ok=True)

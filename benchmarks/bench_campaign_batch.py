@@ -8,9 +8,9 @@ contract:
 
 * **Parity, always.** Every run executes the same campaign through the
   strict per-point loop (``batch=False``) and the batch scheduler
-  (``batch=True``) into two fresh stores and asserts the ``objects/``
-  trees are byte-identical and every outcome's simulated time is
-  hex-exact. This assertion runs in every mode, including plain
+  (``batch=True``) into two fresh stores and asserts the stored record
+  texts are byte-identical, key for key, and every outcome's simulated
+  time is hex-exact. This assertion runs in every mode, including plain
   ``pytest benchmarks/bench_campaign_batch.py``.
 * **Speed, guarded.** The batch/loop wall-clock ratio of the small
   campaign is floored at :data:`SMALL_SPEEDUP_FLOOR` under
@@ -29,7 +29,7 @@ import pathlib
 import tempfile
 import time
 
-from _harness import check_or_record, one_shot, record
+from _harness import check_or_record, one_shot, record, record_texts
 
 from repro.campaign import Campaign, run_campaign
 from repro.core.matrix import clear_matrix_cache
@@ -85,15 +85,6 @@ def _clear_process_caches() -> None:
     clear_link_table_cache()
 
 
-def _object_tree(root) -> dict:
-    """Relative path -> raw bytes of every record file under a store."""
-    objects = pathlib.Path(root) / "objects"
-    return {
-        path.relative_to(objects).as_posix(): path.read_bytes()
-        for path in sorted(objects.glob("*/*.json"))
-    }
-
-
 def _run_mode(campaign: Campaign, batch: bool):
     """One cold campaign pass; returns (CampaignResult, seconds, root)."""
     root = tempfile.mkdtemp(prefix=f"bench-batch-{batch}-")
@@ -111,9 +102,9 @@ def _assert_parity(campaign: Campaign, loop, batch,
     loop_hex = [o.result.execution_time.hex() for o in loop.outcomes]
     batch_hex = [o.result.execution_time.hex() for o in batch.outcomes]
     assert loop_hex == batch_hex, "batch simulated times diverged"
-    loop_tree = _object_tree(loop_root)
-    batch_tree = _object_tree(batch_root)
-    assert loop_tree == batch_tree, (
+    loop_texts = record_texts(loop_root)
+    assert len(loop_texts) == len(loop.outcomes)
+    assert loop_texts == record_texts(batch_root), (
         "batch store records are not byte-identical to loop records"
     )
     counters = ("puts", "hits", "misses")

@@ -6,9 +6,9 @@ the contract that makes that worth having:
 
 * **Parity, always.** Every run executes the same campaign through the
   default ``LocalBackend`` and through a two-worker pool into fresh
-  stores and asserts the ``objects/`` trees are byte-identical and
-  every simulated time hex-exact. Runs in every mode, including plain
-  ``pytest benchmarks/bench_distributed.py``.
+  stores and asserts the stored record texts are byte-identical, key
+  for key, and every simulated time hex-exact. Runs in every mode,
+  including plain ``pytest benchmarks/bench_distributed.py``.
 * **Failover, always.** A third leg runs the pool with the chaos crash
   hook armed — the first dispatch of point 0 SIGKILLs its worker — and
   asserts the campaign still completes with zero quarantines (the unit
@@ -27,7 +27,7 @@ import pathlib
 import tempfile
 import time
 
-from _harness import check_or_record, one_shot, record
+from _harness import check_or_record, one_shot, record, record_texts
 
 from repro.campaign import Campaign, PoolBackend, run_campaign
 from repro.campaign.backend import ENV_CHAOS_ATTEMPTS, ENV_CHAOS_CRASH
@@ -67,14 +67,6 @@ def _clear_process_caches() -> None:
     clear_link_table_cache()
 
 
-def _object_tree(root) -> dict:
-    objects = pathlib.Path(root) / "objects"
-    return {
-        path.relative_to(objects).as_posix(): path.read_bytes()
-        for path in sorted(objects.glob("*/*.json"))
-    }
-
-
 def _run_local(campaign):
     root = tempfile.mkdtemp(prefix="bench-dist-local-")
     _clear_process_caches()
@@ -110,7 +102,9 @@ def _assert_parity(local, local_root, pooled, pooled_root) -> None:
     local_hex = [o.result.execution_time.hex() for o in local.outcomes]
     pool_hex = [o.result.execution_time.hex() for o in pooled.outcomes]
     assert local_hex == pool_hex, "pool simulated times diverged"
-    assert _object_tree(local_root) == _object_tree(pooled_root), (
+    local_texts = record_texts(local_root)
+    assert len(local_texts) == len(local.outcomes)
+    assert local_texts == record_texts(pooled_root), (
         "pool store records are not byte-identical to local records"
     )
     counters = ("puts", "hits", "misses")

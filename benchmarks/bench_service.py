@@ -15,7 +15,7 @@ and guards two things:
   :data:`WARM_QPS_FLOOR` warm queries/second end to end. The floor is
   deliberately far below what loopback HTTP manages on any dev box —
   it exists to catch an accidental per-request store walk or counter
-  fsync, not to benchmark the host.
+  write, not to benchmark the host.
 """
 
 import http.client
@@ -26,11 +26,9 @@ import tempfile
 import threading
 import time
 
-os.environ.setdefault("REPRO_STORE_FSYNC", "0")
+from _harness import check_or_record, one_shot, record
 
-from _harness import check_or_record, one_shot, record  # noqa: E402
-
-from repro.service import BackgroundServer, BenchmarkService  # noqa: E402
+from repro.service import BackgroundServer, BenchmarkService
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_service.json"
 
@@ -71,7 +69,7 @@ def _client(address, body, out, index):
 def bench_service_warm_hits(benchmark):
     """Throughput of one warm point under CLIENTS concurrent clients."""
     tmp = tempfile.mkdtemp(prefix="bench-service-")
-    service = BenchmarkService(f"file:{tmp}/store")
+    service = BenchmarkService(f"{tmp}/store")
     body = json.dumps(dict(QUERY, wait=True))
     with BackgroundServer(service) as server:
         # Seed: the first query simulates the point (cold, once).

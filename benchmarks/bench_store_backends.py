@@ -1,35 +1,18 @@
-"""Store backend throughput: sharded counters vs the single-lock seed.
-
-The pluggable-backend refactor replaced the seed store's single
-``store.lock`` read-modify-write counters with sharded counter files
-(one lock per shard) on the filesystem backend, and with transactional
-``UPSERT`` statements on the SQLite backend. This module guards the
-point of that change:
+"""Store throughput on SQLite: contended tagging and a cold scan.
 
 * **Concurrent writers.** Three worker processes hammer the store
   with counter bumps while a foreground campaign writes its tags — the
-  real shape of two campaigns sharing one store. On the single-lock
-  seed path the bumpers monopolize ``store.lock`` (a releasing holder
-  re-acquires within microseconds, while waiters sleep out their poll
-  interval), so the tagger starves; with sharded counter locks and
-  per-prefix tag locks the two workloads never touch the same lock
-  file. The tagger's throughput must improve by at least
-  :data:`SHARDED_SPEEDUP_FLOOR` (the ISSUE acceptance bar), and SQLite
-  must be at least at parity with the single-lock path — both floors
-  asserted under ``PERF_SMOKE=1`` and recorded in
-  ``benchmarks/BENCH_store.json`` via the shared baseline workflow.
-  The floors need real parallelism to be measurable: on a single-CPU
-  host the OS leaves the CPU with whichever process holds the lock, so
-  the seed path loses little aggregate throughput and the ratio is
-  scheduler noise — there the floor check skips (the exactness checks
-  below still run).
-* **Exactness, always.** Whatever the timing, every mode must land on
-  the exact final counter totals and tag sets — a fast store that
-  drops increments is a broken store.
+  real shape of two campaigns sharing one store. Every bump and every
+  tag merge is one transaction on the same WAL-mode database; the
+  guarded value is the tagger's wall-clock under that contention.
+* **Exactness, always.** Whatever the timing, the run must land on the
+  exact final counter totals and tag sets — a fast store that drops
+  increments is a broken store.
+* **Cold scan.** ``stats`` + ``ls`` over a 2000-record corpus from a
+  fresh handle: SQL aggregates and an index, no record parsing.
 
-Counter fsync is disabled for the run (``REPRO_STORE_FSYNC=0``) so the
-comparison measures lock contention, not disk flushes — the same
-setting the CI perf-smoke step uses.
+Both timings are guarded against ``benchmarks/BENCH_store.json`` by the
+shared baseline workflow (``PERF_SMOKE=1`` / ``PERF_BASELINE=1``).
 """
 
 import multiprocessing
@@ -38,52 +21,27 @@ import pathlib
 import tempfile
 import time
 
-import pytest
+from _harness import check_or_record, one_shot, record
 
-os.environ.setdefault("REPRO_STORE_FSYNC", "0")
-
-from _harness import check_or_record, one_shot, record  # noqa: E402
-
-from repro.core.config import BenchmarkConfig  # noqa: E402
-from repro.core.suite import MicroBenchmarkSuite  # noqa: E402
-from repro.hadoop.cluster import cluster_a  # noqa: E402
-from repro.store import (  # noqa: E402
-    FilesystemBackend,
-    ResultStore,
-    StoredResult,
-)
+from repro.core.config import BenchmarkConfig
+from repro.core.suite import MicroBenchmarkSuite
+from repro.hadoop.cluster import cluster_a
+from repro.store import ResultStore, StoredResult
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_store.json"
-
-#: ISSUE acceptance: sharded counters >= 3x the single-lock seed path.
-SHARDED_SPEEDUP_FLOOR = 3.0
-
-#: ISSUE acceptance: SQLite at least at parity with the seed path.
-SQLITE_SPEEDUP_FLOOR = 1.0
 
 #: Background counter-bumping processes per run.
 BUMPERS = 3
 
-#: Timed foreground tag merges per run (enough samples to average
-#: out single-core scheduler luck in the contended modes).
+#: Timed foreground tag merges per run.
 TAGS = 100
 
 #: Pre-seeded records (the tag targets).
 RECORDS = 8
 
 
-def _open_store(mode, root):
-    """A ResultStore of one contender mode."""
-    if mode == "fs-single":
-        # The seed path: every counter bump and tag contends on one
-        # store-wide lock file.
-        return ResultStore(root, backend=FilesystemBackend(
-            pathlib.Path(root), sharded=False))
-    return ResultStore(root)
-
-
 def _tag_keys():
-    """The tag-target records (distinct per-prefix lock files)."""
+    """The tag-target record keys."""
     return [f"{i:02x}" + "e" * 62 for i in range(RECORDS)]
 
 
@@ -93,8 +51,8 @@ def _bumper(args):
     Returns how many bumps it issued, so the parent can assert the
     final counter total is exact.
     """
-    mode, root, worker_id, stop_path = args
-    store = _open_store(mode, root)
+    root, worker_id, stop_path = args
+    store = ResultStore(root)
     count = 0
     while not os.path.exists(stop_path):
         store.get(f"{count % 16:02x}missing-{worker_id}-{count}")
@@ -116,7 +74,7 @@ def _noop(_):
     """Pool warm-up task (forks the workers before any timing starts)."""
 
 
-def _run_mode(mode, payload, pool):
+def _run_contended(payload, pool):
     """One contended tagging pass; returns (seconds, store, bumps).
 
     ``seconds`` is the wall-clock the foreground campaign spent writing
@@ -124,23 +82,17 @@ def _run_mode(mode, payload, pool):
     pool is created (and warmed) by the caller so fork startup never
     lands inside the timed window.
     """
-    tmp = tempfile.mkdtemp(prefix=f"bench-store-{mode}-")
-    if mode == "sqlite":
-        root = f"sqlite:{tmp}/store.sqlite"
-    elif mode == "fs-sharded":
-        root = f"file:{tmp}/store"
-    else:
-        root = f"{tmp}/store"
-    store = _open_store(mode, root)
+    tmp = tempfile.mkdtemp(prefix="bench-store-")
+    root = f"{tmp}/store"
+    store = ResultStore(root)
     keys = _tag_keys()
     for key in keys:
         store.put(key, payload)
     stop_path = os.path.join(tmp, "stop")
     pending = pool.map_async(
-        _bumper,
-        [(mode, root, w, stop_path) for w in range(BUMPERS)])
+        _bumper, [(root, w, stop_path) for w in range(BUMPERS)])
     # Only start the clock once every bumper is demonstrably running.
-    poll = _open_store(mode, root)
+    poll = ResultStore(root)
     deadline = time.monotonic() + 30
     while poll.backend.counters().get("misses", 0) < BUMPERS:
         assert time.monotonic() < deadline, "bumpers never started"
@@ -151,7 +103,7 @@ def _run_mode(mode, payload, pool):
     seconds = time.perf_counter() - start
     pathlib.Path(stop_path).touch()
     bumps = sum(pending.get(timeout=120))
-    return seconds, _open_store(mode, root), bumps
+    return seconds, ResultStore(root), bumps
 
 
 def _assert_exact(store, bumps):
@@ -166,102 +118,58 @@ def _assert_exact(store, bumps):
 
 
 def bench_store_concurrent_writers(benchmark):
-    """Contended tag throughput: sharded fs vs seed lock vs sqlite."""
+    """Contended tag throughput under concurrent counter writers."""
     payload = _seed_payload()
 
     def run():
-        timings = {}
         with multiprocessing.Pool(BUMPERS) as pool:
             pool.map(_noop, range(BUMPERS))  # fork before the clock
-            for mode in ("fs-single", "fs-sharded", "sqlite"):
-                seconds, store, bumps = _run_mode(mode, payload, pool)
-                _assert_exact(store, bumps)
-                timings[mode] = seconds
-        return timings
+            seconds, store, bumps = _run_contended(payload, pool)
+            _assert_exact(store, bumps)
+        return seconds
 
-    timings = one_shot(benchmark, run)
-    sharded_speedup = timings["fs-single"] / timings["fs-sharded"]
-    sqlite_speedup = timings["fs-single"] / timings["sqlite"]
+    seconds = one_shot(benchmark, run)
     record(
         "perf_store_backends",
         f"store tag throughput under {BUMPERS} concurrent counter "
         f"writers ({TAGS} tags):\n"
-        f"  single-lock seed path: {timings['fs-single']:.3f}s\n"
-        f"  sharded filesystem:    {timings['fs-sharded']:.3f}s "
-        f"({sharded_speedup:.1f}x)\n"
-        f"  sqlite (WAL):          {timings['sqlite']:.3f}s "
-        f"({sqlite_speedup:.1f}x)\n",
+        f"  sqlite (WAL): {seconds:.3f}s\n",
     )
     check_or_record(
         "store_concurrent_writers",
-        {
-            "seconds": timings["fs-sharded"],
-            "single_lock_seconds": timings["fs-single"],
-            "sqlite_seconds": timings["sqlite"],
-            "sharded_speedup": round(sharded_speedup, 2),
-            "sqlite_speedup": round(sqlite_speedup, 2),
-            "tags": TAGS,
-            "bumpers": BUMPERS,
-        },
+        {"seconds": seconds, "tags": TAGS, "bumpers": BUMPERS},
         BASELINE_PATH,
-        # Contended wall-clock is scheduler-noisy; the speedup floors
-        # below are the real acceptance guard.
+        # Contended wall-clock is scheduler-noisy.
         factor=4.0,
     )
-    if os.environ.get("PERF_SMOKE"):
-        if (os.cpu_count() or 1) < 2:
-            pytest.skip(
-                "single-CPU host: lock-contention speedups are "
-                "scheduler noise without real parallelism "
-                f"(measured {sharded_speedup:.1f}x sharded, "
-                f"{sqlite_speedup:.1f}x sqlite; exactness checks ran)")
-        assert sharded_speedup >= SHARDED_SPEEDUP_FLOOR, (
-            f"sharded counters only {sharded_speedup:.1f}x the "
-            f"single-lock path (floor {SHARDED_SPEEDUP_FLOOR}x)")
-        assert sqlite_speedup >= SQLITE_SPEEDUP_FLOOR, (
-            f"sqlite below single-lock parity ({sqlite_speedup:.1f}x)")
 
 
 def bench_store_cold_scan(benchmark):
-    """Cold ``stats`` + ``ls`` over a 2000-record corpus, per backend.
-
-    Informational scaling check (guarded only by the generic smoke
-    factor): the sqlite backend answers from SQL aggregates and an
-    index, the filesystem backend walks ``objects/``.
-    """
+    """Cold ``stats`` + ``ls`` over a 2000-record corpus."""
     n = 2000
     document = {"schema": 1, "provenance": {}, "tags": {},
                 "result": {"execution_time": 1.0}}
-    timings = {}
-    tmp = tempfile.mkdtemp(prefix="bench-store-scan-")
-    roots = {"fs": f"file:{tmp}/store", "sqlite": f"sqlite:{tmp}/db.sqlite"}
-    for mode, root in roots.items():
-        backend = ResultStore(root).backend
-        backend.write_records(
-            (f"{i:064x}", dict(document, key=f"{i:064x}"))
-            for i in range(n))
+    root = f"sqlite:{tempfile.mkdtemp(prefix='bench-store-scan-')}/db.sqlite"
+    ResultStore(root).backend.write_records(
+        (f"{i:064x}", dict(document, key=f"{i:064x}")) for i in range(n))
 
     def run():
-        for mode, root in roots.items():
-            cold = ResultStore(root)  # fresh handle = cold scan
-            start = time.perf_counter()
-            stats = cold.stats()
-            keys = list(cold.keys())
-            timings[mode] = time.perf_counter() - start
-            assert stats["records"] == n and len(keys) == n
-        return timings
+        cold = ResultStore(root)  # fresh handle = cold scan
+        start = time.perf_counter()
+        stats = cold.stats()
+        keys = list(cold.keys())
+        seconds = time.perf_counter() - start
+        assert stats["records"] == n and len(keys) == n
+        return seconds
 
-    one_shot(benchmark, run)
+    seconds = one_shot(benchmark, run)
     record(
         "perf_store_cold_scan",
         f"cold stats+ls over {n} records:\n"
-        f"  filesystem: {timings['fs']:.3f}s\n"
-        f"  sqlite:     {timings['sqlite']:.3f}s\n",
+        f"  sqlite: {seconds:.3f}s\n",
     )
     check_or_record(
         "store_cold_scan_2000",
-        {"seconds": timings["sqlite"],
-         "filesystem_seconds": timings["fs"],
-         "records": n},
+        {"seconds": seconds, "records": n},
         BASELINE_PATH,
     )

@@ -167,8 +167,6 @@ def run_worker(host: str, port: int,
                 message = _next_message(sock)
             except KeyboardInterrupt:
                 return EXIT_INTERRUPTED
-            except (ConnectionClosed, ConnectionResetError):
-                return 0
             tag = message[0]
             if tag == MSG_SHUTDOWN:
                 return 0
@@ -177,7 +175,9 @@ def run_worker(host: str, port: int,
             _execute_unit(sock, lock, message)
             if _draining:
                 return EXIT_INTERRUPTED
-    except (ConnectionClosed, BrokenPipeError):
+    except (ConnectionClosed, ConnectionError):
+        # Closed or reset by the coordinator — also mid-send, e.g. a
+        # hello or result reaching a coordinator that already finished.
         return 0
     finally:
         try:

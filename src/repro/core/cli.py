@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     caching.add_argument("--store", default=None, metavar="ROOT",
                          help="back runs with the persistent result store "
                               "at ROOT: a directory, or sqlite:PATH for "
-                              "the SQLite backend (default: $REPRO_STORE "
+                              "a database file (default: $REPRO_STORE "
                               "when set)")
     caching.add_argument("--no-store", action="store_true",
                          help="disable the disk store even if "
@@ -210,13 +210,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     jobconf = JobConf(version=args.framework)
     try:
         fault_plan = _build_fault_plan(args)
+        # --timeline / --history-json need a live SimJobResult (task
+        # events, full history); a warm store hit only carries the
+        # durable subset.
+        store = (None if (args.timeline or args.history_json)
+                 else _store_from_args(args))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # --timeline / --history-json need a live SimJobResult (task events,
-    # full history); a warm store hit only carries the durable subset.
-    store = (None if (args.timeline or args.history_json)
-             else _store_from_args(args))
     suite = MicroBenchmarkSuite(cluster=cluster, jobconf=jobconf,
                                 fault_plan=fault_plan, store=store)
 
@@ -331,7 +332,7 @@ def build_repro_parser() -> argparse.ArgumentParser:
     def add_store_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--store", default=None, metavar="ROOT",
                        help="result store root: a directory, or "
-                            "sqlite:PATH for the SQLite backend "
+                            "sqlite:PATH for a database file "
                             "(default: $REPRO_STORE, else .repro-store)")
 
     store = sub.add_parser("store", help="inspect or maintain a result "
@@ -368,11 +369,12 @@ def build_repro_parser() -> argparse.ArgumentParser:
     export.add_argument("--output", "-o", default=None, metavar="PATH",
                         help="write to PATH instead of stdout")
     migrate = store_sub.add_parser(
-        "migrate", help="copy one store into another (any backend to "
-                        "any backend), key-for-key and byte-identical")
+        "migrate", help="copy one store into another, or import an old "
+                        "objects/ directory store (DIR DIR imports in "
+                        "place), key-for-key and byte-identical")
     migrate.add_argument("source", metavar="SRC",
-                         help="source store root (directory or "
-                              "sqlite:PATH)")
+                         help="source store root, or an old directory "
+                              "store (DIR or file:DIR)")
     migrate.add_argument("destination", metavar="DST",
                          help="destination store root (directory or "
                               "sqlite:PATH)")

@@ -159,7 +159,10 @@ async def _serve_connection(service: BenchmarkService,
         writer.close()
         try:
             await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            # A shutdown cancel that lands here must not leave the task
+            # cancelled: the stream protocol's done-callback would call
+            # task.exception() on it and asyncio would log the error.
             pass
 
 
@@ -258,7 +261,7 @@ class BackgroundServer:
 
     Use as a context manager::
 
-        service = BenchmarkService("file:/tmp/store")
+        service = BenchmarkService("/tmp/store")
         with BackgroundServer(service) as server:
             http.client.HTTPConnection(*server.address) ...
 

@@ -5,10 +5,9 @@ it directly — no sockets needed for the contract tests. The core is
 plain thread-safe synchronous code (the asyncio front end calls it via
 ``asyncio.to_thread``), built from three pieces:
 
-* the :class:`~repro.store.ResultStore` (either backend) for warm
-  answers — served as the record's canonical bytes, so a service
-  response is byte-identical to ``repro store export``'s line for the
-  same key;
+* the :class:`~repro.store.ResultStore` for warm answers — served
+  as the record's canonical bytes, so a service response is
+  byte-identical to ``repro store export``'s line for the same key;
 * a :class:`~repro.service.singleflight.SingleFlight` table so N
   concurrent queries for one cold point cost one simulation;
 * a :class:`~repro.service.scheduler.ColdScheduler` thread pushing
@@ -80,7 +79,7 @@ class BenchmarkService:
         max_queue: int = DEFAULT_MAX_QUEUE,
         execution_backend=None,
     ):
-        """Bind the service to a store root (either backend).
+        """Bind the service to a store (or store root).
 
         ``execution_backend`` is handed to the cold scheduler (e.g. a
         started :class:`~repro.campaign.pool.PoolBackend`); it is

@@ -9,16 +9,16 @@ repeated campaigns warm-start across processes:
   version); independent of ``PYTHONHASHSEED`` and process identity.
 * :mod:`repro.store.records` — :class:`StoredResult`, the durable
   JSON-round-trippable subset of a ``SimJobResult``.
-* :mod:`repro.store.backend` — the :class:`StoreBackend` contract the
-  facade drives, plus root-URL resolution (``sqlite:PATH`` et al).
-* :mod:`repro.store.fs` / :mod:`repro.store.sqlite` — the two
-  backends: the human-inspectable record directory (sharded counter
-  files) and one WAL-mode SQLite database (indexed tags, fast stats).
+* :mod:`repro.store.backend` — canonical record text, root resolution
+  (``sqlite:PATH``, database paths, directories) and the verify types.
+* :mod:`repro.store.sqlite` — the backend: one WAL-mode SQLite
+  database (transactional counters, indexed tags, fast stats).
 * :mod:`repro.store.store` — :class:`ResultStore`, the facade with
   hit/miss/put counters, corruption tolerance, schema invalidation and
   ``gc``/``export`` maintenance.
-* :mod:`repro.store.migrate` — lossless, byte-identical store-to-store
-  copies across backends (``repro store migrate``).
+* :mod:`repro.store.migrate` — byte-identical store-to-store copies,
+  and imports of directory stores written by older releases
+  (``repro store migrate``).
 
 Attach a store to a suite (``MicroBenchmarkSuite(store=...)``), the
 CLI (``--store ROOT``) or a campaign run, and every simulated point is
@@ -29,18 +29,13 @@ See ``docs/STORE.md``, ``docs/MODEL.md`` ("The caching contract") and
 
 from repro.store.backend import (
     BACKEND_ENV_VAR,
-    BACKEND_NAMES,
     FSYNC_ENV_VAR,
     ResultStoreWarning,
-    StoreBackend,
     VerifyProblem,
     VerifyReport,
-    atomic_write_json,
-    create_backend,
     dump_record_text,
-    split_root,
+    resolve_root,
 )
-from repro.store.fs import FilesystemBackend
 from repro.store.keys import (
     SCHEMA_VERSION,
     canonical,
@@ -49,7 +44,6 @@ from repro.store.keys import (
     point_key,
     stable_digest,
 )
-from repro.store.locks import FileLock, store_lock
 from repro.store.migrate import MigrationReport, migrate_store
 from repro.store.records import StoredResult
 from repro.store.sqlite import SQLiteBackend
@@ -62,26 +56,19 @@ from repro.store.store import (
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "BACKEND_NAMES",
     "FSYNC_ENV_VAR",
     "SCHEMA_VERSION",
     "STORE_ENV_VAR",
-    "FileLock",
-    "FilesystemBackend",
     "MigrationReport",
     "ResultStore",
     "ResultStoreWarning",
     "SQLiteBackend",
-    "StoreBackend",
     "StoredResult",
     "VerifyProblem",
     "VerifyReport",
-    "atomic_write_json",
-    "create_backend",
     "dump_record_text",
     "migrate_store",
-    "split_root",
-    "store_lock",
+    "resolve_root",
     "canonical",
     "canonical_json",
     "default_store_root",

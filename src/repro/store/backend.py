@@ -1,66 +1,48 @@
-"""The pluggable storage contract behind :class:`~repro.store.ResultStore`.
+"""Record text, root resolution and the shared types of the store.
 
-:class:`ResultStore` is a thin facade: all hit/miss accounting, record
-envelopes and provenance live there, while everything that actually
-touches persistent state goes through a :class:`StoreBackend`. Two
-implementations ship:
-
-* :class:`~repro.store.fs.FilesystemBackend` — the original
-  human-inspectable ``objects/<aa>/<key>.json`` directory layout,
-  upgraded with **sharded counter files** so concurrent writers stop
-  contending on a single lock;
-* :class:`~repro.store.sqlite.SQLiteBackend` — one SQLite database in
-  WAL mode with real transactions and indexed tag/quarantine tables,
-  built for read-heavy service use and fast ``ls``/``verify``/
-  ``stats`` over millions of records.
-
-Both backends store the *identical* record document (the same JSON
-text, byte for byte — see :func:`dump_record_text`), keyed by the same
-content address from :mod:`repro.store.keys`, so records migrate
-between backends losslessly (``repro store migrate``) and the
-bit-identity contract (hex-exact warm starts) holds regardless of
-backing.
+:class:`~repro.store.ResultStore` keeps every record, counter, ledger
+and checkpoint in one WAL-mode SQLite database
+(:class:`~repro.store.sqlite.SQLiteBackend`). A record is stored as its
+canonical JSON text (:func:`dump_record_text`) under the content address
+from :mod:`repro.store.keys`, so ``repro store export`` bytes and warm
+starts stay hex-exact.
 
 Root syntax (everywhere a store root is accepted — ``--store``,
 ``$REPRO_STORE``, ``ResultStore(...)``):
 
-* ``sqlite:PATH`` — SQLite backend at ``PATH`` (URL-style, explicit);
-* ``file:PATH`` — filesystem backend at directory ``PATH`` (explicit);
+* ``sqlite:PATH`` — the database file at ``PATH``;
 * a path ending in ``.db`` / ``.sqlite`` / ``.sqlite3``, or naming an
-  existing regular file — SQLite backend;
-* any other path — a directory store. The backend is the filesystem
-  one unless ``$REPRO_STORE_BACKEND=sqlite`` is set (the database then
-  lives at ``<root>/store.sqlite``) or the directory already holds a
-  ``store.sqlite`` from a previous sqlite-backed run.
+  existing regular file — that database file;
+* any other path — a directory holding the database as
+  ``<dir>/store.sqlite``.
+
+A directory holding an ``objects/`` record tree but no ``store.sqlite``
+was written by an older release's directory backend. Opening it raises
+``ValueError`` naming ``repro store migrate DIR DIR``, which imports it
+(:mod:`repro.store.migrate`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-#: Environment variable selecting the backend for plain directory roots
-#: (``filesystem`` — the default — or ``sqlite``).
+#: Environment variable naming the store backend. ``sqlite``, the only
+#: backend, is the one accepted value; unset means the same.
 BACKEND_ENV_VAR = "REPRO_STORE_BACKEND"
 
-#: Environment variable gating fsync durability (default on; set to
-#: ``0`` to trade crash-durability for write throughput, e.g. in
-#: benchmarks that measure lock contention rather than disk flushes).
+#: Environment variable read by :func:`fsync_enabled` (default on). It
+#: no longer changes store behaviour: SQLite runs ``synchronous=NORMAL``
+#: under WAL either way. Benchmark host fingerprints still record it.
 FSYNC_ENV_VAR = "REPRO_STORE_FSYNC"
 
-#: Database filename used when a *directory* root is opened with the
-#: sqlite backend (``$REPRO_STORE_BACKEND=sqlite``).
+#: Database filename inside a *directory* store root.
 SQLITE_FILENAME = "store.sqlite"
-
-#: Known backend names (``ResultStore(root, backend=...)``).
-BACKEND_NAMES = ("filesystem", "sqlite")
 
 
 class ResultStoreWarning(UserWarning):
@@ -68,68 +50,62 @@ class ResultStoreWarning(UserWarning):
 
 
 def fsync_enabled() -> bool:
-    """Whether record writes flush to stable storage (default: yes)."""
+    """Whether ``$REPRO_STORE_FSYNC`` asks for flushes (default: yes)."""
     raw = os.environ.get(FSYNC_ENV_VAR, "1").strip().lower()
     return raw not in ("0", "false", "no", "off")
 
 
-def _fsync_dir(path: Path) -> None:
-    """Flush a directory entry (POSIX); best-effort elsewhere."""
-    if not hasattr(os, "O_DIRECTORY"):  # pragma: no cover - non-POSIX
-        return
-    try:
-        fd = os.open(str(path), os.O_RDONLY | os.O_DIRECTORY)
-    except OSError:  # pragma: no cover - exotic filesystems
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync not supported on dirs
-        pass
-    finally:
-        os.close(fd)
+def legacy_directory(root: Union[str, Path]) -> Optional[Path]:
+    """The old directory store ``root`` names, if it names one.
 
-
-def atomic_write_json(path: Path, payload: dict,
-                      durable: bool = True) -> None:
-    """Publish ``payload`` at ``path`` via temp file + ``os.replace``.
-
-    With ``durable=True`` (the default) the temp file is fsynced
-    *before* the rename and the directory entry after it, so a crash —
-    even a power cut — can never leave a zero-length or torn file where
-    a record used to be. ``durable=False`` skips the flushes for
-    throwaway statistics (counter shards) whose loss is harmless.
-    ``$REPRO_STORE_FSYNC=0`` disables flushing globally.
+    ``file:DIR`` always does; a plain directory does when it holds an
+    ``objects/`` record tree and no ``store.sqlite``.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    durable = durable and fsync_enabled()
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(dump_record_text(payload))
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        if durable:
-            _fsync_dir(path.parent)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    raw = str(root)
+    if raw.startswith("file:"):
+        return Path(raw[len("file:"):])
+    path = Path(raw)
+    if (path / "objects").is_dir() and not (path / SQLITE_FILENAME).is_file():
+        return path
+    return None
+
+
+def resolve_root(root: Union[str, Path]) -> Tuple[Path, str]:
+    """Resolve a store root to ``(database path, display root)``.
+
+    ``display root`` is what the store reports as its root: the
+    user-addressed path, e.g. the directory even when the database
+    lives inside it. Raises ``ValueError`` for a ``$REPRO_STORE_BACKEND``
+    other than ``sqlite`` and for an old directory store.
+    """
+    backend = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
+    if backend not in ("", "sqlite"):
+        raise ValueError(f"unknown store backend {backend!r} "
+                         f"(the only backend is sqlite)")
+    raw = str(root)
+    if raw.startswith("sqlite:"):
+        rest = raw[len("sqlite:"):]
+        return Path(rest), rest
+    legacy = legacy_directory(raw)
+    if legacy is not None:
+        raise ValueError(
+            f"{legacy} is a directory store from an older release; "
+            f"import it with `repro store migrate {raw} {legacy}`")
+    path = Path(raw)
+    if raw.endswith((".db", ".sqlite", ".sqlite3")) or path.is_file():
+        return path, raw
+    return path / SQLITE_FILENAME, raw
 
 
 def dump_record_text(record: dict) -> str:
     """The canonical serialized form of one record document.
 
-    Exactly the bytes :func:`atomic_write_json` puts in a record file;
-    the SQLite backend stores the same text, which is what makes
-    ``repro store migrate`` byte-identical in both directions.
+    The text the SQLite backend stores. Older releases wrote the same
+    bytes into each ``objects/`` record file, which is why ``repro store
+    migrate`` imports such a store byte-identically.
 
     The text is ``json.dumps(record, indent=1, sort_keys=True)``, built
-    faster (docs/STORE.md §4a has the argument): a *flat* container (only
+    faster (docs/STORE.md §4 has the argument): a *flat* container (only
     scalar values) is one C-encoder call whose item separator carries
     the line break and indent of its depth, and a non-flat sub-document
     below depth 1 (a provenance ``cluster``, a result's ``phase_rows``)
@@ -279,7 +255,7 @@ def _remember(key: str, text: str) -> None:
 
 @dataclass
 class VerifyProblem:
-    """One integrity failure found by :meth:`StoreBackend.verify`."""
+    """One integrity failure found by a store ``verify`` pass."""
 
     path: Path
     key: str
@@ -304,234 +280,3 @@ class VerifyReport:
     def clean(self) -> bool:
         """Whether every record (and the metadata) verified."""
         return self.meta_ok and not self.problems
-
-
-class StoreBackend(ABC):
-    """Persistent-state contract one :class:`ResultStore` drives.
-
-    Backends deal in raw record *documents* (plain dicts shaped
-    ``{key, schema, provenance, tags, result}``); the facade owns the
-    envelope construction, ``StoredResult`` (de)serialization and the
-    hit/miss/put accounting policy. A backend must:
-
-    * keep every write atomic from a concurrent reader's view;
-    * keep counter read-modify-writes exact under multi-process
-      concurrency (the 4-process stress test asserts exact totals);
-    * degrade to a warn-once read-only mode on write failure instead of
-      raising (the campaign must keep simulating on a full disk);
-    * serve ``read_record`` tolerantly — corrupt is a warning and a
-      miss, never a crash.
-    """
-
-    #: Short backend name (``filesystem`` / ``sqlite``).
-    scheme: str = ""
-
-    # -- identity ----------------------------------------------------------
-
-    @abstractmethod
-    def describe(self) -> str:
-        """One-line human description (``sqlite store at /x.db``)."""
-
-    @property
-    @abstractmethod
-    def read_only(self) -> bool:
-        """Whether the backend degraded to read-only mode."""
-
-    def close(self) -> None:
-        """Release any process-local handles (connections, caches).
-
-        The backend stays usable afterwards — operations transparently
-        reacquire what they need. The filesystem backend holds nothing
-        between operations, so the default is a no-op; the SQLite
-        backend closes every connection this process opened.
-        """
-
-    # -- records -----------------------------------------------------------
-
-    @abstractmethod
-    def read_record(self, key: str) -> Optional[dict]:
-        """One usable current-schema record document, or ``None``.
-
-        Corrupt storage warns (:class:`ResultStoreWarning`) and returns
-        ``None``; a wrong-schema record is a silent ``None``.
-        """
-
-    @abstractmethod
-    def write_record(self, key: str, record: dict) -> bool:
-        """Publish one record atomically; False when dropped (no counter
-        effects either way)."""
-
-    @abstractmethod
-    def write_records(self, entries: Iterable[Tuple[str, dict]]) -> int:
-        """Publish many record documents; returns how many were written."""
-
-    @abstractmethod
-    def update_tags(
-        self, entries: Iterable[Tuple[str, str, Optional[dict]]]
-    ) -> int:
-        """Merge campaign tags into existing records (locked RMW).
-
-        ``entries`` yields ``(key, campaign, meta)``; returns the number
-        of records that carry their tag afterwards (missing records are
-        skipped).
-        """
-
-    # -- counters ----------------------------------------------------------
-
-    @abstractmethod
-    def bump_counters(self, deltas: Dict[str, int]) -> None:
-        """Add counter deltas; exact under concurrent writers."""
-
-    @abstractmethod
-    def counters(self) -> Dict[str, int]:
-        """Fresh lifetime counter totals (always re-read, never cached)."""
-
-    # -- quarantine ledger -------------------------------------------------
-
-    @abstractmethod
-    def quarantine(self) -> Dict[str, dict]:
-        """The quarantine ledger: point key → failure entry."""
-
-    @abstractmethod
-    def quarantine_add(self, key: str, entry: dict) -> None:
-        """Record one exhausted point in the ledger."""
-
-    @abstractmethod
-    def quarantine_clear(self, keys: Optional[Iterable[str]] = None) -> int:
-        """Drop ledger entries (all, or just ``keys``); returns count."""
-
-    @abstractmethod
-    def quarantine_location(self) -> str:
-        """Human pointer to where the ledger lives (CLI messages)."""
-
-    # -- lease ledger ------------------------------------------------------
-
-    @abstractmethod
-    def leases(self) -> Dict[str, dict]:
-        """Active distributed-execution leases: point key → entry.
-
-        Maintained by the pool coordinator (see
-        :mod:`repro.campaign.pool`): an entry appears when a unit is
-        dispatched to a worker and disappears when it completes, is
-        quarantined, or is reassigned. Normally empty between runs.
-        """
-
-    @abstractmethod
-    def lease_update(self, key: str, entry: dict) -> None:
-        """Record (or refresh) one point's lease."""
-
-    @abstractmethod
-    def lease_release(self, keys: Optional[Iterable[str]] = None) -> int:
-        """Drop leases (all, or just ``keys``); returns count."""
-
-    # -- campaign checkpoints ----------------------------------------------
-
-    @abstractmethod
-    def write_checkpoint(self, campaign: str, payload: dict) -> bool:
-        """Publish one campaign's checkpoint; False when dropped."""
-
-    @abstractmethod
-    def read_checkpoint(self, campaign: str) -> Optional[dict]:
-        """One campaign's checkpoint, if present and parsable."""
-
-    @abstractmethod
-    def checkpoints(self) -> Dict[str, dict]:
-        """Every parsable checkpoint, by campaign name (migration)."""
-
-    # -- inspection --------------------------------------------------------
-
-    @abstractmethod
-    def keys(self) -> Iterator[str]:
-        """All record keys present (any schema), sorted."""
-
-    @abstractmethod
-    def records(self) -> Iterator[Tuple[str, dict]]:
-        """(key, document) for every usable current-schema record."""
-
-    @abstractmethod
-    def dump(self) -> Iterator[Tuple[str, dict]]:
-        """(key, document) for every *parsable* record, any schema.
-
-        The migration source: stale records are preserved verbatim,
-        only unreadable ones are skipped (with a warning).
-        """
-
-    @abstractmethod
-    def campaign_keys(self, campaign: str) -> List[str]:
-        """Sorted keys of the records tagged by one campaign."""
-
-    @abstractmethod
-    def stats_counts(self) -> Dict[str, int]:
-        """``records`` / ``stale_records`` / ``bytes`` footprint."""
-
-    @abstractmethod
-    def verify(self, gc: bool = False) -> VerifyReport:
-        """Fsck every record; optionally sweep the ones that fail."""
-
-    @abstractmethod
-    def gc(self, remove_all: bool = False) -> int:
-        """Remove stale (or, with ``remove_all``, every) record."""
-
-
-def split_root(
-    root: Union[str, Path], backend: Optional[str] = None
-) -> Tuple[str, str, str]:
-    """Resolve a store root to ``(scheme, location, display_root)``.
-
-    ``scheme`` names the backend, ``location`` is what its constructor
-    takes (directory for filesystem, database path for sqlite) and
-    ``display_root`` is what the store reports as its root (the
-    user-addressed path, e.g. the directory even when the database
-    lives inside it). ``backend`` forces a scheme regardless of syntax.
-    """
-    raw = str(root)
-    if raw.startswith("sqlite:"):
-        rest = raw[len("sqlite:"):]
-        return "sqlite", rest, rest
-    if raw.startswith("file:"):
-        rest = raw[len("file:"):]
-        return "filesystem", rest, rest
-    if backend is None:
-        env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-        backend = env or None
-    if backend is not None and backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown store backend {backend!r} "
-            f"(expected one of {', '.join(BACKEND_NAMES)})"
-        )
-    path = Path(raw)
-    looks_sqlite = raw.endswith((".db", ".sqlite", ".sqlite3"))
-    if backend == "filesystem":
-        if looks_sqlite or path.is_file():
-            raise ValueError(
-                f"store root {raw!r} names a database file but the "
-                f"filesystem backend was requested"
-            )
-        return "filesystem", raw, raw
-    if looks_sqlite or path.is_file():
-        return "sqlite", raw, raw
-    if backend == "sqlite":
-        return "sqlite", str(path / SQLITE_FILENAME), raw
-    # A directory created by a previous sqlite-backed run keeps
-    # resolving to sqlite even without $REPRO_STORE_BACKEND set.
-    if (path / SQLITE_FILENAME).is_file() and not (path / "objects").is_dir():
-        return "sqlite", str(path / SQLITE_FILENAME), raw
-    return "filesystem", raw, raw
-
-
-def create_backend(
-    root: Union[str, Path], backend: Optional[str] = None
-) -> Tuple[StoreBackend, str]:
-    """Instantiate the backend a root resolves to.
-
-    Returns ``(backend_instance, display_root)``; see :func:`split_root`
-    for the resolution rules.
-    """
-    scheme, location, display = split_root(root, backend=backend)
-    if scheme == "sqlite":
-        from repro.store.sqlite import SQLiteBackend
-
-        return SQLiteBackend(location), display
-    from repro.store.fs import FilesystemBackend
-
-    return FilesystemBackend(location), display

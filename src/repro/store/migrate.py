@@ -1,13 +1,12 @@
-"""Lossless store-to-store migration (``repro store migrate``).
+"""Store-to-store copies and imports (``repro store migrate``).
 
-Moves a result corpus between backends — directory tree to SQLite for
-service use, SQLite back to a directory for inspection or archival —
-key for key, byte for byte. Because both backends persist the
-*identical* canonical record text
-(:func:`~repro.store.backend.dump_record_text`), a migrated record's
-serialized form is indistinguishable from the original: a filesystem →
-sqlite → filesystem round trip reproduces the original record files
-byte-identically, and warm starts through the copy stay hex-exact.
+Copies a result corpus key for key, byte for byte, into a SQLite store:
+from another SQLite store, or from a directory store written by an
+older release (``objects/<aa>/<key>.json`` files, read by
+:class:`DirectoryStoreReader`). Those record files hold the canonical
+record text (:func:`~repro.store.backend.dump_record_text`) the SQLite
+backend stores, so an import is byte-identical and warm starts through
+it stay hex-exact; nothing is re-simulated.
 
 What migrates:
 
@@ -19,13 +18,25 @@ What migrates:
   into an empty store reproduces the source totals exactly;
 * **quarantine ledger**, **lease ledger** and **campaign
   checkpoints** — copied entry for entry.
+
+``repro store migrate DIR DIR`` imports an old directory store in
+place: the database lands beside the old files as ``DIR/store.sqlite``,
+and from then on ``DIR`` opens as that database.
 """
 
 from __future__ import annotations
 
+import json
+import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Union
+from pathlib import Path
+from typing import Dict, Iterator, Optional, Tuple, Union
 
+from repro.store.backend import (
+    SQLITE_FILENAME,
+    ResultStoreWarning,
+    legacy_directory,
+)
 from repro.store.store import ResultStore
 
 
@@ -55,24 +66,121 @@ class MigrationReport:
         )
 
 
+def _read_json(path: Path) -> Optional[object]:
+    """One parsed JSON file; None when absent, None + warning when
+    unreadable."""
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        warnings.warn(f"skipping unreadable {path}: {exc}",
+                      ResultStoreWarning, stacklevel=3)
+        return None
+
+
+class DirectoryStoreReader:
+    """Read-only view of a directory store from an older release.
+
+    Layout (all JSON; ``*.lock`` files are ignored)::
+
+        <root>/store.json                 schema stamp (+ counters)
+        <root>/counters/shard-<nn>.json   counter shards
+        <root>/quarantine.json            {"points": {key: entry}}
+        <root>/leases.json                {"points": {key: entry}}
+        <root>/checkpoints/<name>.json    one checkpoint per campaign
+        <root>/objects/<k[:2]>/<k>.json   one record per point key
+
+    An unreadable file warns and reads as absent, as it did in the
+    release that wrote it.
+    """
+
+    def __init__(self, root: Union[str, Path]):
+        """View the directory store at ``root`` (nothing is read yet)."""
+        self.root = Path(root)
+
+    def describe(self) -> str:
+        """One-line human description of the source."""
+        return f"directory store at {self.root}"
+
+    def dump(self) -> Iterator[Tuple[str, dict]]:
+        """(key, document) for every parsable record, any schema."""
+        for path in sorted(self.root.glob("objects/*/*.json")):
+            data = _read_json(path)
+            if isinstance(data, dict):
+                yield path.stem, data
+
+    def counters(self) -> Dict[str, int]:
+        """Totals over ``store.json`` and every counter shard."""
+        totals: Dict[str, int] = {}
+        paths = [self.root / "store.json",
+                 *sorted(self.root.glob("counters/shard-*.json"))]
+        for path in paths:
+            data = _read_json(path)
+            try:
+                counts = {name: int(value) for name, value
+                          in (data or {}).items() if name != "schema"}
+            except (AttributeError, TypeError, ValueError) as exc:
+                warnings.warn(f"skipping unreadable {path}: {exc}",
+                              ResultStoreWarning, stacklevel=2)
+                continue
+            for name, value in counts.items():
+                totals[name] = totals.get(name, 0) + value
+        return totals
+
+    def _ledger(self, filename: str) -> Dict[str, dict]:
+        """One ``{"points": {...}}`` ledger file's entries."""
+        data = _read_json(self.root / filename)
+        entries = data.get("points") if isinstance(data, dict) else None
+        return entries if isinstance(entries, dict) else {}
+
+    def quarantine(self) -> Dict[str, dict]:
+        """The quarantine ledger: point key → failure entry."""
+        return self._ledger("quarantine.json")
+
+    def leases(self) -> Dict[str, dict]:
+        """The lease ledger: point key → lease entry."""
+        return self._ledger("leases.json")
+
+    def checkpoints(self) -> Dict[str, dict]:
+        """Every parsable checkpoint, by campaign name."""
+        out: Dict[str, dict] = {}
+        for path in sorted(self.root.glob("checkpoints/*.json")):
+            data = _read_json(path)
+            if isinstance(data, dict):
+                out[path.stem] = data
+        return out
+
+
 def migrate_store(
     source: Union[str, ResultStore],
     destination: Union[str, ResultStore],
 ) -> MigrationReport:
-    """Copy one store into another, losslessly, across backends.
+    """Copy one store into another, losslessly.
 
-    ``source`` and ``destination`` accept any store root (directory,
-    ``sqlite:PATH``, database path) or an opened :class:`ResultStore`.
-    Existing destination records with the same key are overwritten with
-    the source's bytes; destination counters *accumulate* the source
-    totals. Raises ``ValueError`` when source and destination resolve
-    to the same location.
+    ``source`` accepts any store root or an opened :class:`ResultStore`;
+    an old directory store (``file:DIR``, or a directory holding
+    ``objects/`` and no ``store.sqlite``) is imported read-only.
+    ``destination`` accepts any store root or an opened store; naming
+    the old directory itself puts the database at
+    ``DIR/store.sqlite``. Existing destination records with the same
+    key are overwritten with the source's bytes; destination counters
+    *accumulate* the source totals. Raises ``ValueError`` when source
+    and destination resolve to the same database.
     """
-    if isinstance(source, str):
-        source = ResultStore(source)
+    legacy = (legacy_directory(source) if isinstance(source, str)
+              else None)
+    if legacy is not None:
+        src = DirectoryStoreReader(legacy)
+    else:
+        src = (source if isinstance(source, ResultStore)
+               else ResultStore(source)).backend
     if isinstance(destination, str):
+        into = legacy_directory(destination)
+        if into is not None and not destination.startswith("file:"):
+            destination = f"sqlite:{into / SQLITE_FILENAME}"
         destination = ResultStore(destination)
-    src, dst = source.backend, destination.backend
+    dst = destination.backend
     if src.describe() == dst.describe():
         raise ValueError(
             f"source and destination are the same store ({src.describe()})")

@@ -1,23 +1,22 @@
-"""The SQLite store backend (one database file, WAL mode).
+"""The store backend: one SQLite database file in WAL mode.
 
-Built for the read-heavy service end of the ROADMAP: real transactions
-instead of lock-file read-modify-writes, an indexed ``tags`` table so
-``repro store ls --campaign`` doesn't scan every record, and
+Real transactions for every read-modify-write, an indexed ``tags``
+table so ``repro store ls --campaign`` doesn't scan every record, and
 ``ls``/``stats``/``verify`` that stay fast over millions of records
-because they are SQL aggregates, not directory walks.
+because they are SQL aggregates.
 
 The record *document* is stored as its canonical JSON text
-(:func:`~repro.store.backend.dump_record_text` — the identical bytes
-the filesystem backend puts in a record file), so migrating a store
-between backends is byte-lossless and the bit-identity contract holds
-unchanged. The ``schema`` column and the ``tags`` table are
-denormalized indexes over that text, kept in sync inside the same
-transaction as every record write.
+(:func:`~repro.store.backend.dump_record_text`), so a migrated store is
+byte-lossless and the bit-identity contract holds. The ``schema``
+column and the ``tags`` table are denormalized indexes over that text,
+kept in sync inside the same transaction as every record write.
 
 Concurrency: WAL journal mode (readers never block the writer),
 ``synchronous=NORMAL`` (safe with WAL), a 30 s busy timeout, and
 counter bumps as single ``UPSERT`` statements — exact under concurrent
-processes without any advisory lock files. Connections are
+processes. A few windows return ``SQLITE_BUSY`` without consulting the
+busy timeout, so every statement, read or write, goes through one
+retry loop (:meth:`SQLiteBackend._retry`). Connections are
 per-(process, thread): a :class:`threading.local` cache hands every
 thread its own connection (sqlite3 connections have thread affinity —
 one shared per-process connection made any second thread, e.g. the
@@ -30,8 +29,8 @@ precisely so one thread can close all of them; each is still *used*
 only by its owning thread).
 
 Write failures (disk full, read-only database) degrade the backend to
-warn-once read-only mode, same as the filesystem backend: campaigns
-keep simulating, results just stop being recorded.
+warn-once read-only mode: campaigns keep simulating, results just stop
+being recorded.
 """
 
 from __future__ import annotations
@@ -48,18 +47,18 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.store.backend import (
     ResultStoreWarning,
-    StoreBackend,
     VerifyProblem,
     VerifyReport,
     dump_record_text,
 )
-from repro.store.keys import SCHEMA_VERSION
+from repro.store.keys import SCHEMA_VERSION, stable_digest
+from repro.store.records import StoredResult
 
 #: Milliseconds a statement waits on a locked database before failing.
 BUSY_TIMEOUT_MS = 30_000
 
-#: Write-transaction attempts before a persistent ``SQLITE_BUSY`` is
-#: treated as a real failure (each retry backs off a little longer).
+#: Statement attempts before a persistent ``SQLITE_BUSY`` is treated as
+#: a real failure (each retry backs off a little longer).
 BUSY_RETRIES = 5
 
 _SCHEMA_SQL = """
@@ -98,8 +97,8 @@ def _execute(db: sqlite3.Connection, sql: str,
              params: Tuple = ()) -> sqlite3.Cursor:
     """Run one statement (module-level seam for fault-injection tests).
 
-    Tests monkeypatch this to make writes fail — the container runs as
-    root, so permission tricks can't produce a read-only database.
+    Tests monkeypatch this to make statements fail — as root, permission
+    tricks can't produce a read-only database.
     """
     return db.execute(sql, params)
 
@@ -132,9 +131,10 @@ def _busy(exc: BaseException) -> bool:
     return "locked" in message or "busy" in message
 
 
-class SQLiteBackend(StoreBackend):
+class SQLiteBackend:
     """Content-addressed records in one WAL-mode SQLite database."""
 
+    #: Backend name, reported by ``stats()`` as ``backend``.
     scheme = "sqlite"
 
     def __init__(self, location: Union[str, Path]):
@@ -191,9 +191,9 @@ class SQLiteBackend(StoreBackend):
             # _write_txn (BEGIN IMMEDIATE), never implicitly by the
             # driver.
             conn.isolation_level = None
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+            _execute(conn, "PRAGMA journal_mode=WAL")
+            _execute(conn, "PRAGMA synchronous=NORMAL")
+            _execute(conn, f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
             with conn:
                 conn.executescript(_SCHEMA_SQL)
         except BaseException:
@@ -263,17 +263,18 @@ class SQLiteBackend(StoreBackend):
             )
             self._read_only = True
 
-    def _write(self, operation):
-        """Run one write operation, retrying transient lock contention.
+    def _retry(self, operation):
+        """Run one read or write operation, retrying lock contention.
 
         SQLite's busy handler covers most contention, but a few windows
         return ``SQLITE_BUSY`` without consulting it — the journal-mode
-        transition while a freshly created database is still in
-        rollback mode, and deadlock avoidance on lock upgrades. Those
-        mean "another writer got there first", not "the store is
-        unwritable", so they must not trip read-only degradation: roll
-        back, back off, try again. A persistent failure propagates to
-        the caller (which degrades as usual).
+        pragma while a freshly created database is still in rollback
+        mode, and deadlock avoidance on lock upgrades. Those mean
+        "another connection got there first", not "the store is
+        unwritable" or "the record is missing", so they must neither
+        degrade the store nor turn a hit into a miss: roll back, back
+        off, try again. A persistent failure propagates to the caller
+        (a write degrades, a read warns).
         """
         for attempt in range(BUSY_RETRIES):
             try:
@@ -291,7 +292,8 @@ class SQLiteBackend(StoreBackend):
     def _rows(self, sql: str, params: Tuple = ()) -> List[tuple]:
         """Fetch query rows, tolerating an unopenable/corrupt database."""
         try:
-            return _execute(self._db(), sql, params).fetchall()
+            return self._retry(
+                lambda: _execute(self._db(), sql, params).fetchall())
         except (sqlite3.Error, OSError) as exc:
             warnings.warn(
                 f"unreadable store database {self.location}: {exc}",
@@ -366,7 +368,7 @@ class SQLiteBackend(StoreBackend):
                         _execute(db, sql, params)
 
         try:
-            self._write(publish)
+            self._retry(publish)
         except (sqlite3.Error, OSError) as exc:
             self._degrade(exc)
             return 0
@@ -411,7 +413,7 @@ class SQLiteBackend(StoreBackend):
             return tagged
 
         try:
-            return self._write(merge)
+            return self._retry(merge)
         except (sqlite3.Error, OSError) as exc:
             self._degrade(exc)
             return sum(1 for key, _c, _m in entries
@@ -437,7 +439,7 @@ class SQLiteBackend(StoreBackend):
                         (name, n))
 
         try:
-            self._write(bump)
+            self._retry(bump)
         except (sqlite3.Error, OSError) as exc:
             self._degrade(exc)
 
@@ -477,7 +479,7 @@ class SQLiteBackend(StoreBackend):
                     (key, json.dumps(entry, sort_keys=True)))
 
         try:
-            self._write(add)
+            self._retry(add)
         except (sqlite3.Error, OSError) as exc:
             self._degrade(exc)
 
@@ -500,7 +502,7 @@ class SQLiteBackend(StoreBackend):
                 return removed
 
         try:
-            return self._write(clear)
+            return self._retry(clear)
         except (sqlite3.Error, OSError) as exc:
             self._degrade(exc)
             return 0
@@ -534,7 +536,7 @@ class SQLiteBackend(StoreBackend):
                     (key, json.dumps(entry, sort_keys=True)))
 
         try:
-            self._write(update)
+            self._retry(update)
         except (sqlite3.Error, OSError) as exc:
             self._degrade(exc)
 
@@ -557,7 +559,7 @@ class SQLiteBackend(StoreBackend):
                 return removed
 
         try:
-            return self._write(release)
+            return self._retry(release)
         except (sqlite3.Error, OSError) as exc:
             self._degrade(exc)
             return 0
@@ -580,7 +582,7 @@ class SQLiteBackend(StoreBackend):
                     (campaign, json.dumps(payload, sort_keys=True)))
 
         try:
-            self._write(checkpoint)
+            self._retry(checkpoint)
         except (sqlite3.Error, OSError) as exc:
             self._degrade(exc)
             return False
@@ -658,15 +660,13 @@ class SQLiteBackend(StoreBackend):
     def verify(self, gc: bool = False) -> VerifyReport:
         """Fsck every record row; optionally sweep the failing ones.
 
-        Applies the same per-record contract as the filesystem backend
-        (via :func:`repro.store.fs.verify_record`); the metadata check
+        Applies :func:`verify_record` to every row; the metadata check
         is SQLite's own ``PRAGMA quick_check``.
         """
-        from repro.store.fs import verify_record
-
         report = VerifyReport()
         try:
-            check = _execute(self._db(), "PRAGMA quick_check").fetchone()
+            check = self._retry(lambda: _execute(
+                self._db(), "PRAGMA quick_check").fetchone())
             report.meta_ok = bool(check) and check[0] == "ok"
         except (sqlite3.Error, OSError):
             report.meta_ok = False
@@ -707,7 +707,7 @@ class SQLiteBackend(StoreBackend):
             return removed
 
         try:
-            return self._write(drop)
+            return self._retry(drop)
         except (sqlite3.Error, OSError) as exc:
             self._degrade(exc)
             return 0
@@ -727,3 +727,28 @@ class SQLiteBackend(StoreBackend):
                 pass
             stale.append(key)
         return self._delete_keys(stale)
+
+
+def verify_record(key: str, data: object) -> Optional[str]:
+    """The integrity problem of one parsed record, or None if sound."""
+    if not isinstance(data, dict):
+        return "not a JSON object"
+    if data.get("key") != key:
+        return (f"key mismatch: record says "
+                f"{str(data.get('key'))[:16]!r}")
+    if data.get("schema") != SCHEMA_VERSION:
+        return (f"stale schema {data.get('schema')!r} "
+                f"(current: {SCHEMA_VERSION})")
+    try:
+        StoredResult.from_dict(data["result"])
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"malformed result payload: {exc}"
+    provenance = data.get("provenance")
+    if provenance:
+        try:
+            digest = stable_digest(provenance)
+        except TypeError as exc:
+            return f"unhashable provenance: {exc}"
+        if digest != key:
+            return "provenance does not hash to the record key"
+    return None

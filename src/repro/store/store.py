@@ -1,38 +1,28 @@
-"""The content-addressed result store (facade over pluggable backends).
+"""The content-addressed result store.
 
 :class:`ResultStore` owns the store *policy* — record envelopes,
 :class:`~repro.store.records.StoredResult` (de)serialization, warm-start
-hit/miss/put accounting — and delegates all persistent state to a
-:class:`~repro.store.backend.StoreBackend`:
-
-* :class:`~repro.store.fs.FilesystemBackend` (default) — the
-  human-inspectable ``objects/<aa>/<key>.json`` directory layout with
-  sharded counter files;
-* :class:`~repro.store.sqlite.SQLiteBackend` — one WAL-mode SQLite
-  database, selected by a ``sqlite:PATH`` root, a ``*.db``/``*.sqlite``
-  path, or ``$REPRO_STORE_BACKEND=sqlite`` (see
-  :func:`~repro.store.backend.split_root` for the full rules).
+hit/miss/put accounting — and keeps all persistent state in one
+WAL-mode SQLite database (:class:`~repro.store.sqlite.SQLiteBackend`).
+A plain directory root holds it as ``<dir>/store.sqlite``; see
+:func:`~repro.store.backend.resolve_root` for the full root syntax.
 
 Each record carries the key, the key schema version, a provenance
 block (the canonical key components: config, cluster, jobconf, cost
 model, fault plan, resolved interconnect), campaign tags added by
 :mod:`repro.campaign`, and the :class:`~repro.store.records.StoredResult`
-payload. Both backends store the identical record document — the same
-canonical JSON text — so ``repro store migrate`` moves stores between
-backings byte-for-byte and the bit-identity contract (hex-exact warm
-starts) holds regardless of backend.
+payload, stored as its canonical JSON text, so warm starts are
+hex-exact.
 
-Design points (the backend contract enforces these; see
-:class:`~repro.store.backend.StoreBackend`):
+Design points:
 
 * **Warm starts are observable.** The store keeps lifetime ``puts``
   (simulations executed and recorded), ``hits`` and ``misses``
   counters; ``repro store stats`` prints them, so "the second run
   executed 0 simulations" is a checkable claim (``puts`` did not move).
-* **Counters survive concurrency.** Counter updates are exact under
-  multi-process concurrency — per-shard file locks on the filesystem
-  backend, transactional upserts on SQLite (asserted by a multiprocess
-  stress test against both).
+* **Counters survive concurrency.** Counter updates are transactional
+  upserts, exact under multi-process concurrency (asserted by a
+  multiprocess stress test).
 * **Corruption is a warning, not a crash.** A record that fails to
   parse or validate is skipped with a :class:`ResultStoreWarning`; the
   point simply re-simulates (and ``repro store verify --gc`` can sweep
@@ -44,10 +34,8 @@ Design points (the backend contract enforces these; see
 * **Schema bumps invalidate.** Records whose ``schema`` differs from
   :data:`~repro.store.keys.SCHEMA_VERSION` never hit; ``gc`` removes
   them.
-* **Writes are atomic and durable.** Record files go through temp file
-  + fsync + ``os.replace`` (rows through SQLite transactions), so
-  concurrent readers never see half a record and a crash never leaves
-  a zero-length one.
+* **Writes are atomic.** Every write is one SQLite transaction, so
+  concurrent readers never see half a record.
 * **Integrity is checkable.** :meth:`ResultStore.verify` is an fsck:
   every record must parse, match its stored key, match the schema,
   carry a loadable result payload, and (when provenance is present)
@@ -62,19 +50,14 @@ import warnings
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-# Re-exported here for compatibility: these names lived in this module
-# before the backend split.
-from repro.store.backend import (  # noqa: F401  (re-exports)
+from repro.store.backend import (
     ResultStoreWarning,
-    StoreBackend,
-    VerifyProblem,
     VerifyReport,
-    atomic_write_json,
-    create_backend,
+    resolve_root,
 )
-from repro.store.fs import CHECKPOINT_DIRNAME, QUARANTINE_FILENAME  # noqa: F401
 from repro.store.keys import SCHEMA_VERSION
 from repro.store.records import StoredResult
+from repro.store.sqlite import SQLiteBackend
 
 #: Environment variable naming the default store root.
 STORE_ENV_VAR = "REPRO_STORE"
@@ -101,57 +84,26 @@ def hit_rate(stats: Dict[str, object]) -> Optional[float]:
 
 
 class ResultStore:
-    """Content-addressed simulation results over a pluggable backend."""
+    """Content-addressed simulation results in one SQLite database."""
 
-    def __init__(self, root: Union[str, Path],
-                 backend: Union[None, str, StoreBackend] = None):
+    def __init__(self, root: Union[str, Path]):
         """Open (without creating) the store rooted at ``root``.
 
-        ``root`` accepts a directory, a ``sqlite:PATH`` / ``file:PATH``
-        URL, or a database path; ``backend`` optionally forces a backend
-        by name (``"filesystem"`` / ``"sqlite"``) or supplies a
-        ready-made :class:`StoreBackend` instance.
+        ``root`` accepts a directory, a ``sqlite:PATH`` URL or a
+        database path (:func:`~repro.store.backend.resolve_root`).
         """
-        if isinstance(backend, StoreBackend):
-            self.backend = backend
-            self.root = Path(root)
-        else:
-            self.backend, display = create_backend(root, backend=backend)
-            self.root = Path(display)
+        location, display = resolve_root(root)
+        self.backend = SQLiteBackend(location)
+        self.root = Path(display)
         self._stats_cache: Optional[Dict[str, object]] = None
 
     def describe(self) -> str:
         """One-line human description (backend and location)."""
         return self.backend.describe()
 
-    # -- paths (filesystem backend only) -----------------------------------
-
-    @property
-    def objects_dir(self) -> Path:
-        """Directory holding the record files (filesystem backend)."""
-        return self.backend.objects_dir
-
-    @property
-    def meta_path(self) -> Path:
-        """Path of the legacy counters file (filesystem backend)."""
-        return self.backend.meta_path
-
-    @property
-    def quarantine_path(self) -> Path:
-        """Path of the quarantine ledger (filesystem backend)."""
-        return self.backend.quarantine_path
-
-    def checkpoint_path(self, campaign: str) -> Path:
-        """Path of one campaign's checkpoint (filesystem backend)."""
-        return self.backend.checkpoint_path(campaign)
-
-    def record_path(self, key: str) -> Path:
-        """Path of one record file (filesystem backend)."""
-        return self.backend.record_path(key)
-
     @property
     def quarantine_location(self) -> str:
-        """Human pointer to the quarantine ledger (any backend)."""
+        """Human pointer to the quarantine ledger."""
         return self.backend.quarantine_location()
 
     # -- degradation -------------------------------------------------------
@@ -163,13 +115,6 @@ class ResultStore:
 
     # -- record access -----------------------------------------------------
 
-    def _record_ref(self, key: str) -> str:
-        """How warnings point at one record (path or db+key)."""
-        record_path = getattr(self.backend, "record_path", None)
-        if record_path is not None:
-            return str(record_path(key))
-        return f"{key[:16]} in {self.backend.describe()}"
-
     def _load_result(self, key: str,
                      data: Optional[dict]) -> Optional[StoredResult]:
         """Parse one record document's payload; warn if malformed."""
@@ -179,8 +124,9 @@ class ResultStore:
             return StoredResult.from_dict(data["result"])
         except (KeyError, ValueError) as exc:
             warnings.warn(
-                f"skipping malformed store record {self._record_ref(key)}: "
-                f"{exc}", ResultStoreWarning, stacklevel=3,
+                f"skipping malformed store record {key[:16]} in "
+                f"{self.describe()}: {exc}",
+                ResultStoreWarning, stacklevel=3,
             )
             return None
 
@@ -242,13 +188,6 @@ class ResultStore:
             "result": result.to_dict(),
         }
 
-    def _record_location(self, key: str) -> Path:
-        """Where one record lands (file path, or the db for SQLite)."""
-        record_path = getattr(self.backend, "record_path", None)
-        if record_path is not None:
-            return record_path(key)
-        return self.backend.location
-
     def put(
         self,
         key: str,
@@ -258,13 +197,14 @@ class ResultStore:
     ) -> Path:
         """Record one simulated point (counts as an executed simulation).
 
-        In read-only degradation mode the write is dropped silently
-        (a location is still returned so callers never special-case it).
+        Returns the database path. In read-only degradation mode the
+        write is dropped silently (the path is still returned so callers
+        never special-case it).
         """
         record = self._envelope(key, result, provenance, tags)
         if self.backend.write_record(key, record):
             self.backend.bump_counters({"puts": 1})
-        return self._record_location(key)
+        return self.backend.location
 
     def put_many(
         self,
@@ -277,17 +217,17 @@ class ResultStore:
         Writing campaign tags at put time makes a later
         :meth:`tag`/:meth:`tag_many` of the same ``{campaign: meta}``
         a read-only no-op (records serialize with the same canonical
-        formatting either way, so the stored bytes are identical). Each
-        record write is still individually atomic; only the ``puts``
-        counter update is coalesced. A failed write degrades the store
-        exactly like :meth:`put` and drops the remaining writes.
+        formatting either way, so the stored bytes are identical). The
+        records are written in one transaction and the ``puts`` counter
+        is bumped once. A failed write degrades the store exactly like
+        :meth:`put`. Returns the database path once per entry.
         """
         entries = list(entries)
         written = self.backend.write_records(
             (key, self._envelope(key, result, provenance, tags))
             for key, result, provenance, tags in entries)
         self.backend.bump_counters({"puts": written})
-        return [self._record_location(key) for key, _r, _p, _t in entries]
+        return [self.backend.location] * len(entries)
 
     def tag(self, key: str, campaign: str,
             meta: Optional[dict] = None) -> bool:
@@ -295,8 +235,8 @@ class ResultStore:
 
         Tags are how the Experiment Book finds a campaign's points from
         store contents alone. Returns False when the record is missing.
-        The record read-modify-write is locked (or transactional) so two
-        concurrent campaigns never drop each other's tags.
+        The record read-modify-write is transactional so two concurrent
+        campaigns never drop each other's tags.
         """
         return self.backend.update_tags([(key, campaign, meta)]) == 1
 
@@ -304,7 +244,7 @@ class ResultStore:
         self,
         entries: Iterable[Tuple[str, str, Optional[dict]]],
     ) -> int:
-        """Stamp many campaign tags with minimal lock traffic.
+        """Stamp many campaign tags in one transaction.
 
         ``entries`` yields ``(key, campaign, meta)`` triples. Returns
         the number of records that carry the tag afterwards (missing
@@ -356,13 +296,13 @@ class ResultStore:
 
     def write_checkpoint(self, campaign: str,
                          payload: dict) -> Optional[Path]:
-        """Publish one campaign's progress checkpoint atomically."""
+        """Publish one campaign's progress checkpoint atomically.
+
+        Returns the database path, or None when the write was dropped.
+        """
         if not self.backend.write_checkpoint(
                 campaign, dict(payload, schema=SCHEMA_VERSION)):
             return None
-        checkpoint_path = getattr(self.backend, "checkpoint_path", None)
-        if checkpoint_path is not None:
-            return checkpoint_path(campaign)
         return self.backend.location
 
     def read_checkpoint(self, campaign: str) -> Optional[dict]:
@@ -388,10 +328,10 @@ class ResultStore:
 
         By default counters are re-read from the backend so a long-lived
         handle sees bumps made by concurrent processes, not a stale
-        cache — but the full pass also walks/aggregates every record
-        (the footprint counts), which makes ``stats()`` a disk-heavy
-        call. ``cached=True`` returns the last computed snapshot when
-        one exists (copied, so callers can annotate it freely), only
+        cache — but the full pass also aggregates every record (the
+        footprint counts), which makes ``stats()`` a disk-heavy call.
+        ``cached=True`` returns the last computed snapshot when one
+        exists (copied, so callers can annotate it freely), only
         falling back to a fresh read the first time; a hot stats
         endpoint serves the cache and refreshes on its own schedule via
         ``stats()`` / :meth:`refresh_stats`.

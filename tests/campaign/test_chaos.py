@@ -77,13 +77,13 @@ def times_of(result):
 class TestWorkerCrash:
     def test_sigkill_quarantines_point_campaign_completes(
             self, campaign, tmp_path, monkeypatch, baseline_times,
-            backend_name):
+            root_kind):
         """ISSUE acceptance: SIGKILL one worker; others finish.
 
-        Runs against both store backends: crash-quarantine-resume is a
-        store-contract workflow, not a filesystem detail.
+        Runs against both store root spellings: crash-quarantine-resume
+        is a store-contract workflow.
         """
-        store = ResultStore(store_root(tmp_path, backend_name))
+        store = ResultStore(store_root(tmp_path, root_kind))
         monkeypatch.setenv(ENV_CHAOS_CRASH, "1")   # sabotage point 1
         monkeypatch.setenv(ENV_CHAOS_ATTEMPTS, "99")  # every attempt
         result = run_campaign(campaign, store=store,
@@ -175,15 +175,15 @@ sys.exit(repro_main(["campaign", "run", sys.argv[1],
 class TestGracefulInterrupt:
     def test_sigint_checkpoints_then_resume_fills_the_gap(
             self, campaign, tmp_path, baseline_times, monkeypatch,
-            backend_name):
+            root_kind):
         """SIGINT a real `repro campaign run`; resume completes it.
 
-        Runs against both store backends via the real CLI ``--store``
+        Runs against both store root spellings via the real CLI ``--store``
         root string.
         """
         spec = tmp_path / "chaos3.json"
         spec.write_text(json.dumps(campaign.to_dict()))
-        root = store_root(tmp_path, backend_name)
+        root = store_root(tmp_path, root_kind)
         env = dict(__import__("os").environ,
                    PYTHONPATH="src",
                    REPRO_CHAOS_HANG="2",         # third point hangs...

@@ -149,15 +149,15 @@ class TestWire:
 
 class TestPoolParity:
     def test_pool_matches_local_byte_identical(
-            self, campaign, tmp_path, backend_name, pool2):
-        """Same campaign, both engines, both store backends: same bytes."""
-        local_store = ResultStore(store_root(tmp_path, backend_name,
+            self, campaign, tmp_path, root_kind, pool2):
+        """Same campaign, both engines, both root spellings: same bytes."""
+        local_store = ResultStore(store_root(tmp_path, root_kind,
                                              "local"))
         local = run_campaign(campaign, store=local_store)
         assert local.completed and local.backend == "local"
         clear_result_cache()
 
-        pool_store = ResultStore(store_root(tmp_path, backend_name,
+        pool_store = ResultStore(store_root(tmp_path, root_kind,
                                             "pool"))
         pooled = run_campaign(campaign, store=pool_store, backend=pool2)
         assert pooled.completed and pooled.backend == "pool"
@@ -451,6 +451,23 @@ class TestWorkerShutdown:
             assert worker._draining
         finally:
             thread.join(timeout=5)
+            listener.close()
+
+    def test_reset_while_sending_is_a_clean_exit(self, monkeypatch):
+        """A coordinator that finished before this worker said hello."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def reset(_sock, _message):
+            raise ConnectionResetError(104, "Connection reset by peer")
+
+        monkeypatch.setattr(worker, "send_message", reset)
+        # Keep this process's SIGTERM/SIGINT handlers: a drain handler
+        # left installed would make later forked pool workers ignore
+        # Pool.terminate()'s SIGTERM.
+        monkeypatch.setattr(worker.signal, "signal", lambda *_args: None)
+        try:
+            assert worker.run_worker(*listener.getsockname()[:2]) == 0
+        finally:
             listener.close()
 
     def test_clean_pool_campaigns_write_nothing_to_stderr(

@@ -1,7 +1,7 @@
 """Core-test fixtures.
 
-Re-exports the store backend parameterization so the CLI store tests
-run against both store backends.
+Re-exports the store root parameterization so the CLI store tests run
+against both store root spellings.
 """
 
-from tests.store.conftest import backend_name  # noqa: F401
+from tests.store.conftest import root_kind  # noqa: F401

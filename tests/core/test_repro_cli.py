@@ -16,6 +16,7 @@ from repro.core.cli import build_repro_parser, main, repro_main
 from repro.core.suite import clear_result_cache
 from repro.store import ResultStore
 
+from tests.store.conftest import rewrite_record
 from tests.store.conftest import store_root as cli_store_root
 
 TINY_SPEC = {
@@ -313,8 +314,8 @@ class TestStoreVerifyCli:
         repro_main(["campaign", "run", str(spec_path),
                     "--store", str(store_root), "--quiet"])
         capsys.readouterr()
-        victim = next(store_root.glob("objects/*/*.json"))
-        victim.write_text("{ torn")
+        store = ResultStore(str(store_root))
+        rewrite_record(store, next(store.keys()), "{ torn")
         rc = repro_main(["store", "verify", "--store", str(store_root)])
         out = capsys.readouterr().out
         assert rc == 1
@@ -326,8 +327,8 @@ class TestStoreVerifyCli:
         repro_main(["campaign", "run", str(spec_path),
                     "--store", str(store_root), "--quiet"])
         capsys.readouterr()
-        victim = next(store_root.glob("objects/*/*.json"))
-        victim.write_text("{ torn")
+        store = ResultStore(str(store_root))
+        rewrite_record(store, next(store.keys()), "{ torn")
         rc = repro_main(["store", "verify", "--gc",
                          "--store", str(store_root)])
         out = capsys.readouterr().out
@@ -338,16 +339,16 @@ class TestStoreVerifyCli:
 
 
 class TestStoreCliExtensions:
-    """`stats --json`, `ls --campaign`, and `store migrate` — both
-    backends, through the real CLI."""
+    """`stats --json`, `ls --campaign`, and `store migrate` — both root
+    spellings, through the real CLI."""
 
     def _run_campaign(self, spec_path, store):
         assert repro_main(["campaign", "run", str(spec_path),
                            "--store", store, "--quiet"]) == 0
 
     def test_stats_json_is_machine_readable(self, spec_path, tmp_path,
-                                            capsys, backend_name):
-        store = cli_store_root(tmp_path, backend_name)
+                                            capsys, root_kind):
+        store = cli_store_root(tmp_path, root_kind)
         self._run_campaign(spec_path, store)
         capsys.readouterr()
         assert repro_main(["store", "stats", "--json",
@@ -355,13 +356,13 @@ class TestStoreCliExtensions:
         stats = json.loads(capsys.readouterr().out)
         assert stats["records"] == 4
         assert stats["puts"] == 4
-        assert stats["backend"] == backend_name
+        assert stats["backend"] == "sqlite"
         assert stats["hit_rate"] == 0.0  # 4 misses, 0 hits
 
     def test_stats_json_null_hit_rate_without_lookups(self, tmp_path,
                                                       capsys,
-                                                      backend_name):
-        store = cli_store_root(tmp_path, backend_name)
+                                                      root_kind):
+        store = cli_store_root(tmp_path, root_kind)
         ResultStore(store).quarantine_add("aa" * 32, {"error": "x"})
         capsys.readouterr()
         assert repro_main(["store", "stats", "--json",
@@ -371,8 +372,8 @@ class TestStoreCliExtensions:
         assert stats["quarantined"] == 1
 
     def test_ls_campaign_filters(self, spec_path, tmp_path, capsys,
-                                 backend_name):
-        store = cli_store_root(tmp_path, backend_name)
+                                 root_kind):
+        store = cli_store_root(tmp_path, root_kind)
         self._run_campaign(spec_path, store)
         capsys.readouterr()
         assert repro_main(["store", "ls", "--campaign", "tiny",
@@ -387,9 +388,9 @@ class TestStoreCliExtensions:
         assert "MR-AVG" in long_out and "tiny" in long_out
 
     def test_migrate_copies_the_corpus(self, spec_path, tmp_path, capsys,
-                                       backend_name):
-        other = "sqlite" if backend_name == "filesystem" else "filesystem"
-        src = cli_store_root(tmp_path, backend_name, "src")
+                                       root_kind):
+        other = "sqlite" if root_kind == "filesystem" else "filesystem"
+        src = cli_store_root(tmp_path, root_kind, "src")
         dst = cli_store_root(tmp_path, other, "dst")
         self._run_campaign(spec_path, src)
         capsys.readouterr()
@@ -399,11 +400,10 @@ class TestStoreCliExtensions:
         stats = ResultStore(dst).stats()
         assert stats["records"] == 4
         assert stats["puts"] == 4
-        assert stats["backend"] == other
 
     def test_migrate_onto_itself_is_an_error(self, tmp_path, capsys,
-                                             backend_name):
-        store = cli_store_root(tmp_path, backend_name)
+                                             root_kind):
+        store = cli_store_root(tmp_path, root_kind)
         ResultStore(store).quarantine_add("aa" * 32, {"error": "x"})
         capsys.readouterr()
         assert repro_main(["store", "migrate", store, store]) == 2

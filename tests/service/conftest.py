@@ -1,8 +1,9 @@
 """Fixtures for the service test suite.
 
 Service tests run the full stack — query parsing, single-flight,
-scheduler, campaign executor, store — against BOTH store backends via
-``backend_name`` (re-exported from the store suite's conftest). The
+scheduler, campaign executor, store — against both store root
+spellings via ``root_kind`` (re-exported from the store suite's
+conftest). The
 point memo cache is process-global state, so every test starts and
 ends with it cleared: a warm *memo* would otherwise mask exactly the
 store behavior these tests pin down.
@@ -12,7 +13,7 @@ import pytest
 
 from repro.core.suite import clear_result_cache
 
-from tests.store.conftest import backend_name, store_root  # noqa: F401
+from tests.store.conftest import root_kind, store_root  # noqa: F401
 
 #: One tiny, fast point (~2 ms simulated) in query coordinates —
 #: the same point the chaos tests use, one size.

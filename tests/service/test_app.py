@@ -3,24 +3,28 @@
 These drive a real socket — :class:`BackgroundServer` on an ephemeral
 port, ``http.client`` as the client — so the request parser, the
 ``asyncio.to_thread`` dispatch and the byte-verbatim warm path are all
-exercised end to end. The filesystem backend is enough here: backend
-parity is the core suite's job, the transport doesn't touch it.
+exercised end to end. One directory root is enough here: root
+spelling parity is the core suite's job, the transport doesn't touch
+it.
 """
 
+import asyncio
 import http.client
 import json
+import logging
 import time
 
 import pytest
 
 from repro.service import BackgroundServer, BenchmarkService
+from repro.service.app import _serve_connection
 
 from tests.service.conftest import tiny_query
 
 
 @pytest.fixture
 def server(tmp_path):
-    service = BenchmarkService(f"file:{tmp_path / 'store'}")
+    service = BenchmarkService(str(tmp_path / "store"))
     with BackgroundServer(service) as running:
         yield running
 
@@ -151,3 +155,60 @@ class TestProtocol:
         assert int(response.headers["Content-Length"]) == len(raw)
         assert response.headers["Content-Type"] == "application/json"
         conn.close()
+
+
+class _ClosingWriter:
+    """A stream writer whose ``wait_closed()`` blocks until cancelled."""
+
+    def __init__(self):
+        self.waiting = None
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        self.waiting = asyncio.get_running_loop().create_future()
+        await self.waiting
+
+
+class TestShutdown:
+    """Cancelling connections on shutdown logs no asyncio error."""
+
+    def test_cancel_inside_wait_closed_finishes_not_cancelled(self,
+                                                              caplog):
+        async def scenario():
+            reader = asyncio.StreamReader()
+            reader.feed_eof()  # clean keep-alive close: straight to finally
+            writer = _ClosingWriter()
+            task = asyncio.ensure_future(
+                _serve_connection(None, reader, writer))
+            while writer.waiting is None:
+                await asyncio.sleep(0)
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            return task
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            task = asyncio.run(scenario())
+        assert not task.cancelled()
+        assert task.exception() is None
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_start_stop_cycles_with_keep_alive_clients(self, tmp_path,
+                                                       caplog):
+        service_root = str(tmp_path / "store")
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            for _ in range(5):
+                server = BackgroundServer(BenchmarkService(service_root))
+                server.start()
+                clients = []
+                for _ in range(3):
+                    conn = http.client.HTTPConnection(*server.address,
+                                                      timeout=30)
+                    status, _, _ = request(conn, "GET", "/healthz")
+                    assert status == 200
+                    clients.append(conn)  # left open: keep-alive
+                server.stop()
+                for conn in clients:
+                    conn.close()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []

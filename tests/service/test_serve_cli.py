@@ -52,8 +52,8 @@ def finish(proc, timeout=30):
 
 class TestServeCli:
     def test_serve_answers_then_sigint_exits_130(
-            self, tmp_path, backend_name):
-        root = store_root(tmp_path, backend_name)
+            self, tmp_path, root_kind):
+        root = store_root(tmp_path, root_kind)
         proc, port = start_server(root)
         try:
             conn = http.client.HTTPConnection("127.0.0.1", port,
@@ -85,7 +85,7 @@ class TestServeCli:
         assert store.verify().clean
 
     def test_sigterm_also_shuts_down_gracefully(self, tmp_path):
-        proc, port = start_server(f"file:{tmp_path / 'store'}")
+        proc, port = start_server(str(tmp_path / "store"))
         try:
             proc.send_signal(signal.SIGTERM)
             returncode, out = finish(proc)

@@ -35,9 +35,9 @@ def payload_time_hex(response):
 
 
 @pytest.fixture
-def service(tmp_path, backend_name):
-    """A started service on a fresh store of the current backend."""
-    svc = BenchmarkService(store_root(tmp_path, backend_name),
+def service(tmp_path, root_kind):
+    """A started service on a fresh store of the current root spelling."""
+    svc = BenchmarkService(store_root(tmp_path, root_kind),
                            policy=RetryPolicy(retries=0, backoff=0.0))
     svc.start()
     yield svc
@@ -46,10 +46,10 @@ def service(tmp_path, backend_name):
 
 class TestWarmAndCold:
     def test_cold_then_warm_byte_identical_puts_unmoved(
-            self, service, tmp_path, backend_name):
+            self, service, tmp_path, root_kind):
         cold = service.query_point(tiny_query(wait=True))
         assert cold.status == 200 and isinstance(cold.payload, bytes)
-        root = store_root(tmp_path, backend_name)
+        root = store_root(tmp_path, root_kind)
         assert ResultStore(root).stats()["puts"] == 1
 
         warm = service.query_point(tiny_query(wait=True))
@@ -73,7 +73,7 @@ class TestWarmAndCold:
         assert polled.payload == posted.payload
 
     def test_service_point_is_warm_for_a_campaign_run(
-            self, service, tmp_path, backend_name):
+            self, service, tmp_path, root_kind):
         """A point the service simulated is `0 simulated` later."""
         from repro.campaign import Campaign, run_campaign
         from repro.core.suite import clear_result_cache
@@ -85,7 +85,7 @@ class TestWarmAndCold:
             networks=("1GigE",), slaves=2,
             params={"num_maps": 4, "num_reduces": 2,
                     "key_size": 256, "value_size": 256})
-        store = ResultStore(store_root(tmp_path, backend_name))
+        store = ResultStore(store_root(tmp_path, root_kind))
         result = run_campaign(campaign, store=store)
         assert result.executed == 0
         assert result.from_store == 1
@@ -94,9 +94,9 @@ class TestWarmAndCold:
 
 class TestSingleFlight:
     def test_32_concurrent_cold_queries_simulate_once(
-            self, tmp_path, backend_name):
+            self, tmp_path, root_kind):
         """ISSUE acceptance: puts == 1, 32 hex-identical job times."""
-        root = store_root(tmp_path, backend_name)
+        root = store_root(tmp_path, root_kind)
         service = BenchmarkService(root)
         service.start()
         responses = [None] * 32
@@ -161,7 +161,7 @@ class TestSingleFlight:
         assert service.flight.failed() == 0
 
     def test_value_equal_spellings_each_get_their_own_record(
-            self, service, tmp_path, backend_name):
+            self, service, tmp_path, root_kind):
         """``seed`` 7 and 7.0 name distinct store keys. Once one
         spelling is simulated, the other must still be simulated and
         stored under its own key, not served the first one's memo entry
@@ -181,7 +181,7 @@ class TestSingleFlight:
                         == body["params"]["seed"])
                 assert type(record["provenance"]["config"]["seed"]) is type(
                     body["params"]["seed"])
-        store = ResultStore(store_root(tmp_path, backend_name))
+        store = ResultStore(store_root(tmp_path, root_kind))
         assert store.stats()["puts"] == 2
         assert sorted(store.keys()) == sorted(keys)
         assert store.verify().clean
@@ -210,9 +210,9 @@ class TestFailures:
         assert service.lookup(key).status == 500
         assert service.stats()["service"]["failed_tickets"] == 1
 
-    def test_queue_overflow_rejects_with_503(self, tmp_path, backend_name):
+    def test_queue_overflow_rejects_with_503(self, tmp_path, root_kind):
         """An unstarted scheduler with a 1-slot queue fills instantly."""
-        service = BenchmarkService(store_root(tmp_path, backend_name),
+        service = BenchmarkService(store_root(tmp_path, root_kind),
                                    max_queue=1)
         try:
             first = service.query_point(tiny_query())
@@ -224,8 +224,8 @@ class TestFailures:
         finally:
             service.stop(drain=False, timeout=1.0)
 
-    def test_wait_timeout_returns_the_ticket(self, tmp_path, backend_name):
-        service = BenchmarkService(store_root(tmp_path, backend_name))
+    def test_wait_timeout_returns_the_ticket(self, tmp_path, root_kind):
+        service = BenchmarkService(store_root(tmp_path, root_kind))
         try:  # scheduler never started: the ticket cannot resolve
             response = service.query_point(tiny_query(wait=0.05))
             assert response.status == 202
@@ -253,8 +253,8 @@ class TestFailures:
 
 
 class TestShutdown:
-    def test_drain_finishes_queued_points(self, tmp_path, backend_name):
-        root = store_root(tmp_path, backend_name)
+    def test_drain_finishes_queued_points(self, tmp_path, root_kind):
+        root = store_root(tmp_path, root_kind)
         service = BenchmarkService(root)
         tickets = []
         for gb in (0.02, 0.03, 0.04):  # queued; scheduler not running
@@ -270,7 +270,7 @@ class TestShutdown:
         assert store.verify().clean
 
     def test_interrupt_keeps_completed_points_durable(
-            self, tmp_path, backend_name, monkeypatch):
+            self, tmp_path, root_kind, monkeypatch):
         """The SIGINT path: in-flight unit lands, the rest cancel."""
         started = threading.Event()
         release = threading.Event()
@@ -282,7 +282,7 @@ class TestShutdown:
             return real_run_point(*args, **kwargs)
 
         monkeypatch.setattr(suite_mod, "_run_point", gated_run_point)
-        root = store_root(tmp_path, backend_name)
+        root = store_root(tmp_path, root_kind)
         service = BenchmarkService(root)
         service.start()
         first = service.query_point(tiny_query())
@@ -327,7 +327,7 @@ class TestIntrospection:
         assert servicepart["uptime_seconds"] >= 0
 
     def test_warm_hits_flush_into_store_counters(
-            self, service, tmp_path, backend_name):
+            self, service, tmp_path, root_kind):
         service.query_point(tiny_query(wait=True))
         for _ in range(5):
             assert service.query_point(tiny_query()).status == 200
@@ -335,10 +335,10 @@ class TestIntrospection:
         assert stats["hits"] == 5
         # And they are durable, visible to a fresh store handle.
         assert ResultStore(
-            store_root(tmp_path, backend_name)).stats()["hits"] == 5
+            store_root(tmp_path, root_kind)).stats()["hits"] == 5
 
     def test_healthz_reports_ok_when_running(self, service):
         doc = service.healthz()
         assert doc["status"] == "ok"
         assert doc["scheduler_alive"] is True
-        assert doc["backend"] in ("filesystem", "sqlite")
+        assert doc["backend"] == "sqlite"

@@ -1,15 +1,19 @@
-"""Cross-backend parity fixtures for the store test suite.
+"""Store-root fixtures and raw-tampering helpers for the store suite.
 
-Most store tests run twice — once per backend (``filesystem`` and
-``sqlite``) — via the ``backend_name`` fixture. Roots are built with
-explicit ``file:`` / ``sqlite:`` prefixes so the parameterization holds
-even when ``$REPRO_STORE_BACKEND`` forces a default (the CI sqlite
-matrix leg sets it for the whole run).
+Most store tests run twice, once per way of naming a store, via the
+``root_kind`` fixture:
+
+* ``filesystem`` — a plain directory root, the way users name a store
+  (``--store DIR``); the database lands at ``DIR/store.sqlite``;
+* ``sqlite`` — an explicit ``sqlite:FILE`` root naming the database.
+
+Both open the same backend, so the pair pins that root resolution
+changes where the database lives and nothing else.
 
 The raw-tampering helpers (``record_text`` / ``rewrite_record`` /
-``break_writes`` / ``corrupt_checkpoint``) hide where a backend
-actually keeps a record, so corruption and degradation tests state the
-*contract* once and exercise both backings.
+``break_writes`` / ``corrupt_checkpoint``) reach into the database the
+way a buggy or interrupted writer would, so corruption and degradation
+tests state the *contract* once.
 """
 
 import json
@@ -19,43 +23,40 @@ import pytest
 
 from repro.store import ResultStore
 
-#: The backends every parity test must pass on.
-BACKENDS = ("filesystem", "sqlite")
+#: The root spellings every parity test must pass on.
+ROOT_KINDS = ("filesystem", "sqlite")
 
 
-@pytest.fixture(params=BACKENDS)
-def backend_name(request):
-    """Parameterizes a test over both store backends."""
+@pytest.fixture(params=ROOT_KINDS)
+def root_kind(request):
+    """Parameterizes a test over both root spellings."""
     return request.param
 
 
-def store_root(tmp_path, backend_name, name="store"):
-    """An explicit-backend store root string under ``tmp_path``."""
-    if backend_name == "sqlite":
+def store_root(tmp_path, root_kind, name="store"):
+    """A store root string of one spelling under ``tmp_path``."""
+    if root_kind == "sqlite":
         return f"sqlite:{tmp_path / (name + '.sqlite')}"
-    return f"file:{tmp_path / name}"
+    return str(tmp_path / name)
 
 
 @pytest.fixture
-def make_store(tmp_path, backend_name):
-    """Factory for stores of the current backend under ``tmp_path``."""
+def make_store(tmp_path, root_kind):
+    """Factory for stores of the current root spelling under ``tmp_path``."""
     def make(name="store"):
-        return ResultStore(store_root(tmp_path, backend_name, name))
+        return ResultStore(store_root(tmp_path, root_kind, name))
     return make
 
 
 @pytest.fixture
-def store_root_str(tmp_path, backend_name):
-    """One ready-made root string for the current backend."""
-    return store_root(tmp_path, backend_name)
+def store_root_str(tmp_path, root_kind):
+    """One ready-made root string of the current spelling."""
+    return store_root(tmp_path, root_kind)
 
 
 def record_text(store, key):
-    """The raw stored text of one record, wherever the backend keeps it."""
-    backend = store.backend
-    if backend.scheme == "filesystem":
-        return backend.record_path(key).read_text()
-    rows = backend._db().execute(
+    """The raw stored text of one record."""
+    rows = store.backend._db().execute(
         "SELECT record FROM records WHERE key = ?", (key,)).fetchall()
     return rows[0][0]
 
@@ -65,23 +66,28 @@ def load_record(store, key):
     return json.loads(record_text(store, key))
 
 
+def record_texts(root):
+    """Key -> stored record text of every record under one root."""
+    store = ResultStore(root)
+    try:
+        return dict(store.backend._db().execute(
+            "SELECT key, record FROM records ORDER BY key").fetchall())
+    finally:
+        store.close()
+
+
 def rewrite_record(store, key, text):
     """Overwrite one record's raw stored text (simulates corruption).
 
     Mirrors what a real (possibly buggy or interrupted) writer would
-    leave behind: the filesystem backend gets the bytes in the record
-    file, the sqlite backend gets them in the record column (with the
-    schema index column kept consistent, as any real writer would).
+    leave behind: the bytes in the record column, with the schema index
+    column kept consistent, as any real writer would.
     """
-    backend = store.backend
-    if backend.scheme == "filesystem":
-        backend.record_path(key).write_text(text)
-        return
     try:
         schema = json.loads(text).get("schema")
     except (ValueError, AttributeError):
         schema = None
-    db = backend._db()
+    db = store.backend._db()
     with db:
         db.execute(
             "INSERT INTO records (key, schema, record) VALUES (?, ?, ?) "
@@ -90,26 +96,12 @@ def rewrite_record(store, key, text):
             (key, schema, text))
 
 
-def break_writes(store_or_backend_name, monkeypatch):
-    """Make every write of one backend fail like a full disk.
+def break_writes(monkeypatch):
+    """Make every store write fail like a full disk.
 
-    Accepts a store, a backend instance, or a backend name. The
-    container runs as root, so chmod tricks can't produce EACCES —
-    instead the write seams are patched: ``atomic_write_json`` for the
-    filesystem backend, the ``_execute`` statement funnel (non-SELECT
-    statements only) for sqlite.
+    As root, chmod tricks can't produce EACCES, so the ``_execute``
+    statement funnel is patched instead (non-SELECT statements only).
     """
-    name = store_or_backend_name
-    if not isinstance(name, str):
-        name = getattr(name, "backend", name).scheme
-    if name == "filesystem":
-        import repro.store.fs as fs_mod
-
-        def disk_full(path, payload, durable=True):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(fs_mod, "atomic_write_json", disk_full)
-        return
     import repro.store.sqlite as sqlite_mod
 
     real_execute = sqlite_mod._execute
@@ -124,14 +116,8 @@ def break_writes(store_or_backend_name, monkeypatch):
 
 
 def corrupt_checkpoint(store, campaign):
-    """Leave one campaign's checkpoint unparsable, backend-appropriately."""
-    backend = store.backend
-    if backend.scheme == "filesystem":
-        path = backend.checkpoint_path(campaign)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{ nope")
-        return
-    db = backend._db()
+    """Leave one campaign's checkpoint unparsable."""
+    db = store.backend._db()
     with db:
         db.execute(
             "INSERT INTO checkpoints (campaign, payload) VALUES (?, ?) "
@@ -140,11 +126,8 @@ def corrupt_checkpoint(store, campaign):
 
 
 def corrupt_metadata(store):
-    """Corrupt the backend's metadata (counter file / database header)."""
+    """Corrupt the database header."""
     backend = store.backend
-    if backend.scheme == "filesystem":
-        backend.meta_path.write_text('{"puts": 2, "hi')  # killed mid-write
-        return
     # Fold the WAL back into the main file first, or a fresh reader
     # would transparently recover page 1 from it and mask the damage.
     backend._db().execute("PRAGMA wal_checkpoint(TRUNCATE)")

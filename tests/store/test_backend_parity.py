@@ -1,14 +1,14 @@
-"""Cross-backend parity: golden warm starts and lossless migration.
+"""Golden warm starts and lossless migration, over both root spellings.
 
-The acceptance bar for the pluggable-backend refactor: all 40 golden
-points warm-start hex-exact through *each* backend, and ``repro store
-migrate`` moves a corpus between backends key-for-key with
-byte-identical record text and exact counter totals — in both
-directions, including a full round trip back onto the original
-backend.
+All 40 golden points warm-start hex-exact through a directory root and
+through a ``sqlite:`` root, and ``repro store migrate`` moves a corpus
+between stores key-for-key with byte-identical record text and exact
+counter totals — including a full round trip, and an import of an old
+directory store whose record files it must reproduce byte for byte.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -22,6 +22,9 @@ from repro.store import ResultStore, StoredResult, migrate_store
 from tests.store.conftest import record_text, store_root
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_times.json"
+
+#: A directory store written by an older release (see test_import.py).
+LEGACY_STORE = Path(__file__).parent.parent / "data" / "legacy_store"
 
 with GOLDEN_PATH.open() as _handle:
     GOLDEN = json.load(_handle)
@@ -63,11 +66,11 @@ def fresh_memo():
 
 
 class TestGoldenWarmStarts:
-    """ISSUE acceptance: 40/40 golden points hex-exact per backend."""
+    """40/40 golden points hex-exact per root spelling."""
 
     def test_all_40_points_warm_start_hex_exact(self, tmp_path,
-                                                backend_name):
-        root = store_root(tmp_path, backend_name)
+                                                root_kind):
+        root = store_root(tmp_path, root_kind)
 
         # Cold pass: simulate and record every golden point.
         cold = _suites(root)
@@ -111,13 +114,13 @@ def _populate(root, n=4):
 
 
 class TestMigration:
-    """`repro store migrate` is lossless across backends, both ways."""
+    """`repro store migrate` is lossless between stores, both ways."""
 
-    def test_round_trip_is_byte_identical(self, tmp_path, backend_name):
-        other = "sqlite" if backend_name == "filesystem" else "filesystem"
-        root_a = store_root(tmp_path, backend_name, "a")
+    def test_round_trip_is_byte_identical(self, tmp_path, root_kind):
+        other = "sqlite" if root_kind == "filesystem" else "filesystem"
+        root_a = store_root(tmp_path, root_kind, "a")
         root_b = store_root(tmp_path, other, "b")
-        root_c = store_root(tmp_path, backend_name, "c")
+        root_c = store_root(tmp_path, root_kind, "c")
         source, keys = _populate(root_a)
 
         first = migrate_store(root_a, root_b)
@@ -144,22 +147,25 @@ class TestMigration:
                     == stores[0].backend.checkpoints())
 
     def test_round_trip_reproduces_record_files(self, tmp_path):
-        """fs -> sqlite -> fs ends with byte-identical record *files*."""
-        root_a = store_root(tmp_path, "filesystem", "a")
+        """old directory -> sqlite -> sqlite keeps every record file's
+        bytes as the stored record text."""
+        old = tmp_path / "old"
+        shutil.copytree(LEGACY_STORE, old)
         root_b = store_root(tmp_path, "sqlite", "b")
-        root_c = store_root(tmp_path, "filesystem", "c")
-        source, keys = _populate(root_a, n=2)
-        migrate_store(root_a, root_b)
-        migrate_store(root_b, root_c)
-        copy = ResultStore(root_c)
-        for key in keys:
-            assert (copy.backend.record_path(key).read_bytes()
-                    == source.backend.record_path(key).read_bytes())
+        migrate_store(str(old), str(old))
+        migrate_store(str(old), root_b)
+        copy = ResultStore(root_b)
+        files = sorted(old.glob("objects/*/*.json"))
+        assert len(files) == 2
+        assert list(copy.keys()) == [path.stem for path in files]
+        for path in files:
+            assert (record_text(copy, path.stem).encode()
+                    == path.read_bytes())
 
     def test_warm_start_through_migrated_copy(self, tmp_path,
-                                              backend_name):
-        other = "sqlite" if backend_name == "filesystem" else "filesystem"
-        root_a = store_root(tmp_path, backend_name, "a")
+                                              root_kind):
+        other = "sqlite" if root_kind == "filesystem" else "filesystem"
+        root_a = store_root(tmp_path, root_kind, "a")
         root_b = store_root(tmp_path, other, "b")
         _populate(root_a, n=2)
         migrate_store(root_a, root_b)
@@ -175,8 +181,8 @@ class TestMigration:
         assert ResultStore(root_b).stats()["puts"] == puts_before
 
     def test_migrating_onto_itself_is_refused(self, tmp_path,
-                                              backend_name):
-        root = store_root(tmp_path, backend_name)
+                                              root_kind):
+        root = store_root(tmp_path, root_kind)
         ResultStore(root).quarantine_add("aa" * 32, {"error": "x"})
         with pytest.raises(ValueError, match="same store"):
             migrate_store(root, root)

@@ -1,4 +1,4 @@
-"""Lease-ledger contract tests, run against both store backends.
+"""Lease-ledger contract tests, run against both root spellings.
 
 The lease ledger is the distributed pool's liveness bookkeeping: while
 a ``PoolBackend`` coordinator has a unit out on a worker, the store
@@ -16,8 +16,8 @@ from tests.store.conftest import store_root
 
 
 @pytest.fixture
-def root(tmp_path, backend_name):
-    return store_root(tmp_path, backend_name)
+def root(tmp_path, root_kind):
+    return store_root(tmp_path, root_kind)
 
 
 @pytest.fixture
@@ -62,10 +62,10 @@ class TestLeaseLedger:
         store.close()
         assert ResultStore(root).leases() == {"k1": ENTRY}
 
-    def test_migrate_copies_leases(self, tmp_path, backend_name):
-        src_root = store_root(tmp_path, backend_name, "src")
+    def test_migrate_copies_leases(self, tmp_path, root_kind):
+        src_root = store_root(tmp_path, root_kind, "src")
         ResultStore(src_root).lease_update("k1", ENTRY)
-        other = ("sqlite" if backend_name == "filesystem"
+        other = ("sqlite" if root_kind == "filesystem"
                  else "filesystem")
         dst_root = store_root(tmp_path, other, "dst")
         report = migrate_store(src_root, dst_root)

@@ -1,148 +1,23 @@
-"""Inter-process store locking: exclusion and exact concurrent counts.
+"""Inter-process store concurrency: exact counts and busy retries.
 
 The headline hardening bug this file pins: store counter updates were
 once read-modify-write with no inter-process exclusion, so two
 concurrent ``campaign run`` processes lost puts/hits/misses
-increments. The :class:`~repro.store.FileLock` unit tests assert the
-lock actually excludes; the multiprocess stress class runs against
-*both* backends (sharded counter-file locks on the filesystem,
-transactional upserts on sqlite) and must land on the exact final
-count either way.
+increments. The multiprocess stress class runs against both root
+spellings and must land on the exact final count; the busy-retry class
+pins that a transient ``SQLITE_BUSY`` neither degrades the store nor
+turns a read into a miss.
 """
 
-import json
 import multiprocessing
 
 import pytest
 
-from repro.store import FileLock, ResultStore, store_lock
+from repro.store import ResultStore
 
 from tests.store.conftest import store_root
 
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
-
-
-class TestFileLock:
-    def test_basic_acquire_release(self, tmp_path):
-        lock = FileLock(tmp_path / "l.lock")
-        assert lock.acquire() is True
-        assert lock.acquired
-        lock.release()
-        assert not lock.acquired
-
-    def test_context_manager(self, tmp_path):
-        with FileLock(tmp_path / "l.lock") as lock:
-            assert lock.acquired
-        assert not lock.acquired
-
-    def test_second_holder_times_out(self, tmp_path):
-        path = tmp_path / "l.lock"
-        with FileLock(path):
-            contender = FileLock(path, timeout=0.1, poll_interval=0.01)
-            assert contender.acquire() is False
-            assert not contender.acquired
-
-    def test_reacquirable_after_release(self, tmp_path):
-        path = tmp_path / "l.lock"
-        with FileLock(path):
-            pass
-        with FileLock(path, timeout=0.5) as second:
-            assert second.acquired
-
-    def test_unwritable_root_degrades_without_raising(self, tmp_path,
-                                                      monkeypatch):
-        def deny(self, *a, **kw):
-            raise OSError(30, "Read-only file system")
-
-        monkeypatch.setattr("pathlib.Path.mkdir", deny)
-        lock = FileLock(tmp_path / "no" / "l.lock")
-        assert lock.acquire() is False  # degraded, not crashed
-
-    def test_store_lock_names_the_lockfile(self, tmp_path):
-        lock = store_lock(tmp_path)
-        assert lock.path == tmp_path / "store.lock"
-
-
-class TestThreadAwareness:
-    """Two *threads* on one lock path hand off without flock polling.
-
-    flock conflicts between file descriptors even inside one process,
-    so before the in-process guard this scenario fell into the
-    inter-process sleep/poll loop — with a pathological poll_interval
-    (bigger than the whole timeout), a guaranteed timeout. The
-    ``threading.Lock`` hand-off makes the wake-up immediate, which is
-    what these tests pin: they use poll intervals far beyond their
-    deadlines, so any regression back into polling cannot pass.
-    """
-
-    def test_contending_thread_wakes_on_release(self, tmp_path):
-        import threading
-        import time
-
-        path = tmp_path / "l.lock"
-        held = threading.Event()
-        release = threading.Event()
-        outcome = {}
-
-        def holder():
-            with FileLock(path):
-                held.set()
-                release.wait(30)
-
-        def contender():
-            lock = FileLock(path, timeout=10.0, poll_interval=120.0)
-            start = time.monotonic()
-            outcome["acquired"] = lock.acquire()
-            outcome["elapsed"] = time.monotonic() - start
-            lock.release()
-
-        holder_thread = threading.Thread(target=holder)
-        holder_thread.start()
-        assert held.wait(30)
-        contender_thread = threading.Thread(target=contender)
-        contender_thread.start()
-        time.sleep(0.2)  # let the contender actually block
-        release.set()
-        contender_thread.join(timeout=30)
-        holder_thread.join(timeout=30)
-        assert not contender_thread.is_alive()
-        assert outcome["acquired"] is True
-        assert outcome["elapsed"] < 10.0  # woke, didn't poll or time out
-
-    def test_eight_threads_serialize_exactly(self, tmp_path):
-        import threading
-        import time
-
-        path = tmp_path / "l.lock"
-        counter = {"n": 0}
-        failures = []
-
-        def worker():
-            lock = FileLock(path, timeout=60.0, poll_interval=120.0)
-            if not lock.acquire():
-                failures.append("timed out")
-                return
-            try:  # classic lost-update window without exclusion
-                value = counter["n"]
-                time.sleep(0.002)
-                counter["n"] = value + 1
-            finally:
-                lock.release()
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert failures == []
-        assert counter["n"] == 8
-
-    def test_same_thread_second_instance_still_times_out(self, tmp_path):
-        """The in-process guard keeps FileLock's timeout semantics."""
-        path = tmp_path / "l.lock"
-        with FileLock(path):
-            contender = FileLock(path, timeout=0.1, poll_interval=0.01)
-            assert contender.acquire() is False
 
 
 def _miss_worker(args):
@@ -177,14 +52,13 @@ def _tag_worker(args):
 
 
 class TestConcurrentCounters:
-    """ISSUE: concurrent campaigns must not lose increments — on
-    either backend."""
+    """Concurrent campaigns must not lose increments."""
 
     WORKERS = 4
     PER_WORKER = 25
 
-    def test_concurrent_misses_count_exactly(self, tmp_path, backend_name):
-        root = store_root(tmp_path, backend_name)
+    def test_concurrent_misses_count_exactly(self, tmp_path, root_kind):
+        root = store_root(tmp_path, root_kind)
         with multiprocessing.Pool(self.WORKERS) as pool:
             pool.map(_miss_worker,
                      [(root, w, self.PER_WORKER)
@@ -194,11 +68,11 @@ class TestConcurrentCounters:
         assert stats["hits"] == 0
         assert stats["puts"] == 0
 
-    def test_concurrent_puts_count_exactly(self, tmp_path, backend_name,
+    def test_concurrent_puts_count_exactly(self, tmp_path, root_kind,
                                            sim_result):
         from repro.store import StoredResult
 
-        root = store_root(tmp_path, backend_name)
+        root = store_root(tmp_path, root_kind)
         payload = StoredResult.from_sim_result(sim_result).to_dict()
         with multiprocessing.Pool(self.WORKERS) as pool:
             pool.map(_put_worker,
@@ -209,12 +83,12 @@ class TestConcurrentCounters:
         assert len(list(store.keys())) == self.WORKERS * self.PER_WORKER
 
     def test_concurrent_tags_never_drop_each_other(self, tmp_path,
-                                                   backend_name,
+                                                   root_kind,
                                                    sim_result):
         """Four campaigns tag the same records; all four tags survive."""
         from repro.store import StoredResult
 
-        root = store_root(tmp_path, backend_name)
+        root = store_root(tmp_path, root_kind)
         store = ResultStore(root)
         result = StoredResult.from_sim_result(sim_result)
         keys = [f"{i:02x}" + "a" * 62 for i in range(8)]
@@ -226,21 +100,6 @@ class TestConcurrentCounters:
         expected = {f"campaign-{w}" for w in range(self.WORKERS)}
         for _key, record in ResultStore(root).records():
             assert set(record["tags"]) == expected
-
-    def test_counter_files_are_never_torn(self, tmp_path):
-        """After a stress run every counter shard is whole, parsable
-        JSON summing to the exact total (filesystem layout check)."""
-        root = store_root(tmp_path, "filesystem")
-        with multiprocessing.Pool(2) as pool:
-            pool.map(_miss_worker, [(root, w, 10) for w in range(2)])
-        store = ResultStore(root)
-        shards = sorted(store.backend.counters_dir.glob("shard-*.json"))
-        assert shards  # the sharded layout actually engaged
-        total = 0
-        for shard in shards:
-            data = json.loads(shard.read_text())  # parses = not torn
-            total += data["misses"]
-        assert total == 20
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +122,8 @@ class TestSqliteBusyRetry:
     SQLite returns it without consulting the busy handler in a few
     windows (fresh-database journal-mode transition, deadlock-avoidance
     lock upgrades); the backend must retry instead of silently
-    degrading to read-only and dropping the write.
+    degrading to read-only and dropping the write — or, on a read,
+    warning and answering a miss for a record that is there.
     """
 
     @staticmethod
@@ -305,3 +165,54 @@ class TestSqliteBusyRetry:
         with pytest.warns(ResultStoreWarning, match="read-only"):
             store.backend.bump_counters({"puts": 1})
         assert store.backend.read_only is True
+
+    @staticmethod
+    def _busy_once(monkeypatch, statement):
+        """Fail the first statement starting with ``statement`` once."""
+        import sqlite3
+
+        import repro.store.sqlite as sqlite_mod
+
+        real_execute = sqlite_mod._execute
+        failures = {"left": 1}
+
+        def flaky(db, sql, params=()):
+            if sql.lstrip().startswith(statement) and failures["left"]:
+                failures["left"] -= 1
+                raise sqlite3.OperationalError("database is locked")
+            return real_execute(db, sql, params)
+
+        monkeypatch.setattr(sqlite_mod, "_execute", flaky)
+        return failures
+
+    @pytest.mark.parametrize("statement", ["PRAGMA journal_mode",
+                                           "SELECT"])
+    def test_transient_busy_read_still_hits(self, tmp_path, monkeypatch,
+                                            sim_result, statement):
+        """A busy read of a stored record is a hit, not a warned miss."""
+        from repro.store import StoredResult
+
+        root = store_root(tmp_path, "sqlite")
+        writer = ResultStore(root)
+        writer.put("ab" * 32, StoredResult.from_sim_result(sim_result))
+        writer.close()
+        reader = ResultStore(root)  # fresh: no connection yet
+        failures = self._busy_once(monkeypatch, statement)
+        # error::UserWarning module filter: an "unreadable store
+        # database" warning would raise here.
+        assert reader.get("ab" * 32) is not None
+        assert failures["left"] == 0  # the busy window was actually hit
+
+    @pytest.mark.parametrize("statement", ["PRAGMA journal_mode",
+                                           "SELECT"])
+    def test_transient_busy_stats_reads_true_counters(
+            self, tmp_path, monkeypatch, statement):
+        root = store_root(tmp_path, "sqlite")
+        writer = ResultStore(root)
+        writer.backend.bump_counters({"puts": 2, "hits": 3, "misses": 4})
+        writer.close()
+        reader = ResultStore(root)
+        failures = self._busy_once(monkeypatch, statement)
+        stats = reader.stats()
+        assert failures["left"] == 0
+        assert (stats["puts"], stats["hits"], stats["misses"]) == (2, 3, 4)

@@ -176,9 +176,9 @@ def test_every_trials_record_matches_the_stdlib(tmp_path):
 
 
 def test_every_faulted_campaign_record_matches_the_stdlib(make_store):
-    """A campaign under a fault plan, on each backend: the records carry
-    a non-flat ``fault_plan`` sub-document and a ``resilience`` block,
-    and the filesystem files come through ``atomic_write_json``."""
+    """A campaign under a fault plan, on each root spelling: the records
+    carry a non-flat ``fault_plan`` sub-document and a ``resilience``
+    block."""
     clear_result_cache()
     plan = FaultPlan(seed=3, fetch_failure_probability=0.1,
                      node_crashes=(NodeCrash("slave1", at_time=1.0),),

@@ -1,8 +1,8 @@
 """ResultStore behavior: round-trips, counters, corruption, gc.
 
-Every class here runs against both backends (``backend_name`` /
-``make_store`` from ``conftest.py``): the facade contract — not the
-backing — is what these tests pin down.
+Every class here runs against both root spellings (``root_kind`` /
+``make_store`` from ``conftest.py``): the facade contract — not where
+the database lives — is what these tests pin down.
 """
 
 import json
@@ -97,8 +97,8 @@ class TestCounters:
         assert stats["hits"] == 0
         assert stats["misses"] == 0
 
-    def test_stats_name_the_backend(self, make_store, backend_name):
-        assert make_store().stats()["backend"] == backend_name
+    def test_stats_name_the_backend(self, make_store):
+        assert make_store().stats()["backend"] == "sqlite"
 
 
 class TestCorruption:
@@ -123,9 +123,9 @@ class TestCorruption:
             assert store.get(key) is None
 
     def test_corruption_never_poisons_the_suite(self, tmp_path,
-                                                backend_name):
+                                                root_kind):
         """A bad record re-simulates instead of crashing the run."""
-        root = store_root(tmp_path, backend_name)
+        root = store_root(tmp_path, root_kind)
         config = tiny_config()
         clear_result_cache()
         suite = MicroBenchmarkSuite(cluster=cluster_a(2), store=root)
@@ -251,3 +251,29 @@ class TestHitRate:
 
         assert hit_rate({"hits": 3, "misses": 1}) == 75.0
         assert hit_rate({"hits": 0, "misses": 5}) == 0.0
+
+
+class TestRootResolution:
+    """Every root spelling names one SQLite database file."""
+
+    def test_spellings(self, tmp_path):
+        from repro.store import resolve_root
+
+        existing = tmp_path / "plain-file"
+        existing.write_bytes(b"")
+        assert resolve_root(tmp_path / "dir") == (
+            tmp_path / "dir" / "store.sqlite", str(tmp_path / "dir"))
+        assert resolve_root(f"sqlite:{tmp_path / 'a'}") == (
+            tmp_path / "a", str(tmp_path / "a"))
+        assert resolve_root(tmp_path / "b.db")[0] == tmp_path / "b.db"
+        assert resolve_root(existing)[0] == existing
+
+    def test_backend_env_var_accepts_only_sqlite(self, tmp_path,
+                                                 monkeypatch):
+        from repro.store import BACKEND_ENV_VAR
+
+        monkeypatch.setenv(BACKEND_ENV_VAR, "sqlite")
+        assert ResultStore(tmp_path / "s").stats()["backend"] == "sqlite"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "filesystem")
+        with pytest.raises(ValueError, match="only backend is sqlite"):
+            ResultStore(tmp_path / "f")

@@ -5,7 +5,7 @@ simulated with ``clear_result_cache``, and proven for real processes by
 the PYTHONHASHSEED subprocess test in ``test_keys.py`` plus the CLI
 acceptance test) serves previously-simulated points from disk,
 bit-identically, executing zero simulations. Every test runs against
-both store backends.
+both store root spellings.
 """
 
 import pytest
@@ -35,8 +35,8 @@ def fresh_memo():
 
 class TestWarmStart:
     def test_cold_run_is_live_then_warm_run_is_stored(self, tmp_path,
-                                                      backend_name):
-        root = store_root(tmp_path, backend_name)
+                                                      root_kind):
+        root = store_root(tmp_path, root_kind)
         cold = MicroBenchmarkSuite(cluster=cluster_a(2), store=root)
         live = cold.run_config(tiny_config())
         assert isinstance(live, SimJobResult)
@@ -49,8 +49,8 @@ class TestWarmStart:
         assert stored.execution_time.hex() == live.execution_time.hex()
 
     def test_warm_run_executes_zero_simulations(self, tmp_path,
-                                                backend_name):
-        root = store_root(tmp_path, backend_name)
+                                                root_kind):
+        root = store_root(tmp_path, root_kind)
         configs = [tiny_config(), tiny_config(network="ipoib-qdr")]
         cold = MicroBenchmarkSuite(cluster=cluster_a(2), store=root)
         for config in configs:
@@ -66,8 +66,8 @@ class TestWarmStart:
         assert ResultStore(root).stats()["puts"] == puts_after_cold
 
     def test_alias_network_hits_canonical_record(self, tmp_path,
-                                                 backend_name):
-        root = store_root(tmp_path, backend_name)
+                                                 root_kind):
+        root = store_root(tmp_path, root_kind)
         cold = MicroBenchmarkSuite(cluster=cluster_a(2), store=root)
         live = cold.run_config(tiny_config(network="IPoIB-QDR(32Gbps)"))
 
@@ -77,16 +77,16 @@ class TestWarmStart:
         assert isinstance(stored, StoredResult)
         assert stored.execution_time.hex() == live.execution_time.hex()
 
-    def test_store_path_is_coerced(self, tmp_path, backend_name):
+    def test_store_path_is_coerced(self, tmp_path, root_kind):
         suite = MicroBenchmarkSuite(
             cluster=cluster_a(2),
-            store=store_root(tmp_path, backend_name))
+            store=store_root(tmp_path, root_kind))
         assert isinstance(suite.store, ResultStore)
-        assert suite.store.stats()["backend"] == backend_name
+        assert suite.store.stats()["backend"] == "sqlite"
 
     def test_memo_hit_short_circuits_the_store(self, tmp_path,
-                                               backend_name):
-        root = store_root(tmp_path, backend_name)
+                                               root_kind):
+        root = store_root(tmp_path, root_kind)
         suite = MicroBenchmarkSuite(cluster=cluster_a(2), store=root)
         suite.run_config(tiny_config())
         suite.run_config(tiny_config())  # memo hit, no store read
@@ -95,16 +95,16 @@ class TestWarmStart:
 
 class TestBypasses:
     def test_memoize_false_bypasses_the_store(self, tmp_path,
-                                              backend_name):
-        root = store_root(tmp_path, backend_name)
+                                              root_kind):
+        root = store_root(tmp_path, root_kind)
         suite = MicroBenchmarkSuite(cluster=cluster_a(2), store=root)
         result = suite.run_config(tiny_config(), memoize=False)
         assert isinstance(result, SimJobResult)
         assert ResultStore(root).stats()["puts"] == 0
 
     def test_monitored_runs_are_never_stored(self, tmp_path,
-                                             backend_name):
-        root = store_root(tmp_path, backend_name)
+                                             root_kind):
+        root = store_root(tmp_path, root_kind)
         suite = MicroBenchmarkSuite(cluster=cluster_a(2), store=root)
         result = suite.run_config(tiny_config(), monitor_interval=1.0)
         assert isinstance(result, SimJobResult)
@@ -113,8 +113,8 @@ class TestBypasses:
 
 class TestSweepThroughStore:
     def test_sweep_warm_start_is_bit_identical(self, tmp_path,
-                                               backend_name):
-        root = store_root(tmp_path, backend_name)
+                                               root_kind):
+        root = store_root(tmp_path, root_kind)
         kwargs = dict(num_maps=4, num_reduces=2,
                       key_size=256, value_size=256)
         cold = MicroBenchmarkSuite(cluster=cluster_a(2), store=root)

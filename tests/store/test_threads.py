@@ -5,9 +5,9 @@ worker threads and its scheduler thread simultaneously. That shape
 used to break on sqlite: the backend cached one connection per
 *process*, so the first cross-thread call died with sqlite3's
 ``objects created in a thread can only be used in that same thread``.
-These tests hammer one backend instance from eight threads on BOTH
-backends and assert the exact final counts — no exceptions, no lost
-increments, no torn records.
+These tests hammer one backend instance from eight threads, through
+both root spellings, and assert the exact final counts — no
+exceptions, no lost increments, no torn records.
 """
 
 import threading

@@ -1,9 +1,10 @@
 """Store hardening: verify fsck, degradation, truncation, quarantine.
 
-The contract classes run against both backends; the two classes pinned
-to one backend (``TestTruncatedMetadata``, sharded counter files;
-``TestUnreadableLedgerFile``, the quarantine JSON file) exercise
-filesystem-layout failure modes that have no sqlite equivalent.
+The contract classes run against both root spellings. The two classes
+pinned to the import path (``TestTruncatedMetadata``, counter files;
+``TestUnreadableLedgerFile``, the quarantine JSON file) exercise the
+file-level damage an old directory store can carry into
+``repro store migrate``.
 """
 
 import json
@@ -17,6 +18,7 @@ from repro.store import (
     ResultStore,
     ResultStoreWarning,
     StoredResult,
+    migrate_store,
     point_key,
 )
 
@@ -43,9 +45,9 @@ def sim_result():
     return suite.run_config(tiny_config(), memoize=False)
 
 
-def _fill(tmp_path, backend_name, n=2):
+def _fill(tmp_path, root_kind, n=2):
     """A store with n records written the real way (with provenance)."""
-    root = store_root(tmp_path, backend_name)
+    root = store_root(tmp_path, root_kind)
     clear_result_cache()
     suite = MicroBenchmarkSuite(cluster=cluster_a(2), store=root)
     keys = []
@@ -58,48 +60,48 @@ def _fill(tmp_path, backend_name, n=2):
 
 
 class TestVerify:
-    def test_clean_store_verifies(self, tmp_path, backend_name):
-        store, _keys = _fill(tmp_path, backend_name)
+    def test_clean_store_verifies(self, tmp_path, root_kind):
+        store, _keys = _fill(tmp_path, root_kind)
         report = store.verify()
         assert report.clean
         assert report.checked == 2 and report.ok == 2
         assert report.problems == []
 
-    def test_unparsable_record_is_reported(self, tmp_path, backend_name):
-        store, keys = _fill(tmp_path, backend_name)
+    def test_unparsable_record_is_reported(self, tmp_path, root_kind):
+        store, keys = _fill(tmp_path, root_kind)
         rewrite_record(store, keys[0], "{ nope")
         report = store.verify()
         assert not report.clean
         assert len(report.problems) == 1
         assert "unparsable" in report.problems[0].problem
 
-    def test_key_mismatch_is_reported(self, tmp_path, backend_name):
-        store, keys = _fill(tmp_path, backend_name)
+    def test_key_mismatch_is_reported(self, tmp_path, root_kind):
+        store, keys = _fill(tmp_path, root_kind)
         record = load_record(store, keys[0])
         record["key"] = "f" * 64
         rewrite_record(store, keys[0], json.dumps(record))
         report = store.verify()
         assert any("key mismatch" in p.problem for p in report.problems)
 
-    def test_stale_schema_is_reported(self, tmp_path, backend_name):
-        store, keys = _fill(tmp_path, backend_name)
+    def test_stale_schema_is_reported(self, tmp_path, root_kind):
+        store, keys = _fill(tmp_path, root_kind)
         record = load_record(store, keys[0])
         record["schema"] = 999
         rewrite_record(store, keys[0], json.dumps(record))
         report = store.verify()
         assert any("stale schema" in p.problem for p in report.problems)
 
-    def test_malformed_payload_is_reported(self, tmp_path, backend_name):
-        store, keys = _fill(tmp_path, backend_name)
+    def test_malformed_payload_is_reported(self, tmp_path, root_kind):
+        store, keys = _fill(tmp_path, root_kind)
         record = load_record(store, keys[0])
         del record["result"]["execution_time"]
         rewrite_record(store, keys[0], json.dumps(record))
         report = store.verify()
         assert any("malformed result" in p.problem for p in report.problems)
 
-    def test_tampered_provenance_is_reported(self, tmp_path, backend_name):
+    def test_tampered_provenance_is_reported(self, tmp_path, root_kind):
         """The content-address must actually address the content."""
-        store, keys = _fill(tmp_path, backend_name)
+        store, keys = _fill(tmp_path, root_kind)
         record = load_record(store, keys[0])
         record["provenance"]["config"]["seed"] = 424242
         rewrite_record(store, keys[0], json.dumps(record))
@@ -107,92 +109,84 @@ class TestVerify:
         assert any("provenance does not hash" in p.problem
                    for p in report.problems)
 
-    def test_verify_gc_sweeps_only_problems(self, tmp_path, backend_name):
-        store, keys = _fill(tmp_path, backend_name)
+    def test_verify_gc_sweeps_only_problems(self, tmp_path, root_kind):
+        store, keys = _fill(tmp_path, root_kind)
         rewrite_record(store, keys[0], "garbage")
         report = store.verify(gc=True)
         assert report.swept == 1
         assert list(store.keys()) == sorted(keys[1:])
         assert store.verify().clean
 
-    def test_corrupt_metadata_flagged(self, tmp_path, backend_name):
-        store, _keys = _fill(tmp_path, backend_name)
+    def test_corrupt_metadata_flagged(self, tmp_path, root_kind):
+        store, _keys = _fill(tmp_path, root_kind)
         corrupt_metadata(store)
         # A fresh handle, as a later inspection process would open.
-        fresh = ResultStore(store_root(tmp_path, backend_name))
-        with pytest.warns(ResultStoreWarning) if backend_name == "sqlite" \
-                else _no_warning_needed():
+        fresh = ResultStore(store_root(tmp_path, root_kind))
+        with pytest.warns(ResultStoreWarning):
             report = fresh.verify()
         assert report.meta_ok is False
 
 
-def _no_warning_needed():
-    """Placeholder context for the branch that warns nothing."""
-    import contextlib
-
-    return contextlib.nullcontext()
+def _old_directory_store(tmp_path, files):
+    """A minimal old-layout directory store: ``files`` (relative path ->
+    text) plus one record, as an older release's directory backend
+    left them."""
+    root = tmp_path / "old"
+    for name, payload in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(payload)
+    record = root / "objects" / "ab" / ("ab" * 32 + ".json")
+    record.parent.mkdir(parents=True)
+    record.write_text(json.dumps({"key": "ab" * 32, "schema": 0}))
+    return root
 
 
 class TestTruncatedMetadata:
-    """Truncated counter files must warn + reinit, not raise.
-
-    Filesystem-backend specific: counters live in sharded JSON files
-    (``counters/shard-NN.json``); this pins the truncation tolerance of
-    that layout. (SQLite metadata corruption is covered by
-    ``test_corrupt_metadata_flagged``.)
-    """
-
-    def _shard_path(self, store):
-        """The counter shard this process's bumps land in."""
-        backend = store.backend
-        return backend.shard_path(backend._counter_shard())
+    """Truncated counter files of an old directory store warn on import
+    and count as zero, as they did in the release that wrote them; the
+    readable files still add up."""
 
     def test_truncated_shard_reinitializes_counters(self, tmp_path):
-        store, _keys = _fill(tmp_path, "filesystem")
-        shard = self._shard_path(store)
-        assert json.loads(shard.read_text())["puts"] == 2
-        shard.write_text('{"puts": 2, "hi')  # killed mid-write
-        fresh = ResultStore(store_root(tmp_path, "filesystem"))
-        with pytest.warns(ResultStoreWarning, match="reinitializing"):
-            stats = fresh.stats()
-        assert stats["puts"] == 0  # reinitialized
+        root = _old_directory_store(tmp_path, {
+            "counters/shard-01.json": '{"puts": 2, "hi',  # killed mid-write
+            "counters/shard-02.json": '{"puts": 3, "schema": 1}'})
+        with pytest.warns(ResultStoreWarning, match="shard-01"):
+            report = migrate_store(str(root), str(tmp_path / "new"))
+        assert report.counters == {"puts": 3}
+        assert report.records == 1
 
     def test_truncated_legacy_meta_reinitializes(self, tmp_path):
         """A corrupt pre-shard ``store.json`` is tolerated the same way."""
-        store, _keys = _fill(tmp_path, "filesystem")
-        store.meta_path.write_text('{"puts": 2, "hi')
-        fresh = ResultStore(store_root(tmp_path, "filesystem"))
-        with pytest.warns(ResultStoreWarning, match="reinitializing"):
-            stats = fresh.stats()
-        assert stats["puts"] == 2  # legacy file zeroed, shards intact
-
-    def test_next_write_repairs_the_file(self, tmp_path):
-        store, _keys = _fill(tmp_path, "filesystem")
-        shard = self._shard_path(store)
-        shard.write_text("")
-        fresh = ResultStore(store_root(tmp_path, "filesystem"))
-        with pytest.warns(ResultStoreWarning, match="reinitializing"):
-            fresh.get("ab" * 32)  # miss -> locked bump rewrites the shard
-        data = json.loads(shard.read_text())
-        assert data["misses"] == 1
+        root = _old_directory_store(tmp_path, {
+            "store.json": '{"puts": 2, "hi',
+            "counters/shard-01.json": '{"puts": 2, "schema": 1}'})
+        with pytest.warns(ResultStoreWarning, match="store.json"):
+            report = migrate_store(str(root), str(tmp_path / "new"))
+        assert ResultStore(str(tmp_path / "new")).stats()["puts"] == 2
+        assert report.counters == {"puts": 2}
 
     def test_legacy_counters_aggregate_with_shards(self, tmp_path):
-        """A pre-shard store upgrades in place: totals include both."""
-        store, _keys = _fill(tmp_path, "filesystem")
-        store.meta_path.write_text(
-            json.dumps({"schema": 1, "puts": 5, "hits": 1, "misses": 0}))
-        stats = ResultStore(store_root(tmp_path, "filesystem")).stats()
+        """Pre-shard ``store.json`` counters add onto the shards."""
+        root = _old_directory_store(tmp_path, {
+            "store.json": json.dumps(
+                {"schema": 1, "puts": 5, "hits": 1, "misses": 0}),
+            "counters/shard-03.json": json.dumps(
+                {"schema": 1, "puts": 2, "hits": 0, "misses": 2})})
+        migrate_store(str(root), str(root))
+        stats = ResultStore(str(root)).stats()
         assert stats["puts"] == 7  # 5 legacy + 2 sharded
         assert stats["hits"] == 1
+        assert stats["misses"] == 2
 
 
 class TestReadOnlyDegradation:
     """Unwritable/full roots degrade to read-only; simulation goes on."""
 
-    def test_put_degrades_with_one_warning(self, make_store, backend_name,
-                                           sim_result, monkeypatch):
+    def test_put_degrades_with_one_warning(self, make_store, sim_result,
+                                           monkeypatch):
         store = make_store()
-        break_writes(backend_name, monkeypatch)
+        break_writes(monkeypatch)
         stored = StoredResult.from_sim_result(sim_result)
         with pytest.warns(ResultStoreWarning, match="read-only"):
             store.put("ab" * 32, stored)
@@ -206,26 +200,25 @@ class TestReadOnlyDegradation:
             assert store.write_checkpoint("c", {}) is None
 
     def test_degraded_store_still_serves_reads(self, make_store,
-                                               backend_name, sim_result,
-                                               monkeypatch):
+                                               sim_result, monkeypatch):
         key = point_key(sim_result.config, cluster_a(2))
         store = make_store()
         store.put(key, StoredResult.from_sim_result(sim_result))
-        break_writes(backend_name, monkeypatch)
+        break_writes(monkeypatch)
         with pytest.warns(ResultStoreWarning, match="read-only"):
             store.get("ab" * 32)  # miss-bump write fails -> degrade
         assert store.contains(key)
         assert store.get(key) is not None  # hit served, bump dropped
 
     def test_suite_keeps_simulating_on_degraded_store(self, tmp_path,
-                                                      backend_name,
+                                                      root_kind,
                                                       monkeypatch):
         """ISSUE: warn, keep simulating, don't crash."""
         clear_result_cache()
         suite = MicroBenchmarkSuite(
             cluster=cluster_a(2),
-            store=store_root(tmp_path, backend_name))
-        break_writes(backend_name, monkeypatch)
+            store=store_root(tmp_path, root_kind))
+        break_writes(monkeypatch)
         with pytest.warns(ResultStoreWarning, match="read-only"):
             result = suite.run_config(tiny_config())
         assert result.execution_time > 0
@@ -256,14 +249,16 @@ class TestQuarantineLedger:
 
 
 class TestUnreadableLedgerFile:
-    """Filesystem-specific: a garbage quarantine.json is empty + warned."""
+    """A garbage ``quarantine.json`` in an old directory store imports
+    as an empty ledger, with a warning."""
 
     def test_unreadable_ledger_is_empty_with_warning(self, tmp_path):
-        store = ResultStore(store_root(tmp_path, "filesystem"))
-        store.quarantine_path.parent.mkdir(parents=True, exist_ok=True)
-        store.quarantine_path.write_text("{ nope")
+        root = _old_directory_store(tmp_path, {
+            "quarantine.json": "{ nope"})
         with pytest.warns(ResultStoreWarning, match="quarantine"):
-            assert store.quarantine() == {}
+            report = migrate_store(str(root), str(root))
+        assert report.quarantined == 0
+        assert ResultStore(str(root)).quarantine() == {}
 
 
 class TestCheckpoints:

@@ -30,7 +30,7 @@ import time
 from _harness import check_or_record, one_shot, record, record_texts
 
 from repro.campaign import Campaign, PoolBackend, run_campaign
-from repro.campaign.backend import ENV_CHAOS_ATTEMPTS, ENV_CHAOS_CRASH
+from repro.campaign.chaos import ENV_CHAOS_ATTEMPTS, ENV_CHAOS_CRASH
 from repro.core.matrix import clear_matrix_cache
 from repro.core.suite import clear_result_cache
 from repro.net.fabric import clear_link_table_cache

@@ -51,7 +51,6 @@ from repro.campaign.backend import (
     ExecutionBackend,
     ExecutionBackendError,
     LocalBackend,
-    create_execution_backend,
 )
 from repro.campaign.executor import (
     CampaignExecutor,
@@ -83,7 +82,6 @@ __all__ = [
     "PoolBackend",
     "ResidueGroup",
     "RetryPolicy",
-    "create_execution_backend",
     "load_campaign",
     "load_campaigns",
     "plan_batches",

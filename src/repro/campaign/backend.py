@@ -6,8 +6,7 @@ quarantine, checkpoints, progress, tracing. *Where* a cold point-unit
 actually simulates is delegated to an :class:`ExecutionBackend`:
 
 * :class:`LocalBackend` — the default; runs units inline (fast path)
-  or in supervised ``multiprocessing`` workers on this host. This is
-  byte-for-byte the pre-protocol executor behavior.
+  or in supervised ``multiprocessing`` workers on this host.
 * :class:`~repro.campaign.pool.PoolBackend` — a stdlib-socket worker
   pool: ``repro worker --connect HOST:PORT`` processes (local, SSH'd,
   or hand-launched on remote hosts) claim units under leases with
@@ -20,19 +19,8 @@ context exposes the unit list and per-point payloads, and routes every
 outcome back through the executor — so retries, backoff jitter,
 quarantine (with per-attempt history), replication of batch siblings,
 progress and trace markers behave identically on every substrate.
-
-Chaos hooks (tests / CI stress + distributed jobs only)
--------------------------------------------------------
-Worker processes — local supervised children and pool workers alike —
-honour env-gated sabotage hooks so failure paths are exercisable
-without patching production code: ``REPRO_CHAOS_CRASH=<point-index>``
-makes the worker SIGKILL itself, ``REPRO_CHAOS_HANG=<point-index>``
-makes it sleep ``$REPRO_CHAOS_HANG_SECS`` (default 3600) while still
-heartbeating, and ``REPRO_CHAOS_MUTE=<point-index>`` makes a pool
-worker go silent (no heartbeats) so its lease expires.
-``REPRO_CHAOS_ATTEMPTS=<n>`` limits the sabotage to the first *n*
-dispatches of that point (default 1, so a retry or a reassigned
-dispatch demonstrably recovers).
+Worker processes of both backends run the chaos hooks of
+:mod:`repro.campaign.chaos`.
 """
 
 from __future__ import annotations
@@ -47,51 +35,14 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign import chaos
 from repro.core.suite import _run_point
-
-#: Chaos hooks (see module docstring). Test/CI surface, env-gated.
-ENV_CHAOS_CRASH = "REPRO_CHAOS_CRASH"
-ENV_CHAOS_HANG = "REPRO_CHAOS_HANG"
-ENV_CHAOS_HANG_SECS = "REPRO_CHAOS_HANG_SECS"
-ENV_CHAOS_ATTEMPTS = "REPRO_CHAOS_ATTEMPTS"
-ENV_CHAOS_MUTE = "REPRO_CHAOS_MUTE"
 
 #: Point outcome statuses (shared by the executor and all backends).
 STATUS_OK = "ok"            #: simulated this run
 STATUS_CACHED = "cached"    #: served from memo cache / disk store
 STATUS_FAILED = "failed"    #: exhausted retries; quarantined
 STATUS_SKIPPED = "skipped"  #: never ran (interrupt or fail-fast abort)
-
-
-def _chaos_hooks_enabled() -> bool:
-    """Whether any env-gated chaos hook is armed (forces isolation)."""
-    return bool(os.environ.get(ENV_CHAOS_CRASH)
-                or os.environ.get(ENV_CHAOS_HANG)
-                or os.environ.get(ENV_CHAOS_MUTE))
-
-
-def _chaos_attempts() -> int:
-    """How many dispatches of the targeted point misbehave."""
-    try:
-        return int(os.environ.get(ENV_CHAOS_ATTEMPTS, "1"))
-    except ValueError:
-        return 1
-
-
-def _chaos_hook(index: int, attempt0: int) -> None:
-    """Sabotage this worker if the chaos env vars target it.
-
-    ``attempt0`` is zero-based (the pool passes its per-unit dispatch
-    counter, so reassigned dispatches count too); by default only the
-    first dispatch of the targeted point misbehaves, so retries and
-    reassignments demonstrably recover.
-    """
-    if attempt0 >= _chaos_attempts():
-        return
-    if os.environ.get(ENV_CHAOS_CRASH) == str(index):
-        os.kill(os.getpid(), signal.SIGKILL)
-    if os.environ.get(ENV_CHAOS_HANG) == str(index):
-        time.sleep(float(os.environ.get(ENV_CHAOS_HANG_SECS, "3600")))
 
 
 def _child_main(conn, payload: tuple, index: int, attempt0: int) -> None:
@@ -108,7 +59,7 @@ def _child_main(conn, payload: tuple, index: int, attempt0: int) -> None:
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
     try:
-        _chaos_hook(index, attempt0)
+        chaos.sabotage(index, attempt0)
         result = _run_point(payload)
     except BaseException as exc:
         try:
@@ -324,33 +275,24 @@ class _Pending:
 class LocalBackend(ExecutionBackend):
     """Single-host execution: inline or supervised worker processes.
 
-    This is the pre-protocol executor behavior, verbatim: ``jobs=1``
-    with no timeout and no chaos hooks runs units inline (fast path);
-    anything else fans units over supervised ``multiprocessing``
-    children with per-attempt deadlines and crash isolation.
+    ``jobs=1`` with no timeout runs units inline (fast path); ``jobs >
+    1`` or a per-point timeout fans units over supervised
+    ``multiprocessing`` children with per-attempt deadlines and crash
+    isolation.
     """
 
     name = "local"
 
-    def __init__(self, jobs: int = 1, isolate: Optional[bool] = None):
+    def __init__(self, jobs: int = 1):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        #: None = auto (isolate when jobs>1, a timeout is set, or a
-        #: chaos hook is armed); True/False forces the mode.
-        self.isolate = isolate
 
     def run(self, ctx: ExecutionContext) -> None:
-        if self._should_isolate(ctx):
+        if self.jobs > 1 or ctx.policy.timeout is not None:
             self._run_isolated(ctx)
         else:
             self._run_inline(ctx)
-
-    def _should_isolate(self, ctx: ExecutionContext) -> bool:
-        if self.isolate is not None:
-            return self.isolate
-        return (self.jobs > 1 or ctx.policy.timeout is not None
-                or _chaos_hooks_enabled())
 
     # -- inline path -------------------------------------------------------
 
@@ -546,24 +488,3 @@ simulate_point`, so test wrappers around the suite still intercept),
         except OSError:  # pragma: no cover
             pass
 
-
-def create_execution_backend(spec: Optional[str] = None, jobs: int = 1,
-                             isolate: Optional[bool] = None,
-                             **pool_options) -> ExecutionBackend:
-    """Build a backend from a CLI-ish spec string.
-
-    ``None``/``"local"`` → :class:`LocalBackend`; ``"pool"`` →
-    :class:`~repro.campaign.pool.PoolBackend` (extra keyword options —
-    ``workers``, ``bind``, ``lease``, ``drain_timeout`` — pass
-    through). Unknown names raise ``ValueError``.
-    """
-    if spec is None or spec == "local":
-        return LocalBackend(jobs=jobs, isolate=isolate)
-    if spec == "pool":
-        from repro.campaign.pool import PoolBackend
-
-        if not pool_options.get("workers"):
-            pool_options.setdefault("workers", jobs)
-        return PoolBackend(**pool_options)
-    raise ValueError(
-        f"unknown execution backend {spec!r} (expected 'local' or 'pool')")

@@ -1,10 +1,8 @@
 """Hardened per-point campaign execution engine.
 
-:func:`repro.campaign.runner.run_campaign` used to hand the whole grid
-to ``suite._run_points`` — one crashed worker process aborted the
-campaign and discarded every in-flight point. This module replaces
-that all-or-nothing call with :class:`CampaignExecutor`, which runs
-each point as an independently supervised unit of work:
+:class:`CampaignExecutor` runs campaigns, service drain passes and
+multi-process suite sweeps. It treats each point as an independently
+supervised unit of work:
 
 * **Retries with exponential backoff** — a point that raises (or whose
   worker dies) is retried up to :attr:`RetryPolicy.retries` times,
@@ -16,9 +14,10 @@ each point as an independently supervised unit of work:
 * **Per-point wall-clock timeouts** — with
   :attr:`RetryPolicy.timeout` set, a worker that exceeds it is
   terminated and the attempt counts as a failure (retryable).
-* **Worker-crash isolation** — each point attempt runs in its own
-  worker process; a SIGKILL'd/dying worker kills only its point, and
-  the pool is replenished for the next attempt or point.
+* **Worker-crash isolation** — with ``jobs > 1`` or a timeout, each
+  point attempt runs in its own worker process; a SIGKILL'd/dying
+  worker kills only its point, and the pool is replenished for the
+  next attempt or point.
 * **Quarantine instead of abort** — a point that exhausts its retries
   is recorded in the store's ``quarantine.json`` ledger (exception,
   traceback, attempts, and the full per-attempt history: failure
@@ -36,7 +35,7 @@ each point as an independently supervised unit of work:
 *Where* units execute is pluggable: the executor drives an
 :class:`~repro.campaign.backend.ExecutionBackend` — by default the
 :class:`~repro.campaign.backend.LocalBackend` (inline or supervised
-``multiprocessing`` workers on this host, the historical behavior),
+``multiprocessing`` workers on this host),
 optionally the :class:`~repro.campaign.pool.PoolBackend` socket worker
 pool for multi-process / multi-host fan-out with lease-based failover
 (see ``docs/DISTRIBUTED.md``).
@@ -44,13 +43,8 @@ pool for multi-process / multi-host fan-out with lease-based failover
 Determinism is untouched: every point is a seeded, self-contained
 simulation, so a retried, resumed, reassigned or differently-scheduled
 point is bit-identical to a clean single-process run (asserted by the
-chaos tests against the 40-point golden suite).
-
-Chaos hooks (tests / CI stress job only) live in
-:mod:`repro.campaign.backend` — ``REPRO_CHAOS_CRASH``,
-``REPRO_CHAOS_HANG``, ``REPRO_CHAOS_MUTE``, ``REPRO_CHAOS_ATTEMPTS``
-are re-exported here for backwards compatibility. Setting a hook
-forces isolated mode even at ``jobs=1``.
+chaos tests against the 40-point golden suite). Their faults come from
+the hooks in :mod:`repro.campaign.chaos`.
 """
 
 from __future__ import annotations
@@ -61,12 +55,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.backend import (  # noqa: F401  (re-exported surface)
-    ENV_CHAOS_ATTEMPTS,
-    ENV_CHAOS_CRASH,
-    ENV_CHAOS_HANG,
-    ENV_CHAOS_HANG_SECS,
-    ENV_CHAOS_MUTE,
+from repro.campaign.backend import (
     STATUS_CACHED,
     STATUS_FAILED,
     STATUS_OK,
@@ -74,9 +63,6 @@ from repro.campaign.backend import (  # noqa: F401  (re-exported surface)
     ExecutionBackend,
     ExecutionContext,
     LocalBackend,
-    _chaos_hook,
-    _chaos_hooks_enabled,
-    _child_main,
 )
 from repro.campaign.batch import plan_batches, replicate_result
 from repro.core.config import BenchmarkConfig
@@ -218,8 +204,7 @@ class CampaignExecutor:
         policy: Optional[RetryPolicy] = None,
         jobs: int = 1,
         fail_fast: bool = False,
-        isolate: Optional[bool] = None,
-        batch: Optional[bool] = None,
+        batch: bool = True,
         tracer: Optional[Tracer] = None,
         progress=None,
         campaign: str = "",
@@ -235,8 +220,8 @@ class CampaignExecutor:
 
         ``backend`` plugs in an execution substrate; None builds the
         default :class:`~repro.campaign.backend.LocalBackend` from
-        ``jobs``/``isolate``. A caller-supplied backend is *borrowed*:
-        the executor never closes it.
+        ``jobs``. A caller-supplied backend is *borrowed*: the executor
+        never closes it.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -244,14 +229,8 @@ class CampaignExecutor:
         self.policy = policy if policy is not None else RetryPolicy()
         self.jobs = jobs
         self.fail_fast = fail_fast
-        #: None = auto (isolate when jobs>1, a timeout is set, or a
-        #: chaos hook is armed); True/False forces the mode. Only
-        #: meaningful for the local backend.
-        self.isolate = isolate
-        #: None = auto (batch unless a chaos hook is armed or isolation
-        #: is forced on); True/False forces the mode. ``False`` is the
-        #: strict per-point loop — the oracle the batch path is
-        #: benchmarked and parity-tested against.
+        #: ``False`` runs the strict per-point loop — the oracle the
+        #: batch path is benchmarked and parity-tested against.
         self.batch = batch
         self.tracer = tracer
         #: Called with each finished :class:`PointOutcome`
@@ -260,7 +239,7 @@ class CampaignExecutor:
         self.campaign = campaign
         self.handle_signals = handle_signals
         self.backend = (backend if backend is not None
-                        else LocalBackend(jobs=jobs, isolate=isolate))
+                        else LocalBackend(jobs=jobs))
         #: Stage seconds merged into the profile before execution (the
         #: runner seeds campaign-expansion time here).
         self.profile_base: Dict[str, float] = {}
@@ -310,13 +289,12 @@ class CampaignExecutor:
         for stage, seconds in self.profile_base.items():
             profile[stage] = profile.get(stage, 0.0) + seconds
         self.profile = profile
-        batched = self._should_batch()
         unique = 0
         old_handlers = self._install_signal_handlers()
         try:
             pending: List[int] = []
             stage_started = time.monotonic()
-            if batched:
+            if self.batch:
                 for i, found in enumerate(self.suite.lookup_points(configs)):
                     if found is not None:
                         self._finish(outcomes[i], STATUS_CACHED, result=found)
@@ -333,7 +311,7 @@ class CampaignExecutor:
                         pending.append(i)
             profile["store-lookup"] += time.monotonic() - stage_started
             if pending and not self._stop_signal:
-                if batched:
+                if self.batch:
                     stage_started = time.monotonic()
                     plan = plan_batches(self.suite, configs, pending)
                     units: List[Tuple[int, ...]] = [
@@ -359,7 +337,7 @@ class CampaignExecutor:
             outcomes=outcomes,
             interrupted=self._stop_signal is not None,
             stop_signal=self._stop_signal,
-            batched=batched,
+            batched=self.batch,
             unique_simulations=unique,
             profile=dict(profile),
             backend=self.backend.name,
@@ -391,20 +369,6 @@ class CampaignExecutor:
 
     def _on_signal(self, signum, frame) -> None:
         self._stop_signal = signum
-
-    # -- mode selection ----------------------------------------------------
-
-    def _should_batch(self) -> bool:
-        """Whether to run the equivalence-class batch scheduler.
-
-        Auto mode keeps the strict per-point loop under chaos hooks and
-        forced isolation (the robustness tests' ground truth); the
-        explicit flag wins either way, so batch+chaos composition is
-        testable.
-        """
-        if self.batch is not None:
-            return self.batch
-        return not _chaos_hooks_enabled() and self.isolate is not True
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -21,6 +21,9 @@ Fault tolerance is the point. Every dispatched unit is held under a
 * a unit that exceeds ``policy.timeout`` while its worker heartbeats
   on (a hung simulation, not a hung host) counts as a retryable
   attempt failure, and the stuck worker is dropped;
+* a lost or dropped worker that this pool spawned is replaced: its
+  process is killed if still alive and one successor starts, while
+  units remain and the pass is not draining;
 * SIGINT drains: no new dispatches, in-flight units get
   ``drain_timeout`` seconds to finish (their results are recorded),
   the rest checkpoint as skipped for ``repro campaign resume``.
@@ -105,6 +108,8 @@ class _PoolWorker:
     ident: str
     decoder: FrameDecoder = field(default_factory=FrameDecoder)
     greeted: bool = False
+    #: Process id from the hello; matches the workers this pool spawned.
+    pid: Optional[int] = None
     unit: Optional[_Assignment] = None
 
 
@@ -358,9 +363,9 @@ class PoolBackend(ExecutionBackend):
         now = time.monotonic()
         if tag == MSG_HELLO:
             info = message[1] if len(message) > 1 else {}
-            ident = info.get("worker") if isinstance(info, dict) else None
-            if ident:
-                worker.ident = str(ident)
+            if isinstance(info, dict):
+                worker.ident = str(info.get("worker") or worker.ident)
+                worker.pid = info.get("pid")
             if not worker.greeted:
                 worker.greeted = True
                 self.counters["workers_joined"] += 1
@@ -451,6 +456,7 @@ class PoolBackend(ExecutionBackend):
                     assignment.rep, assignment.attempt + 1,
                     assignment.dispatches + 1, now + delay))
             self._lease_release(ctx, assignment.rep)
+            self._respawn(ctx, worker, bool(pending or active))
 
     def _worker_lost(self, ctx: ExecutionContext, worker: _PoolWorker,
                      pending: List[_PendingUnit],
@@ -468,6 +474,8 @@ class PoolBackend(ExecutionBackend):
         if worker.greeted:
             self.counters["workers_lost"] += 1
         self._close_worker(worker)
+        # ``active`` still holds the lost unit, so it counts as left.
+        self._respawn(ctx, worker, bool(pending or active))
         if assignment is None:
             return
         active.pop(assignment.rep, None)
@@ -550,6 +558,21 @@ class PoolBackend(ExecutionBackend):
             pass
 
     # -- local worker subprocesses -----------------------------------------
+
+    def _respawn(self, ctx: ExecutionContext, worker: _PoolWorker,
+                 units_left: bool) -> None:
+        """Kill a lost worker this pool spawned and start a successor.
+
+        Only while units remain and the pass is not draining; crash
+        loops stay bounded by ``reassign_limit`` and the retry policy.
+        """
+        proc = next((p for p in self._procs if p.pid == worker.pid), None)
+        if proc is None or not units_left or ctx.should_stop():
+            return
+        self._procs.remove(proc)
+        proc.kill()
+        proc.wait()
+        self._spawn_worker()
 
     def _spawn_worker(self) -> None:
         """Launch one local ``repro worker`` subprocess."""

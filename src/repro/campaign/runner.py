@@ -156,8 +156,7 @@ def run_campaign(
     progress: Optional[ProgressFn] = None,
     policy: Optional[RetryPolicy] = None,
     fail_fast: bool = False,
-    isolate: Optional[bool] = None,
-    batch: Optional[bool] = None,
+    batch: bool = True,
     tracer: Optional[Tracer] = None,
     backend: Optional[ExecutionBackend] = None,
 ) -> CampaignResult:
@@ -177,10 +176,10 @@ def run_campaign(
     durable in the store, a checkpoint is written, and the result comes
     back with ``interrupted=True``.
 
-    ``batch=None`` lets the executor group the cold points into
-    simulation-equivalence classes and simulate one representative per
+    By default the executor groups the cold points into
+    simulation-equivalence classes and simulates one representative per
     class (bit-identical store contents, large wall-clock wins on
-    trial-heavy sweeps); ``batch=False`` forces the strict per-point
+    trial-heavy sweeps); ``batch=False`` runs the strict per-point
     loop, the oracle the batch path is benchmarked against.
 
     ``backend`` swaps the execution engine the misses run on: ``None``
@@ -242,7 +241,6 @@ def run_campaign(
         policy=policy,
         jobs=jobs,
         fail_fast=fail_fast,
-        isolate=isolate,
         batch=batch,
         tracer=tracer,
         progress=on_point,

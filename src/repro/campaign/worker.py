@@ -22,12 +22,11 @@ interpreter shutdown) just sets the flag, so the SIGTERM that
 ``PoolBackend.close()`` sends a worker already on its way out never
 prints a traceback.
 
-Chaos hooks: the worker honours the same env-gated sabotage switches
-as local supervised children (``REPRO_CHAOS_CRASH`` / ``_HANG`` /
-``_ATTEMPTS``, keyed by the *dispatch* counter so a reassigned unit
-demonstrably recovers), plus ``REPRO_CHAOS_MUTE=<point-index>``: the
-worker goes silent — no heartbeats, no result — so lease-expiry
-failover is testable without SIGSTOP gymnastics.
+Chaos hooks: each unit passes through :mod:`repro.campaign.chaos`,
+keyed by the *dispatch* counter so a reassigned unit demonstrably
+recovers; its mute hook silences the worker — no heartbeats, no
+result — so lease-expiry failover is testable without SIGSTOP
+gymnastics.
 """
 
 from __future__ import annotations
@@ -38,16 +37,10 @@ import signal
 import socket
 import sys
 import threading
-import time
 import traceback
 from typing import Optional
 
-from repro.campaign.backend import (
-    ENV_CHAOS_HANG_SECS,
-    ENV_CHAOS_MUTE,
-    _chaos_attempts,
-    _chaos_hook,
-)
+from repro.campaign import chaos
 from repro.campaign.wire import (
     MSG_ERROR,
     MSG_HEARTBEAT,
@@ -95,13 +88,6 @@ def _next_message(sock):
         _waiting = False
 
 
-def _should_mute(index: int, dispatch0: int) -> bool:
-    """Whether the mute chaos hook silences this dispatch."""
-    if os.environ.get(ENV_CHAOS_MUTE) != str(index):
-        return False
-    return dispatch0 < _chaos_attempts()
-
-
 def _heartbeat_loop(sock, lock: threading.Lock, token, interval: float,
                     stop: threading.Event) -> None:
     """Renew the unit's lease until the simulation finishes."""
@@ -116,11 +102,8 @@ def _heartbeat_loop(sock, lock: threading.Lock, token, interval: float,
 def _execute_unit(sock, lock: threading.Lock, message) -> None:
     """Simulate one dispatched unit and report its outcome."""
     _tag, token, index, dispatch0, heartbeat_secs, payload = message
-    if _should_mute(index, dispatch0):
-        # Chaos: go dark. No heartbeats, no result — the coordinator
-        # must expire the lease and reassign the unit elsewhere.
-        time.sleep(float(os.environ.get(ENV_CHAOS_HANG_SECS, "3600")))
-        return
+    if chaos.mute(index, dispatch0):
+        return  # went dark: the coordinator must expire the lease
     stop = threading.Event()
     beater = threading.Thread(
         target=_heartbeat_loop,
@@ -128,7 +111,7 @@ def _execute_unit(sock, lock: threading.Lock, message) -> None:
         name="repro-worker-heartbeat", daemon=True)
     beater.start()
     try:
-        _chaos_hook(index, dispatch0)
+        chaos.sabotage(index, dispatch0)
         result = _run_point(payload)
         reply = (MSG_OK, token, result)
     except BaseException as exc:  # noqa: BLE001 - shipped to coordinator

@@ -413,14 +413,6 @@ def build_repro_parser() -> argparse.ArgumentParser:
                           help="exit 0 even when points were quarantined "
                                "(default: complete the campaign but "
                                "exit 1)")
-        batching = p.add_mutually_exclusive_group()
-        batching.add_argument("--batch", dest="batch", action="store_true",
-                              default=None,
-                              help="force the equivalence-class batch "
-                                   "scheduler (default: auto)")
-        batching.add_argument("--no-batch", dest="batch",
-                              action="store_false",
-                              help="force the strict per-point loop")
         p.add_argument("--profile", action="store_true",
                        help="print the per-stage wall-clock breakdown "
                             "(expand / store-lookup / shared-setup / "
@@ -484,15 +476,6 @@ def build_repro_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue", type=int, default=None, metavar="N",
                        help="cold-point queue bound; excess queries get "
                             "a 503 (default: 256)")
-    serve_batching = serve.add_mutually_exclusive_group()
-    serve_batching.add_argument("--batch", dest="batch",
-                                action="store_true", default=None,
-                                help="force the equivalence-class batch "
-                                     "scheduler for cold points "
-                                     "(default: auto)")
-    serve_batching.add_argument("--no-batch", dest="batch",
-                                action="store_false",
-                                help="force the strict per-point loop")
     serve.add_argument("--backend", choices=("local", "pool"),
                        default="local",
                        help="execution backend for cold points "
@@ -708,8 +691,7 @@ def _cmd_campaign(args) -> int:
     try:
         outcome = run_campaign(campaign, store=store, jobs=args.jobs,
                                progress=progress, policy=policy,
-                               fail_fast=args.fail_fast, batch=args.batch,
-                               backend=backend)
+                               fail_fast=args.fail_fast, backend=backend)
     except ExecutionBackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -781,8 +763,8 @@ def _cmd_serve(args) -> int:
     if args.max_queue is not None:
         kwargs["max_queue"] = args.max_queue
     service = BenchmarkService(_repro_store(args), policy=policy,
-                               jobs=args.jobs, batch=args.batch,
-                               execution_backend=backend, **kwargs)
+                               jobs=args.jobs, execution_backend=backend,
+                               **kwargs)
 
     def ready(host: str, port: int) -> None:
         print(f"serving {service.store.describe()} "

@@ -8,11 +8,12 @@ parameter sweeps. Single-job runs return the simulated framework's
 :class:`SweepResult` whose rows regenerate the paper's figures.
 
 Sweep points are independent simulations, so :meth:`~MicroBenchmarkSuite.sweep`
-and :meth:`~MicroBenchmarkSuite.run_trials` accept ``jobs=N`` to fan
-points out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-Results are returned in the same deterministic order regardless of
-``jobs`` (and each point's simulation is seeded and self-contained, so
-the *times* are bit-identical too — asserted by the integration tests).
+and :meth:`~MicroBenchmarkSuite.run_trials` accept ``jobs=N`` to run
+points through :class:`~repro.campaign.executor.CampaignExecutor` on
+``N`` local worker processes. Results are returned in the same
+deterministic order regardless of ``jobs`` (and each point's
+simulation is seeded and self-contained, so the *times* are
+bit-identical too — asserted by the integration tests).
 
 Completed points are also memoized in a process-wide cache keyed by the
 point's store key (the stable digest of its config, cluster, jobconf,
@@ -31,7 +32,6 @@ full caching contract is documented in ``docs/MODEL.md``.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -87,10 +87,9 @@ def result_cache_stats() -> Dict[str, int]:
 
 
 def _run_point(payload: tuple) -> SimJobResult:
-    """Worker for parallel sweeps: simulate one fully-keyed point.
+    """Simulate one :meth:`MicroBenchmarkSuite.point_payload` tuple.
 
-    Top-level so it pickles; receives the same tuple used as the memo
-    cache key.
+    Top-level so worker processes can run it from a pickled payload.
     """
     config, cluster, jobconf, cost_model, fault_plan = payload
     return run_simulated_job(
@@ -448,13 +447,13 @@ class MicroBenchmarkSuite:
         shuffle_gbs: Sequence[float],
         networks: Sequence[str],
         jobs: int = 1,
-        memoize: bool = True,
         **config_kwargs: object,
     ) -> SweepResult:
         """Execution time across shuffle sizes x networks (Figs. 2-6).
 
-        ``jobs > 1`` runs the grid points on a process pool; row order
-        (and every simulated time) is identical to the serial run.
+        ``jobs > 1`` runs the grid points on worker processes; row
+        order (and every simulated time) is identical to the serial
+        run.
         """
         bench = get_benchmark(benchmark) if isinstance(benchmark, str) else benchmark
         configs = [
@@ -465,7 +464,9 @@ class MicroBenchmarkSuite:
             for network in networks
         ]
         sizes = [size for size in shuffle_gbs for _network in networks]
-        results = self._run_points(configs, jobs=jobs, memoize=memoize)
+        results = self._run_points(
+            configs, jobs,
+            [f"{size:g} GB {c.network}" for size, c in zip(sizes, configs)])
         rows = [
             SweepRow(
                 benchmark=bench.name,
@@ -478,46 +479,30 @@ class MicroBenchmarkSuite:
         ]
         return SweepResult(rows)
 
-    def _run_points(
-        self,
-        configs: Sequence[BenchmarkConfig],
-        jobs: int = 1,
-        memoize: bool = True,
-    ) -> List[ResultLike]:
-        """Run many fully-specified points, optionally on a process pool.
+    def _run_points(self, configs: Sequence[BenchmarkConfig], jobs: int,
+                    labels: Sequence[str]) -> List[ResultLike]:
+        """Run many fully-specified points, results in ``configs`` order.
 
-        Results come back in ``configs`` order regardless of ``jobs``
-        (``executor.map`` preserves input order). Points already in the
-        memo cache or the disk store are served locally; only the true
-        misses are dispatched, and their results are recorded to the
-        store afterwards.
+        ``jobs > 1`` runs them through the campaign executor on its
+        local backend; siblings that shared a simulation come back as
+        ``StoredResult``s, like store hits. A failed point raises
+        ``RuntimeError`` after the others are recorded.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        payloads = [self.point_payload(config) for config in configs]
         if jobs == 1 or len(configs) < 2:
-            return [
-                self.run_config(config, memoize=memoize) for config in configs
-            ]
-        results: List[Optional[ResultLike]] = [None] * len(payloads)
-        pending: List[int] = []
-        for i, config in enumerate(configs):
-            if memoize:
-                found = self.lookup_point(config)
-                if found is not None:
-                    results[i] = found
-                    continue
-            pending.append(i)
-        if pending:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                for i, result in zip(
-                    pending, pool.map(_run_point,
-                                      [payloads[i] for i in pending])
-                ):
-                    results[i] = result
-                    if memoize:
-                        self.record_point(configs[i], result)
-        return results  # type: ignore[return-value]
+            return [self.run_config(config) for config in configs]
+        # Deferred: repro.campaign.executor imports this module.
+        from repro.campaign.executor import CampaignExecutor
+
+        executor = CampaignExecutor(self, jobs=jobs, handle_signals=False)
+        report = executor.execute(configs, labels)
+        failed = [o for o in report.outcomes if not o.succeeded]
+        if failed:
+            raise RuntimeError(
+                f"{len(failed)} of {len(configs)} point(s) failed; "
+                f"{failed[0].label}: {failed[0].error}")
+        return [outcome.result for outcome in report.outcomes]
 
     def compare_patterns(
         self,
@@ -539,7 +524,6 @@ class MicroBenchmarkSuite:
         shuffle_gb: Optional[float] = None,
         base_seed: int = 20140901,
         jobs: int = 1,
-        memoize: bool = True,
         **config_kwargs: object,
     ) -> List[float]:
         """Run a benchmark ``trials`` times with varied seeds.
@@ -550,7 +534,7 @@ class MicroBenchmarkSuite:
         variance is zero by construction (round-robin); for MR-RAND and
         MR-SKEW the spread reflects genuine placement luck. Returns the
         execution times, one per trial (trial order; ``jobs > 1`` runs
-        trials on a process pool without changing order or values).
+        trials on worker processes without changing order or values).
         """
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
@@ -565,5 +549,6 @@ class MicroBenchmarkSuite:
             else:
                 config = bench.configure(seed=seed, **config_kwargs)
             configs.append(config)
-        results = self._run_points(configs, jobs=jobs, memoize=memoize)
+        results = self._run_points(
+            configs, jobs, [f"trial {trial}" for trial in range(trials)])
         return [result.execution_time for result in results]

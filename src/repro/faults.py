@@ -325,7 +325,7 @@ class ResilienceReport:
     Pure bookkeeping: counters are updated as side effects of events
     the simulation produces anyway, never by creating events — so the
     report itself cannot perturb simulated time. Picklable (it carries
-    no simulator references), so it survives the sweep process pool.
+    no simulator references), so it survives worker processes.
     """
 
     plan: FaultPlan

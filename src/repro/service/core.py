@@ -75,7 +75,6 @@ class BenchmarkService:
         store: Union[ResultStore, str, Path],
         policy: Optional[RetryPolicy] = None,
         jobs: int = 1,
-        batch: Optional[bool] = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
         execution_backend=None,
     ):
@@ -90,8 +89,7 @@ class BenchmarkService:
         self.flight = SingleFlight()
         self.scheduler = ColdScheduler(
             self.store, self.flight, policy=policy, jobs=jobs,
-            batch=batch, max_queue=max_queue,
-            execution_backend=execution_backend)
+            max_queue=max_queue, execution_backend=execution_backend)
         self.started_at = time.time()
         self._counter_lock = threading.Lock()
         self._counters: Dict[str, int] = {

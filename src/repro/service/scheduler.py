@@ -61,7 +61,6 @@ class ColdScheduler:
         flight: SingleFlight,
         policy: Optional[RetryPolicy] = None,
         jobs: int = 1,
-        batch: Optional[bool] = None,
         max_queue: int = DEFAULT_MAX_QUEUE,
         execution_backend: Optional[ExecutionBackend] = None,
     ):
@@ -76,7 +75,6 @@ class ColdScheduler:
         self.flight = flight
         self.policy = policy if policy is not None else RetryPolicy()
         self.jobs = jobs
-        self.batch = batch
         self.execution_backend = execution_backend
         self._queue: "queue.Queue[Ticket]" = queue.Queue(maxsize=max_queue)
         self._stop = threading.Event()
@@ -202,7 +200,6 @@ class ColdScheduler:
             suite,
             policy=self.policy,
             jobs=self.jobs,
-            batch=self.batch,
             campaign="",            # no checkpoint churn per drain pass
             handle_signals=False,   # the service owns signal handling
             backend=self.execution_backend,

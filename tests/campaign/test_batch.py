@@ -15,11 +15,13 @@ import pytest
 
 from repro.campaign import Campaign, RetryPolicy, run_campaign
 from repro.campaign.batch import plan_batches
-from repro.campaign.executor import (
+from repro.campaign.chaos import (
     ENV_CHAOS_ATTEMPTS,
     ENV_CHAOS_CRASH,
     ENV_CHAOS_HANG,
     ENV_CHAOS_HANG_SECS,
+)
+from repro.campaign.executor import (
     STATUS_FAILED,
     STATUS_OK,
     CampaignExecutor,
@@ -264,7 +266,7 @@ class TestRobustnessComposition:
         flaky = FlakySuite(suite, {suite.store_key(configs[0]): 1})
         report = CampaignExecutor(
             flaky, policy=RetryPolicy(retries=1, backoff=0.0),
-            isolate=False, batch=True).execute(configs)
+            batch=True).execute(configs)
         assert report.executed == 3 and report.failed == 0
         assert report.unique_simulations == 1
         assert all(o.status == STATUS_OK and o.attempts == 2
@@ -279,7 +281,7 @@ class TestRobustnessComposition:
         flaky = FlakySuite(suite, {suite.store_key(configs[0]): 99})
         report = CampaignExecutor(
             flaky, policy=RetryPolicy(retries=1, backoff=0.0),
-            isolate=False, batch=True, campaign="grp").execute(configs)
+            batch=True, campaign="grp").execute(configs)
         assert report.failed == 3 and report.executed == 0
         assert all(o.status == STATUS_FAILED and o.attempts == 2
                    for o in report.outcomes)
@@ -304,7 +306,7 @@ class TestRobustnessComposition:
         monkeypatch.setenv(ENV_CHAOS_CRASH, str(victim.representative))
         monkeypatch.setenv(ENV_CHAOS_ATTEMPTS, "99")
         store = ResultStore(tmp_path / "store")
-        result = run_campaign(campaign, store=store, batch=True,
+        result = run_campaign(campaign, store=store, batch=True, jobs=2,
                               policy=RetryPolicy(retries=1, backoff=0.0))
         assert result.failed == len(victim.members)
         assert result.executed == len(configs) - len(victim.members)

@@ -6,7 +6,9 @@ a hung worker must hit the wall-clock timeout, SIGINT must checkpoint
 and leave only whole records behind, and ``campaign resume`` must
 re-run exactly the gap — with every recovered time hex-identical to a
 clean run. Fault injection uses the env-gated chaos hooks in
-:mod:`repro.campaign.executor`; nothing in production code is patched.
+:mod:`repro.campaign.chaos`; nothing in production code is patched.
+The hooks fire only in worker processes, so crash tests run at
+``jobs=2``.
 """
 
 import json
@@ -18,14 +20,14 @@ import time
 import pytest
 
 from repro.campaign import Campaign, RetryPolicy, run_campaign
-from repro.campaign.executor import (
+from repro.campaign.chaos import (
     ENV_CHAOS_ATTEMPTS,
     ENV_CHAOS_CRASH,
     ENV_CHAOS_HANG,
     ENV_CHAOS_HANG_SECS,
-    STATUS_FAILED,
 )
-from repro.core.suite import clear_result_cache
+from repro.campaign.executor import STATUS_FAILED
+from repro.core.suite import MicroBenchmarkSuite, clear_result_cache
 from repro.sim.trace import CAT_HARNESS, Tracer
 from repro.store import ResultStore
 
@@ -86,7 +88,7 @@ class TestWorkerCrash:
         store = ResultStore(store_root(tmp_path, root_kind))
         monkeypatch.setenv(ENV_CHAOS_CRASH, "1")   # sabotage point 1
         monkeypatch.setenv(ENV_CHAOS_ATTEMPTS, "99")  # every attempt
-        result = run_campaign(campaign, store=store,
+        result = run_campaign(campaign, store=store, jobs=2,
                               policy=RetryPolicy(retries=1, backoff=0.0))
         # The campaign completed (no exception), the point is quarantined.
         assert result.executed == 2 and result.failed == 1
@@ -123,7 +125,7 @@ class TestWorkerCrash:
         store = ResultStore(tmp_path / "store")
         monkeypatch.setenv(ENV_CHAOS_CRASH, "0")  # attempt 1 only
         tracer = Tracer()
-        result = run_campaign(campaign, store=store, tracer=tracer,
+        result = run_campaign(campaign, store=store, tracer=tracer, jobs=2,
                               policy=RetryPolicy(retries=2, backoff=0.0))
         assert result.completed and result.executed == 3
         assert result.outcomes[0].attempts == 2
@@ -133,6 +135,29 @@ class TestWorkerCrash:
         assert ("crash", label0) in markers
         assert ("retry", label0) in markers
         assert times_of(result) == baseline_times
+
+    def test_crashed_sweep_point_raises_after_the_rest_are_recorded(
+            self, tmp_path, monkeypatch):
+        """A parallel sweep records every other point, then raises."""
+        store = ResultStore(tmp_path / "store")
+        campaign = Campaign(**TINY3)
+        suite = MicroBenchmarkSuite(cluster=campaign.cluster_spec(),
+                                    store=store)
+        monkeypatch.setenv(ENV_CHAOS_CRASH, "1")
+        monkeypatch.setenv(ENV_CHAOS_ATTEMPTS, "99")
+        with pytest.raises(RuntimeError, match="0.03 GB 1GigE: .*SIGKILL"):
+            suite.sweep("MR-AVG", TINY3["shuffle_gbs"], TINY3["networks"],
+                        jobs=2, **TINY3["params"])
+        assert store.stats()["puts"] == 2
+        assert store.verify().clean
+
+    def test_hooks_never_fire_in_process(self, campaign, tmp_path,
+                                         monkeypatch):
+        """jobs=1 without a timeout runs inline, where no hook runs."""
+        monkeypatch.setenv(ENV_CHAOS_CRASH, "0")
+        result = run_campaign(campaign, store=ResultStore(tmp_path / "s"))
+        assert result.completed and result.failed == 0
+        assert result.batched is True
 
 
 class TestTimeout:
@@ -168,7 +193,7 @@ SIGINT_CHILD = """\
 import sys
 from repro.core.cli import repro_main
 sys.exit(repro_main(["campaign", "run", sys.argv[1],
-                     "--store", sys.argv[2]]))
+                     "--store", sys.argv[2], "--jobs", "2"]))
 """
 
 

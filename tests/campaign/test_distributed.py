@@ -28,14 +28,12 @@ from repro.campaign import (
     Campaign,
     CampaignExecutor,
     ExecutionBackendError,
-    LocalBackend,
     PoolBackend,
     RetryPolicy,
-    create_execution_backend,
     run_campaign,
     worker,
 )
-from repro.campaign.backend import (
+from repro.campaign.chaos import (
     ENV_CHAOS_ATTEMPTS,
     ENV_CHAOS_CRASH,
     ENV_CHAOS_HANG,
@@ -137,14 +135,6 @@ class TestWire:
         decoder.feed(struct.pack(">I", 1 << 31))
         with pytest.raises(FrameError):
             list(decoder.drain())
-
-    def test_factory_builds_both_backends(self):
-        local = create_execution_backend("local", jobs=2)
-        assert isinstance(local, LocalBackend) and local.name == "local"
-        pool = create_execution_backend("pool", jobs=2)
-        assert isinstance(pool, PoolBackend) and pool.workers == 2
-        with pytest.raises(ValueError):
-            create_execution_backend("carrier-pigeon")
 
 
 class TestPoolParity:
@@ -263,15 +253,20 @@ class TestFailover:
         store = ResultStore(tmp_path / "store")
         monkeypatch.setenv(ENV_CHAOS_MUTE, "0")   # first dispatch mutes
         backend = PoolBackend(workers=2, lease=1.0, drain_timeout=5.0)
+        backend.ensure_started()
+        spawned = list(backend._procs)
         started = time.monotonic()
         try:
             result = run_campaign(campaign, store=store, backend=backend)
+            # The muted worker's process was stopped, not left asleep.
+            exited = [proc for proc in spawned if proc.poll() is not None]
         finally:
             counters = dict(backend.counters)
             backend.close()
         assert result.completed and result.failed == 0
         assert counters["leases_expired"] >= 1
         assert counters["reassignments"] >= 1
+        assert len(exited) == 1
         assert time.monotonic() - started < 60
         assert store.quarantine() == {}
 
@@ -313,6 +308,28 @@ class TestFailover:
         finally:
             backend.close()
         assert result.completed and result.failed == 0
+
+    @pytest.mark.parametrize("env, policy", [
+        ({ENV_CHAOS_CRASH: "0"}, RetryPolicy()),
+        ({ENV_CHAOS_HANG: "0", ENV_CHAOS_HANG_SECS: "60"},
+         RetryPolicy(retries=1, backoff=0.0, timeout=2.0)),
+    ], ids=["sigkill", "timeout"])
+    def test_one_worker_pool_replaces_its_lost_worker(
+            self, campaign, tmp_path, monkeypatch, env, policy):
+        """The only worker dies or is dropped; a successor finishes."""
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        backend = PoolBackend(workers=1, lease=5.0, connect_timeout=5.0)
+        try:
+            result = run_campaign(campaign,
+                                  store=ResultStore(tmp_path / "store"),
+                                  backend=backend, policy=policy)
+        finally:
+            counters = dict(backend.counters)
+            backend.close()
+        assert result.completed and result.executed == 3
+        assert counters["workers_lost"] == 1
+        assert counters["workers_joined"] == 2
 
 
 #: Child body for the pool SIGINT test: the real CLI, pool backend.

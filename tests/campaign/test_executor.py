@@ -139,7 +139,7 @@ class TestInlineExecution:
         flaky_key = suite.store_key(configs[1])
         flaky = FlakySuite(suite, {flaky_key: 2})
         executor = CampaignExecutor(
-            flaky, policy=RetryPolicy(retries=2, backoff=0.0), isolate=False)
+            flaky, policy=RetryPolicy(retries=2, backoff=0.0))
         report = executor.execute(configs, labels)
         assert report.executed == 4 and report.failed == 0
         assert report.outcomes[1].attempts == 3
@@ -154,7 +154,7 @@ class TestInlineExecution:
                            exc=RuntimeError("synthetic failure"))
         executor = CampaignExecutor(
             flaky, policy=RetryPolicy(retries=1, backoff=0.0),
-            isolate=False, campaign="tiny")
+            campaign="tiny")
         report = executor.execute(configs, labels)
         assert report.executed == 3 and report.failed == 1
         outcome = report.outcomes[2]
@@ -174,7 +174,7 @@ class TestInlineExecution:
         configs, labels = grid(campaign)
         bad_key = suite.store_key(configs[0])
         flaky = FlakySuite(suite, {bad_key: 99})
-        executor = CampaignExecutor(flaky, fail_fast=True, isolate=False)
+        executor = CampaignExecutor(flaky, fail_fast=True)
         report = executor.execute(configs, labels)
         assert report.failed == 1 and report.skipped == 3
         assert [o.status for o in report.outcomes] == [
@@ -188,8 +188,8 @@ class TestInlineExecution:
         _campaign2, suite2 = make_suite(ResultStore(tmp_path / "store2"))
         flaky = FlakySuite(suite2, {suite2.store_key(c): 1 for c in configs})
         report = CampaignExecutor(
-            flaky, policy=RetryPolicy(retries=1, backoff=0.0),
-            isolate=False).execute(configs, labels)
+            flaky, policy=RetryPolicy(retries=1, backoff=0.0)).execute(
+                configs, labels)
         for a, b in zip(baseline.outcomes, report.outcomes):
             assert (a.result.execution_time.hex()
                     == b.result.execution_time.hex())
@@ -215,12 +215,12 @@ class TestIsolatedExecution:
     def test_forced_isolation_matches_inline(self, tmp_path):
         campaign, suite = make_suite(ResultStore(tmp_path / "a"))
         configs, labels = grid(campaign)
-        inline = CampaignExecutor(suite, isolate=False).execute(
-            configs, labels)
+        inline = CampaignExecutor(suite).execute(configs, labels)
         clear_result_cache()
         _c2, suite2 = make_suite(ResultStore(tmp_path / "b"))
-        isolated = CampaignExecutor(suite2, isolate=True).execute(
-            configs, labels)
+        # A timeout isolates every attempt, even at jobs=1.
+        isolated = CampaignExecutor(
+            suite2, policy=RetryPolicy(timeout=60)).execute(configs, labels)
         assert isolated.executed == 4
         for a, b in zip(inline.outcomes, isolated.outcomes):
             assert (a.result.execution_time.hex()

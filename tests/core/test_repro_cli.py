@@ -248,7 +248,7 @@ class TestHardenedCampaignCli:
         monkeypatch.setenv("REPRO_CHAOS_ATTEMPTS", "99")
         store = str(tmp_path / "store")
         rc = repro_main(["campaign", "run", str(spec_path),
-                         "--store", store])
+                         "--store", store, "--jobs", "2"])
         captured = capsys.readouterr()
         assert rc == 1
         assert "3 simulated, 0 from the store, 1 failed" in captured.out
@@ -261,7 +261,7 @@ class TestHardenedCampaignCli:
         monkeypatch.setenv("REPRO_CHAOS_ATTEMPTS", "99")
         rc = repro_main(["campaign", "run", str(spec_path),
                          "--store", str(tmp_path / "store"),
-                         "--keep-going"])
+                         "--keep-going", "--jobs", "2"])
         capsys.readouterr()
         assert rc == 0
 
@@ -271,7 +271,7 @@ class TestHardenedCampaignCli:
         monkeypatch.setenv("REPRO_CHAOS_CRASH", "1")
         monkeypatch.setenv("REPRO_CHAOS_ATTEMPTS", "99")
         assert repro_main(["campaign", "run", str(spec_path),
-                           "--store", store, "--quiet"]) == 1
+                           "--store", store, "--quiet", "--jobs", "2"]) == 1
         capsys.readouterr()
         monkeypatch.delenv("REPRO_CHAOS_CRASH")
         monkeypatch.delenv("REPRO_CHAOS_ATTEMPTS")

@@ -194,7 +194,7 @@ def _sweep_times(jobs):
     clear_result_cache()  # a cache hit would make the comparison vacuous
     sweep = suite.sweep(
         "MR-RAND", [1.0, 2.0], ["1GigE", "ipoib-qdr"],
-        jobs=jobs, memoize=False,
+        jobs=jobs,
         num_maps=16, num_reduces=8, key_size=512, value_size=512,
         data_type="BytesWritable",
     )
@@ -210,8 +210,9 @@ def test_parallel_sweep_times_bit_identical():
 def test_parallel_trials_bit_identical():
     suite = MicroBenchmarkSuite(cluster=cluster_a(4),
                                 jobconf=JobConf(version="yarn"))
-    kwargs = dict(shuffle_gb=1.0, num_maps=8, num_reduces=4,
-                  memoize=False)
+    kwargs = dict(shuffle_gb=1.0, num_maps=8, num_reduces=4)
+    clear_result_cache()  # a cache hit would make the comparison vacuous
     serial = suite.run_trials("MR-SKEW", trials=3, jobs=1, **kwargs)
+    clear_result_cache()
     parallel = suite.run_trials("MR-SKEW", trials=3, jobs=4, **kwargs)
     assert serial == parallel

@@ -152,7 +152,7 @@ class ExecutionContext:
         """
         executor = self._executor
         if record:
-            self.suite.record_point(self.configs[rep], result)
+            self.suite.record_points([(self.configs[rep], result)])
         executor._finish(self.outcomes[rep], STATUS_OK, result=result,
                          attempts=attempt, wall=wall)
         unit = self.unit_of(rep)

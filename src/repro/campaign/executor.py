@@ -190,8 +190,8 @@ class ExecutionReport:
 class CampaignExecutor:
     """Supervised per-point execution over a suite's point hooks.
 
-    The executor serves cached points through
-    :meth:`~repro.core.suite.MicroBenchmarkSuite.lookup_point`, then
+    The executor serves cached points through one
+    :meth:`~repro.core.suite.MicroBenchmarkSuite.lookup_points` call, then
     drives the misses through an
     :class:`~repro.campaign.backend.ExecutionBackend` (by default the
     local inline/supervised-process backend), applying the
@@ -229,8 +229,9 @@ class CampaignExecutor:
         self.policy = policy if policy is not None else RetryPolicy()
         self.jobs = jobs
         self.fail_fast = fail_fast
-        #: ``False`` runs the strict per-point loop — the oracle the
-        #: batch path is benchmarked and parity-tested against.
+        #: ``False`` runs every cold point as its own unit, with no
+        #: matrix precompute — the oracle the batch path is benchmarked
+        #: and parity-tested against.
         self.batch = batch
         self.tracer = tracer
         #: Called with each finished :class:`PointOutcome`
@@ -294,21 +295,11 @@ class CampaignExecutor:
         try:
             pending: List[int] = []
             stage_started = time.monotonic()
-            if self.batch:
-                for i, found in enumerate(self.suite.lookup_points(configs)):
-                    if found is not None:
-                        self._finish(outcomes[i], STATUS_CACHED, result=found)
-                    else:
-                        pending.append(i)
-            else:
-                for i, config in enumerate(configs):
-                    if self._stop_signal is not None:
-                        break
-                    found = self.suite.lookup_point(config)
-                    if found is not None:
-                        self._finish(outcomes[i], STATUS_CACHED, result=found)
-                    else:
-                        pending.append(i)
+            for i, found in enumerate(self.suite.lookup_points(configs)):
+                if found is not None:
+                    self._finish(outcomes[i], STATUS_CACHED, result=found)
+                else:
+                    pending.append(i)
             profile["store-lookup"] += time.monotonic() - stage_started
             if pending and not self._stop_signal:
                 if self.batch:

@@ -15,15 +15,15 @@ Fault tolerance is the point. Every dispatched unit is held under a
   **reassigned** to a live worker — an infrastructure failure is not
   the simulation's fault, so reassignment does not consume the unit's
   :class:`~repro.campaign.executor.RetryPolicy` budget (a
-  ``reassign_limit`` stops pathological crash loops);
+  :data:`REASSIGN_LIMIT` stops pathological crash loops);
 * a unit whose simulation *raises* on the worker fails through the
   exact same retry/backoff/quarantine path as the local backend;
 * a unit that exceeds ``policy.timeout`` while its worker heartbeats
   on (a hung simulation, not a hung host) counts as a retryable
   attempt failure, and the stuck worker is dropped;
 * a lost or dropped worker that this pool spawned is replaced: its
-  process is killed if still alive and one successor starts, while
-  units remain and the pass is not draining;
+  process is killed if still alive and one successor starts, unless
+  the pass is draining — even when it held the pass's last unit;
 * SIGINT drains: no new dispatches, in-flight units get
   ``drain_timeout`` seconds to finish (their results are recorded),
   the rest checkpoint as skipped for ``repro campaign resume``.
@@ -81,7 +81,7 @@ DEFAULT_CONNECT_TIMEOUT = 60.0
 
 #: Worker losses one unit absorbs before they start counting as
 #: ordinary attempt failures (crash-loop circuit breaker).
-DEFAULT_REASSIGN_LIMIT = 3
+REASSIGN_LIMIT = 3
 
 #: Per-socket I/O timeout (bounds a blocking sendall to a stuck peer).
 _IO_TIMEOUT = 30.0
@@ -135,8 +135,6 @@ class PoolBackend(ExecutionBackend):
         lease: float = DEFAULT_LEASE_SECONDS,
         drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-        reassign_limit: int = DEFAULT_REASSIGN_LIMIT,
-        spawn_env: Optional[Dict[str, str]] = None,
     ):
         """Configure (but don't yet bind) the coordinator.
 
@@ -153,8 +151,6 @@ class PoolBackend(ExecutionBackend):
         self.lease = lease
         self.drain_timeout = drain_timeout
         self.connect_timeout = connect_timeout
-        self.reassign_limit = reassign_limit
-        self.spawn_env = dict(spawn_env) if spawn_env else {}
         self.counters: Dict[str, int] = {
             "workers_joined": 0, "workers_lost": 0, "dispatched": 0,
             "reassignments": 0, "leases_expired": 0, "timeouts": 0,
@@ -456,7 +452,7 @@ class PoolBackend(ExecutionBackend):
                     assignment.rep, assignment.attempt + 1,
                     assignment.dispatches + 1, now + delay))
             self._lease_release(ctx, assignment.rep)
-            self._respawn(ctx, worker, bool(pending or active))
+            self._respawn(ctx, worker)
 
     def _worker_lost(self, ctx: ExecutionContext, worker: _PoolWorker,
                      pending: List[_PendingUnit],
@@ -466,7 +462,7 @@ class PoolBackend(ExecutionBackend):
 
         Reassignment is free with respect to the retry policy — the
         simulation never got to fail — until the unit has burned
-        through ``reassign_limit`` workers, after which further losses
+        through :data:`REASSIGN_LIMIT` workers, after which further losses
         count as attempt failures (retry/backoff/quarantine as usual).
         """
         assignment = worker.unit
@@ -474,8 +470,7 @@ class PoolBackend(ExecutionBackend):
         if worker.greeted:
             self.counters["workers_lost"] += 1
         self._close_worker(worker)
-        # ``active`` still holds the lost unit, so it counts as left.
-        self._respawn(ctx, worker, bool(pending or active))
+        self._respawn(ctx, worker)
         if assignment is None:
             return
         active.pop(assignment.rep, None)
@@ -486,7 +481,7 @@ class PoolBackend(ExecutionBackend):
         kind = "lease-expired" if expired else "worker-lost"
         losses = self._losses.get(assignment.rep, 0) + 1
         self._losses[assignment.rep] = losses
-        if losses > self.reassign_limit:
+        if losses > REASSIGN_LIMIT:
             delay = ctx.fail_attempt(
                 assignment.rep, assignment.attempt,
                 f"unit lost its worker {losses} times (last: {reason})",
@@ -559,15 +554,15 @@ class PoolBackend(ExecutionBackend):
 
     # -- local worker subprocesses -----------------------------------------
 
-    def _respawn(self, ctx: ExecutionContext, worker: _PoolWorker,
-                 units_left: bool) -> None:
+    def _respawn(self, ctx: ExecutionContext, worker: _PoolWorker) -> None:
         """Kill a lost worker this pool spawned and start a successor.
 
-        Only while units remain and the pass is not draining; crash
-        loops stay bounded by ``reassign_limit`` and the retry policy.
+        Unless the pass is draining — also when the lost worker held the
+        pass's last unit, so the next pass finds a live worker. Crash
+        loops stay bounded by :data:`REASSIGN_LIMIT` and the retry policy.
         """
         proc = next((p for p in self._procs if p.pid == worker.pid), None)
-        if proc is None or not units_left or ctx.should_stop():
+        if proc is None or ctx.should_stop():
             return
         self._procs.remove(proc)
         proc.kill()
@@ -586,7 +581,6 @@ class PoolBackend(ExecutionBackend):
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = (package_root if not existing
                              else package_root + os.pathsep + existing)
-        env.update(self.spawn_env)
         self._procs.append(subprocess.Popen(
             [sys.executable, "-m", "repro.campaign.worker",
              "--connect", f"{host}:{port}"],

@@ -179,8 +179,8 @@ def run_campaign(
     By default the executor groups the cold points into
     simulation-equivalence classes and simulates one representative per
     class (bit-identical store contents, large wall-clock wins on
-    trial-heavy sweeps); ``batch=False`` runs the strict per-point
-    loop, the oracle the batch path is benchmarked against.
+    trial-heavy sweeps); ``batch=False`` runs every cold point as its
+    own unit, the oracle the batch path is benchmarked against.
 
     ``backend`` swaps the execution engine the misses run on: ``None``
     keeps the default in-process :class:`LocalBackend`; a
@@ -267,14 +267,10 @@ def run_campaign(
             result=outcome.result,
         ))
     if store is not None:
-        if report.batched:
-            store.tag_many([
-                (outcome.key, campaign.name, metas[i])
-                for i, outcome in succeeded
-            ])
-        else:
-            for i, outcome in succeeded:
-                store.tag(outcome.key, campaign.name, metas[i])
+        store.tag_many([
+            (outcome.key, campaign.name, metas[i])
+            for i, outcome in succeeded
+        ])
     profile = dict(report.profile)
     profile["record"] = (profile.get("record", 0.0)
                          + time.monotonic() - tag_started)

@@ -101,23 +101,13 @@ def _sampled_counts(config: BenchmarkConfig, map_id: int) -> np.ndarray:
     return rng.multinomial(config.pairs_for_map(map_id), probs).astype(np.int64)
 
 
-def _avg_counts(config: BenchmarkConfig, map_id: int) -> np.ndarray:
-    """Closed form for round-robin: even split with the first
-    ``n_pairs % num_reduces`` reducers getting one extra."""
-    pairs = config.pairs_for_map(map_id)
-    base, extra = divmod(pairs, config.num_reduces)
-    counts = np.full(config.num_reduces, base, dtype=np.int64)
-    counts[:extra] += 1
-    return counts
-
-
 def _avg_matrix(config: BenchmarkConfig) -> np.ndarray:
-    """Vectorized round-robin matrix: one row per distinct map size.
+    """Closed-form round-robin matrix: one row per distinct map size.
 
-    ``pairs_for_map`` takes at most two values across the map axis
-    (``base`` and ``base + 1``), so the full matrix has at most two
-    distinct rows. Build each once and stack views — bit-identical to
-    stacking :func:`_avg_counts` per map, without the per-map loop.
+    Each map splits its pairs evenly, the first ``pairs % num_reduces``
+    reducers getting one extra. ``pairs_for_map`` takes at most two
+    values across the map axis (``base`` and ``base + 1``), so the full
+    matrix has at most two distinct rows: build each once and stack.
     """
     row_of: dict = {}
     rows = []

@@ -197,14 +197,14 @@ class MicroBenchmarkSuite:
         self.store: Optional[ResultStore] = (
             ResultStore(store) if isinstance(store, (str, Path)) else store
         )
-        #: ``(id(config), id(plan)) -> (config, plan, store key)``. The
-        #: batch executor needs a point's key up to three times (keys
-        #: list, lookup, record), so it is derived once per config
-        #: object. The cache is keyed by identity (the entry keeps both
-        #: objects alive, so their ids stay theirs), never by value:
-        #: equal configs may spell a field differently (7 vs 7.0), and
-        #: their keys differ.
-        self._store_key_cache: Dict[Tuple[int, int], tuple] = {}
+        #: ``id(config) -> (config, store key)``. The batch executor
+        #: needs a point's key up to three times (keys list, lookup,
+        #: record), so it is derived once per config object. The cache
+        #: is keyed by identity (the entry keeps the config alive, so
+        #: its id stays its own), never by value: equal configs may
+        #: spell a field differently (7 vs 7.0), and their keys differ.
+        #: The other key components are fixed at construction.
+        self._store_key_cache: Dict[int, Tuple[BenchmarkConfig, str]] = {}
 
     # -- single runs ----------------------------------------------------
 
@@ -215,7 +215,6 @@ class MicroBenchmarkSuite:
         monitor_interval: Optional[float] = None,
         memoize: bool = True,
         tracer: Optional[Tracer] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> ResultLike:
         """Run one fully-specified configuration.
 
@@ -228,29 +227,12 @@ class MicroBenchmarkSuite:
         ``transport``, ``monitor_interval`` or ``tracer`` are never
         cached — in memory or on disk: the key cannot capture a
         transport instance, and monitored/traced results carry
-        run-specific trace state. ``fault_plan`` overrides the
-        suite-level plan for this run.
+        run-specific trace state.
         """
-        plan = fault_plan if fault_plan is not None else self.fault_plan
         if (memoize and transport is None and monitor_interval is None
                 and tracer is None):
-            skey = self.store_key(config, plan)
-            cached = _RESULT_CACHE.get(skey)
-            if cached is not None:
-                _CACHE_STATS["hits"] += 1
-                return cached
-            _CACHE_STATS["misses"] += 1
-            if self.store is not None:
-                stored = self.store.get(skey)
-                if stored is not None:
-                    _RESULT_CACHE[skey] = stored
-                    return stored
-            result = _run_point(self.point_payload(config, plan))
-            _RESULT_CACHE[skey] = result
-            if self.store is not None:
-                self.store.put(skey, StoredResult.from_sim_result(result),
-                               provenance=self._provenance(config, plan))
-            return result
+            found = self.lookup_points([config])[0]
+            return found if found is not None else self.simulate_point(config)
         return run_simulated_job(
             config,
             cluster=self.cluster,
@@ -259,56 +241,33 @@ class MicroBenchmarkSuite:
             transport=transport,
             monitor_interval=monitor_interval,
             tracer=tracer,
-            fault_plan=plan,
+            fault_plan=self.fault_plan,
         )
 
     # -- point-level execution hooks (campaign executor surface) ---------
 
-    def point_payload(self, config: BenchmarkConfig,
-                      fault_plan: Optional[FaultPlan] = None) -> tuple:
+    def point_payload(self, config: BenchmarkConfig) -> tuple:
         """The picklable payload that fully determines one point.
 
         This is exactly what :func:`_run_point` consumes, so an
         external executor (the hardened campaign engine, a future
         distributed runner) can dispatch points to worker processes
-        without reaching into suite internals. ``fault_plan``
-        overrides the suite-level plan.
+        without reaching into suite internals.
         """
-        plan = fault_plan if fault_plan is not None else self.fault_plan
-        return (config, self.cluster, self.jobconf, self.cost_model, plan)
-
-    def lookup_point(self, config: BenchmarkConfig) -> Optional[ResultLike]:
-        """Serve one point from the memo cache or the disk store.
-
-        Returns ``None`` on a true miss (the point must be simulated).
-        Counts memo/store hits and misses exactly like
-        :meth:`run_config` does, so counter-based acceptance checks
-        ("the second run executed 0 simulations") keep holding when
-        points run through an external executor.
-        """
-        key = self.store_key(config)
-        cached = _RESULT_CACHE.get(key)
-        if cached is not None:
-            _CACHE_STATS["hits"] += 1
-            return cached
-        _CACHE_STATS["misses"] += 1
-        if self.store is not None:
-            stored = self.store.get(key)
-            if stored is not None:
-                _RESULT_CACHE[key] = stored
-                return stored
-        return None
+        return (config, self.cluster, self.jobconf, self.cost_model,
+                self.fault_plan)
 
     def lookup_points(
         self, configs: Sequence[BenchmarkConfig]
     ) -> List[Optional[ResultLike]]:
-        """Serve many points from the memo cache and disk store at once.
+        """Serve points from the memo cache or the disk store.
 
-        Semantically ``[self.lookup_point(c) for c in configs]`` —
-        identical results and identical final counter values — but all
-        memo misses are resolved against the store through one
+        ``None`` marks a true miss (the point must be simulated). Memo
+        misses are resolved against the store through one
         :meth:`~repro.store.ResultStore.get_batch` call (one counter
-        lock) instead of one locked round-trip per point.
+        bump). Memo and store hits and misses are counted once per
+        point, so counter-based acceptance checks ("the second run
+        executed 0 simulations") hold on every execution path.
         """
         results: List[Optional[ResultLike]] = [None] * len(configs)
         store_queries: List[Tuple[int, str]] = []
@@ -330,26 +289,13 @@ class MicroBenchmarkSuite:
                     results[i] = result
         return results
 
-    def record_point(self, config: BenchmarkConfig,
-                     result: SimJobResult) -> None:
-        """Memoize and persist one freshly simulated point.
-
-        The completion half of the executor protocol: a worker process
-        simulated ``point_payload(config)`` and the parent records the
-        result (memo cache + disk store, with provenance).
-        """
-        key = self.store_key(config)
-        _RESULT_CACHE[key] = result
-        if self.store is not None:
-            self.store.put(key, StoredResult.from_sim_result(result),
-                           provenance=self._provenance(config))
-
     def record_points(
         self, entries: Iterable[Tuple[BenchmarkConfig, ResultLike]]
     ) -> None:
-        """Memoize and persist many points with one store counter bump.
+        """Memoize and persist freshly simulated points (one store write).
 
-        The batch executor records a whole equivalence class (the
+        The completion half of the executor protocol. The batch
+        executor records a whole equivalence class (the
         representative's result replicated onto its siblings) through
         this; ``StoredResult`` values pass through to disk unchanged,
         so replicated records are byte-identical to loop-path records.
@@ -376,40 +322,37 @@ class MicroBenchmarkSuite:
     def simulate_point(self, config: BenchmarkConfig) -> SimJobResult:
         """Simulate one point in-process and record it (no lookup).
 
-        Used by the campaign executor's inline path after
-        :meth:`lookup_point` missed, so hits and misses are counted
-        exactly once per point.
+        Used after :meth:`lookup_points` missed — by :meth:`run_config`
+        and the campaign executor's inline path — so hits and misses
+        are counted exactly once per point.
         """
         result = _run_point(self.point_payload(config))
-        self.record_point(config, result)
+        self.record_points([(config, result)])
         return result
 
-    def store_key(self, config: BenchmarkConfig,
-                  fault_plan: Optional[FaultPlan] = None) -> str:
+    def store_key(self, config: BenchmarkConfig) -> str:
         """Stable content-addressed store key of one point (hex digest).
 
         Covers the five components of :meth:`point_payload` plus the
         store schema version; see :func:`repro.store.point_key`. It is
         also the in-process memo's key.
         """
-        plan = fault_plan if fault_plan is not None else self.fault_plan
-        ident = (id(config), id(plan))
-        cached = self._store_key_cache.get(ident)
+        cached = self._store_key_cache.get(id(config))
         if cached is not None:
-            return cached[2]
+            return cached[1]
         key = point_key(config, self.cluster, jobconf=self.jobconf,
-                        cost_model=self.cost_model, fault_plan=plan)
+                        cost_model=self.cost_model,
+                        fault_plan=self.fault_plan)
         if len(self._store_key_cache) >= STORE_KEY_CACHE_LIMIT:
             self._store_key_cache.clear()
-        self._store_key_cache[ident] = (config, plan, key)
+        self._store_key_cache[id(config)] = (config, key)
         return key
 
-    def _provenance(self, config: BenchmarkConfig,
-                    fault_plan: Optional[FaultPlan] = None) -> dict:
+    def _provenance(self, config: BenchmarkConfig) -> dict:
         """The canonical key document, stored alongside each record."""
-        plan = fault_plan if fault_plan is not None else self.fault_plan
         return point_components(config, self.cluster, jobconf=self.jobconf,
-                                cost_model=self.cost_model, fault_plan=plan)
+                                cost_model=self.cost_model,
+                                fault_plan=self.fault_plan)
 
     def run(
         self,
@@ -419,7 +362,6 @@ class MicroBenchmarkSuite:
         monitor_interval: Optional[float] = None,
         memoize: bool = True,
         tracer: Optional[Tracer] = None,
-        fault_plan: Optional[FaultPlan] = None,
         **config_kwargs: object,
     ) -> ResultLike:
         """Run a named benchmark.
@@ -436,8 +378,7 @@ class MicroBenchmarkSuite:
             config = bench.configure(**config_kwargs)
         return self.run_config(config, transport=transport,
                                monitor_interval=monitor_interval,
-                               memoize=memoize, tracer=tracer,
-                               fault_plan=fault_plan)
+                               memoize=memoize, tracer=tracer)
 
     # -- sweeps ------------------------------------------------------------
 

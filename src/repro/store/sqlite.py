@@ -28,9 +28,12 @@ this process opened (they are created ``check_same_thread=False``
 precisely so one thread can close all of them; each is still *used*
 only by its owning thread).
 
-Write failures (disk full, read-only database) degrade the backend to
-warn-once read-only mode: campaigns keep simulating, results just stop
-being recorded.
+Every write — records, tags, counters, ledgers, checkpoints, sweeps —
+runs through one helper (:meth:`SQLiteBackend._write`): one
+``BEGIN IMMEDIATE`` transaction under the busy retry. Write failures
+(disk full, read-only database) degrade the backend to warn-once
+read-only mode: campaigns keep simulating, results just stop being
+recorded.
 """
 
 from __future__ import annotations
@@ -259,7 +262,7 @@ class SQLiteBackend:
             warnings.warn(
                 f"store {self.location} is unwritable ({exc}); continuing "
                 f"in read-only mode — results are NOT being recorded",
-                ResultStoreWarning, stacklevel=4,
+                ResultStoreWarning, stacklevel=5,
             )
             self._read_only = True
 
@@ -288,6 +291,28 @@ class SQLiteBackend:
                         conn.rollback()
                 time.sleep(0.01 * (attempt + 1))
         return None  # pragma: no cover - the loop returns or raises
+
+    def _write(self, operation, default):
+        """Run one write transaction; every write goes through here.
+
+        ``operation(db)`` runs inside ``BEGIN IMMEDIATE`` under the busy
+        retry, and its return value is passed back. A read-only store
+        skips the write; a failing one degrades to read-only. Either
+        way the caller gets ``default``.
+        """
+        if self._read_only:
+            return default
+
+        def transaction():
+            db = self._db()
+            with _write_txn(db):
+                return operation(db)
+
+        try:
+            return self._retry(transaction)
+        except (sqlite3.Error, OSError) as exc:
+            self._degrade(exc)
+            return default
 
     def _rows(self, sql: str, params: Tuple = ()) -> List[tuple]:
         """Fetch query rows, tolerating an unopenable/corrupt database."""
@@ -350,29 +375,19 @@ class SQLiteBackend:
                      (key, str(campaign), json.dumps(meta, sort_keys=True))))
         return statements
 
-    def write_record(self, key: str, record: dict) -> bool:
-        """Publish one record document transactionally."""
-        return self.write_records([(key, record)]) == 1
-
     def write_records(self, entries: Iterable[Tuple[str, dict]]) -> int:
         """Publish many record documents in one transaction."""
         entries = list(entries)
-        if not entries or self._read_only:
+        if not entries:
             return 0
 
-        def publish() -> None:
-            db = self._db()
-            with _write_txn(db):
-                for key, record in entries:
-                    for sql, params in self._record_statements(key, record):
-                        _execute(db, sql, params)
+        def publish(db: sqlite3.Connection) -> int:
+            for key, record in entries:
+                for sql, params in self._record_statements(key, record):
+                    _execute(db, sql, params)
+            return len(entries)
 
-        try:
-            self._retry(publish)
-        except (sqlite3.Error, OSError) as exc:
-            self._degrade(exc)
-            return 0
-        return len(entries)
+        return self._write(publish, 0)
 
     def update_tags(
         self, entries: Iterable[Tuple[str, str, Optional[dict]]]
@@ -382,66 +397,56 @@ class SQLiteBackend:
         The record text and the ``tags`` index move together: the tag is
         merged into the parsed document, the canonical text rewritten,
         and the index row upserted — all inside a single transaction, so
-        a reader (or a migration) never sees them disagree.
+        a reader (or a migration) never sees them disagree. When the
+        write is skipped or fails, the readable records are counted.
         """
         entries = list(entries)
         if not entries:
             return 0
-        if self._read_only:
-            return sum(1 for key, _c, _m in entries
-                       if self.read_record(key) is not None)
 
-        def merge() -> int:
+        def merge(db: sqlite3.Connection) -> int:
             tagged = 0
-            db = self._db()
-            with _write_txn(db):
-                for key, campaign, meta in entries:
-                    row = _execute(
-                        db, "SELECT record FROM records WHERE key = ?",
-                        (key,)).fetchone()
-                    if row is None:
-                        continue
-                    data = self._parse(key, row[0])
-                    if data is None or data.get("schema") != SCHEMA_VERSION:
-                        continue
-                    tags = data.setdefault("tags", {})
-                    if tags.get(campaign) != (meta or {}):
-                        tags[campaign] = meta or {}
-                        for sql, params in self._record_statements(key, data):
-                            _execute(db, sql, params)
-                    tagged += 1
+            for key, campaign, meta in entries:
+                row = _execute(
+                    db, "SELECT record FROM records WHERE key = ?",
+                    (key,)).fetchone()
+                if row is None:
+                    continue
+                data = self._parse(key, row[0])
+                if data is None or data.get("schema") != SCHEMA_VERSION:
+                    continue
+                tags = data.setdefault("tags", {})
+                if tags.get(campaign) != (meta or {}):
+                    tags[campaign] = meta or {}
+                    for sql, params in self._record_statements(key, data):
+                        _execute(db, sql, params)
+                tagged += 1
             return tagged
 
-        try:
-            return self._retry(merge)
-        except (sqlite3.Error, OSError) as exc:
-            self._degrade(exc)
-            return sum(1 for key, _c, _m in entries
-                       if self.read_record(key) is not None)
+        tagged = self._write(merge, None)
+        if tagged is None:
+            tagged = sum(1 for key, _c, _m in entries
+                         if self.read_record(key) is not None)
+        return tagged
 
     # -- counters ----------------------------------------------------------
 
     def bump_counters(self, deltas: Dict[str, int]) -> None:
         """Add counter deltas as upserts (exact under concurrency)."""
         deltas = {name: n for name, n in deltas.items() if n}
-        if not deltas or self._read_only:
+        if not deltas:
             return
 
-        def bump() -> None:
-            db = self._db()
-            with _write_txn(db):
-                for name, n in sorted(deltas.items()):
-                    _execute(
-                        db,
-                        "INSERT INTO counters (name, value) VALUES (?, ?) "
-                        "ON CONFLICT(name) DO UPDATE SET "
-                        "value = value + excluded.value",
-                        (name, n))
+        def bump(db: sqlite3.Connection) -> None:
+            for name, n in sorted(deltas.items()):
+                _execute(
+                    db,
+                    "INSERT INTO counters (name, value) VALUES (?, ?) "
+                    "ON CONFLICT(name) DO UPDATE SET "
+                    "value = value + excluded.value",
+                    (name, n))
 
-        try:
-            self._retry(bump)
-        except (sqlite3.Error, OSError) as exc:
-            self._degrade(exc)
+        self._write(bump, None)
 
     def counters(self) -> Dict[str, int]:
         """Fresh lifetime counter totals."""
@@ -450,143 +455,81 @@ class SQLiteBackend:
             totals[name] = int(value)
         return totals
 
-    # -- quarantine ledger -------------------------------------------------
+    # -- quarantine and lease ledgers --------------------------------------
+
+    def _ledger(self, table: str) -> Dict[str, dict]:
+        """One ledger table's entries: point key → entry."""
+        out: Dict[str, dict] = {}
+        for key, text in self._rows(
+                f"SELECT key, entry FROM {table} ORDER BY key"):
+            try:
+                entry = json.loads(text)
+            except ValueError:
+                entry = {}
+            out[key] = entry if isinstance(entry, dict) else {}
+        return out
+
+    def _ledger_upsert(self, table: str, key: str, entry: dict) -> None:
+        """Insert or replace one ledger entry."""
+        self._write(lambda db: _execute(
+            db,
+            f"INSERT INTO {table} (key, entry) VALUES (?, ?) "
+            "ON CONFLICT(key) DO UPDATE SET entry = excluded.entry",
+            (key, json.dumps(entry, sort_keys=True))), None)
+
+    def _ledger_drop(self, table: str,
+                     keys: Optional[Iterable[str]]) -> int:
+        """Drop ledger entries (all of them, or just ``keys``)."""
+        targets = None if keys is None else list(keys)
+
+        def drop(db: sqlite3.Connection) -> int:
+            if targets is None:
+                return _execute(db, f"DELETE FROM {table}").rowcount
+            return sum(
+                _execute(db, f"DELETE FROM {table} WHERE key = ?",
+                         (key,)).rowcount
+                for key in targets)
+
+        return self._write(drop, 0)
 
     def quarantine(self) -> Dict[str, dict]:
         """The quarantine ledger: point key → failure entry."""
-        out: Dict[str, dict] = {}
-        for key, text in self._rows(
-                "SELECT key, entry FROM quarantine ORDER BY key"):
-            try:
-                entry = json.loads(text)
-            except ValueError:
-                entry = {}
-            out[key] = entry if isinstance(entry, dict) else {}
-        return out
+        return self._ledger("quarantine")
 
     def quarantine_add(self, key: str, entry: dict) -> None:
         """Record one exhausted point in the ledger (upsert)."""
-        if self._read_only:
-            return
-
-        def add() -> None:
-            db = self._db()
-            with _write_txn(db):
-                _execute(
-                    db,
-                    "INSERT INTO quarantine (key, entry) VALUES (?, ?) "
-                    "ON CONFLICT(key) DO UPDATE SET entry = excluded.entry",
-                    (key, json.dumps(entry, sort_keys=True)))
-
-        try:
-            self._retry(add)
-        except (sqlite3.Error, OSError) as exc:
-            self._degrade(exc)
+        self._ledger_upsert("quarantine", key, entry)
 
     def quarantine_clear(self, keys: Optional[Iterable[str]] = None) -> int:
         """Drop ledger entries (all of them, or just ``keys``)."""
-        if self._read_only:
-            return 0
-        targets = None if keys is None else list(keys)
-
-        def clear() -> int:
-            db = self._db()
-            with _write_txn(db):
-                if targets is None:
-                    return _execute(db, "DELETE FROM quarantine").rowcount
-                removed = 0
-                for key in targets:
-                    cursor = _execute(
-                        db, "DELETE FROM quarantine WHERE key = ?", (key,))
-                    removed += cursor.rowcount
-                return removed
-
-        try:
-            return self._retry(clear)
-        except (sqlite3.Error, OSError) as exc:
-            self._degrade(exc)
-            return 0
-
-    # -- lease ledger ------------------------------------------------------
+        return self._ledger_drop("quarantine", keys)
 
     def leases(self) -> Dict[str, dict]:
         """Active distributed-execution leases: point key → entry."""
-        out: Dict[str, dict] = {}
-        for key, text in self._rows(
-                "SELECT key, entry FROM leases ORDER BY key"):
-            try:
-                entry = json.loads(text)
-            except ValueError:
-                entry = {}
-            out[key] = entry if isinstance(entry, dict) else {}
-        return out
+        return self._ledger("leases")
 
     def lease_update(self, key: str, entry: dict) -> None:
         """Record (or refresh) one point's lease (upsert)."""
-        if self._read_only:
-            return
-
-        def update() -> None:
-            db = self._db()
-            with _write_txn(db):
-                _execute(
-                    db,
-                    "INSERT INTO leases (key, entry) VALUES (?, ?) "
-                    "ON CONFLICT(key) DO UPDATE SET entry = excluded.entry",
-                    (key, json.dumps(entry, sort_keys=True)))
-
-        try:
-            self._retry(update)
-        except (sqlite3.Error, OSError) as exc:
-            self._degrade(exc)
+        self._ledger_upsert("leases", key, entry)
 
     def lease_release(self, keys: Optional[Iterable[str]] = None) -> int:
         """Drop leases (all of them, or just ``keys``)."""
-        if self._read_only:
-            return 0
-        targets = None if keys is None else list(keys)
-
-        def release() -> int:
-            db = self._db()
-            with _write_txn(db):
-                if targets is None:
-                    return _execute(db, "DELETE FROM leases").rowcount
-                removed = 0
-                for key in targets:
-                    cursor = _execute(
-                        db, "DELETE FROM leases WHERE key = ?", (key,))
-                    removed += cursor.rowcount
-                return removed
-
-        try:
-            return self._retry(release)
-        except (sqlite3.Error, OSError) as exc:
-            self._degrade(exc)
-            return 0
+        return self._ledger_drop("leases", keys)
 
     # -- campaign checkpoints ----------------------------------------------
 
     def write_checkpoint(self, campaign: str, payload: dict) -> bool:
         """Publish one campaign's checkpoint (upsert)."""
-        if self._read_only:
-            return False
+        def publish(db: sqlite3.Connection) -> bool:
+            _execute(
+                db,
+                "INSERT INTO checkpoints (campaign, payload) "
+                "VALUES (?, ?) ON CONFLICT(campaign) DO UPDATE SET "
+                "payload = excluded.payload",
+                (campaign, json.dumps(payload, sort_keys=True)))
+            return True
 
-        def checkpoint() -> None:
-            db = self._db()
-            with _write_txn(db):
-                _execute(
-                    db,
-                    "INSERT INTO checkpoints (campaign, payload) "
-                    "VALUES (?, ?) ON CONFLICT(campaign) DO UPDATE SET "
-                    "payload = excluded.payload",
-                    (campaign, json.dumps(payload, sort_keys=True)))
-
-        try:
-            self._retry(checkpoint)
-        except (sqlite3.Error, OSError) as exc:
-            self._degrade(exc)
-            return False
-        return True
+        return self._write(publish, False)
 
     def read_checkpoint(self, campaign: str) -> Optional[dict]:
         """One campaign's checkpoint, if present and parsable."""
@@ -692,25 +635,16 @@ class SQLiteBackend:
 
     def _delete_keys(self, keys: List[str]) -> int:
         """Drop record rows (and their tag index rows); returns count."""
-        if self._read_only:
-            return 0
-
-        def drop() -> int:
+        def drop(db: sqlite3.Connection) -> int:
             removed = 0
-            db = self._db()
-            with _write_txn(db):
-                for key in keys:
-                    cursor = _execute(
-                        db, "DELETE FROM records WHERE key = ?", (key,))
-                    removed += cursor.rowcount
-                    _execute(db, "DELETE FROM tags WHERE key = ?", (key,))
+            for key in keys:
+                cursor = _execute(
+                    db, "DELETE FROM records WHERE key = ?", (key,))
+                removed += cursor.rowcount
+                _execute(db, "DELETE FROM tags WHERE key = ?", (key,))
             return removed
 
-        try:
-            return self._retry(drop)
-        except (sqlite3.Error, OSError) as exc:
-            self._degrade(exc)
-            return 0
+        return self._write(drop, 0)
 
     def gc(self, remove_all: bool = False) -> int:
         """Remove stale (or, with ``remove_all``, every) record row."""

@@ -36,6 +36,8 @@ Design points:
   them.
 * **Writes are atomic.** Every write is one SQLite transaction, so
   concurrent readers never see half a record.
+* **One path per operation.** ``get``, ``put`` and ``tag`` are the
+  one-element case of ``get_batch``, ``put_many`` and ``tag_many``.
 * **Integrity is checkable.** :meth:`ResultStore.verify` is an fsck:
   every record must parse, match its stored key, match the schema,
   carry a loadable result payload, and (when provenance is present)
@@ -126,7 +128,7 @@ class ResultStore:
             warnings.warn(
                 f"skipping malformed store record {key[:16]} in "
                 f"{self.describe()}: {exc}",
-                ResultStoreWarning, stacklevel=3,
+                ResultStoreWarning, stacklevel=4,
             )
             return None
 
@@ -150,10 +152,7 @@ class ResultStore:
 
     def get(self, key: str) -> Optional[StoredResult]:
         """Look up a result; counts a hit or a miss."""
-        result = self._load_result(key, self.backend.read_record(key))
-        self.backend.bump_counters(
-            {"hits": 1} if result is not None else {"misses": 1})
-        return result
+        return self._get_batch([key])[0]
 
     def get_batch(self, keys: Iterable[str]) -> List[Optional[StoredResult]]:
         """Look up many results; counts every hit/miss in one bump.
@@ -162,17 +161,15 @@ class ResultStore:
         same results, same warnings, same final counter values — but
         the counters are updated once instead of once per key.
         """
-        results: List[Optional[StoredResult]] = []
-        hits = 0
-        misses = 0
-        for key in keys:
-            result = self._load_result(key, self.backend.read_record(key))
-            if result is None:
-                misses += 1
-            else:
-                hits += 1
-            results.append(result)
-        self.backend.bump_counters({"hits": hits, "misses": misses})
+        return self._get_batch(keys)
+
+    def _get_batch(self, keys: Iterable[str]) -> List[Optional[StoredResult]]:
+        """The one lookup body behind :meth:`get` and :meth:`get_batch`."""
+        results = [self._load_result(key, self.backend.read_record(key))
+                   for key in keys]
+        hits = sum(1 for result in results if result is not None)
+        self.backend.bump_counters(
+            {"hits": hits, "misses": len(results) - hits})
         return results
 
     @staticmethod
@@ -201,10 +198,7 @@ class ResultStore:
         write is dropped silently (the path is still returned so callers
         never special-case it).
         """
-        record = self._envelope(key, result, provenance, tags)
-        if self.backend.write_record(key, record):
-            self.backend.bump_counters({"puts": 1})
-        return self.backend.location
+        return self._put_many([(key, result, provenance, tags)])[0]
 
     def put_many(
         self,
@@ -222,6 +216,14 @@ class ResultStore:
         is bumped once. A failed write degrades the store exactly like
         :meth:`put`. Returns the database path once per entry.
         """
+        return self._put_many(entries)
+
+    def _put_many(
+        self,
+        entries: Iterable[Tuple[str, StoredResult, Optional[dict],
+                                Optional[dict]]],
+    ) -> List[Path]:
+        """The one write body behind :meth:`put` and :meth:`put_many`."""
         entries = list(entries)
         written = self.backend.write_records(
             (key, self._envelope(key, result, provenance, tags))
@@ -235,8 +237,9 @@ class ResultStore:
 
         Tags are how the Experiment Book finds a campaign's points from
         store contents alone. Returns False when the record is missing.
-        The record read-modify-write is transactional so two concurrent
-        campaigns never drop each other's tags.
+        The one-entry case of :meth:`tag_many`: the record
+        read-modify-write is transactional so two concurrent campaigns
+        never drop each other's tags.
         """
         return self.backend.update_tags([(key, campaign, meta)]) == 1
 

@@ -331,6 +331,35 @@ class TestFailover:
         assert counters["workers_lost"] == 1
         assert counters["workers_joined"] == 2
 
+    def test_worker_dropped_on_a_pass_last_unit_is_replaced(
+            self, tmp_path, monkeypatch):
+        """A pass whose only unit hangs into its timeout still leaves a
+        live worker behind: the next pass on the pool completes with
+        the pool's own replacement, and the hung process is gone."""
+        store = ResultStore(tmp_path / "store")
+        run_campaign(Campaign(**dict(TINY3, shuffle_gbs=(0.03,))),
+                     store=store)
+        monkeypatch.setenv(ENV_CHAOS_HANG, "0")
+        monkeypatch.setenv(ENV_CHAOS_HANG_SECS, "60")
+        policy = RetryPolicy(retries=0, timeout=2.0)
+        backend = PoolBackend(workers=1, lease=5.0, connect_timeout=5.0)
+        try:
+            backend.ensure_started()
+            hung = backend._procs[0]
+            first = run_campaign(
+                Campaign(**dict(TINY3, shuffle_gbs=(0.02,))),
+                store=store, backend=backend, policy=policy)
+            second = run_campaign(
+                Campaign(**dict(TINY3, shuffle_gbs=(0.03, 0.04))),
+                store=store, backend=backend, policy=policy)
+            hung_exited = hung.poll() is not None
+        finally:
+            backend.close()
+        assert first.failed == 1
+        assert second.completed
+        assert second.executed == 1 and second.from_store == 1
+        assert hung_exited
+
 
 #: Child body for the pool SIGINT test: the real CLI, pool backend.
 SIGINT_CHILD = """\

@@ -105,9 +105,10 @@ def test_plan_participates_in_memo_cache_key():
     suite = MicroBenchmarkSuite(cluster=cluster_a(2))
     config = BenchmarkConfig(num_pairs=100_000, num_maps=8, num_reduces=4,
                              network="ipoib-qdr")
+    plan = FaultPlan(slow_nodes=(SlowNode("slave1", cpu_factor=4.0),))
+    faulty_suite = MicroBenchmarkSuite(cluster=cluster_a(2), fault_plan=plan)
     healthy = suite.run_config(config)
-    slowed = suite.run_config(config, fault_plan=FaultPlan(
-        slow_nodes=(SlowNode("slave1", cpu_factor=4.0),)))
+    slowed = faulty_suite.run_config(config)
     healthy_again = suite.run_config(config)
     clear_result_cache()
     assert slowed.execution_time > healthy.execution_time

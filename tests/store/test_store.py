@@ -6,6 +6,7 @@ the database lives — is what these tests pin down.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -19,7 +20,12 @@ from repro.store import (
     point_key,
 )
 
-from tests.store.conftest import load_record, rewrite_record, store_root
+from tests.store.conftest import (
+    load_record,
+    record_text,
+    rewrite_record,
+    store_root,
+)
 
 
 def tiny_config(network="1GigE", **overrides):
@@ -198,6 +204,78 @@ class TestMaintenance:
         store.tag(keys[0], "camp-a", {"trial": 0})
         assert store.campaign_keys("camp-a") == [keys[0]]
         assert store.campaign_keys("camp-b") == []
+
+
+class TestSingularIsOneElementBatch:
+    """``get``/``put``/``tag`` agree with ``get_batch``/``put_many``/
+    ``tag_many`` on a hit, a miss, a corrupt and a stale record."""
+
+    HIT, MISS, CORRUPT, STALE = ("aa" * 32, "bb" * 32, "cc" * 32,
+                                 "dd" * 32)
+    KEYS = (HIT, MISS, CORRUPT, STALE)
+
+    def _seeded(self, make_store, name, sim_result):
+        store = make_store(name)
+        stored = StoredResult.from_sim_result(sim_result)
+        for key in (self.HIT, self.CORRUPT, self.STALE):
+            store.put(key, stored)
+        rewrite_record(store, self.CORRUPT, "{ not json")
+        record = load_record(store, self.STALE)
+        record["schema"] = 999
+        rewrite_record(store, self.STALE, json.dumps(record))
+        return store
+
+    @staticmethod
+    def _texts(store, keys):
+        return {key: record_text(store, key) for key in keys}
+
+    def test_get_matches_get_batch(self, make_store, sim_result):
+        single = self._seeded(make_store, "single", sim_result)
+        batch = self._seeded(make_store, "batch", sim_result)
+        with warnings.catch_warnings(record=True) as single_warnings:
+            warnings.simplefilter("always")
+            one_by_one = [single.get(key) for key in self.KEYS]
+        with warnings.catch_warnings(record=True) as batch_warnings:
+            warnings.simplefilter("always")
+            together = batch.get_batch(self.KEYS)
+        assert one_by_one[0] is not None
+        assert one_by_one[1:] == [None, None, None]
+        assert one_by_one == together
+        assert single.backend.counters() == batch.backend.counters()
+        assert batch.backend.counters() == {"puts": 3, "hits": 1,
+                                            "misses": 3}
+        assert len(single_warnings) == len(batch_warnings) == 1
+
+    def test_put_matches_put_many(self, make_store, sim_result):
+        stored = StoredResult.from_sim_result(sim_result)
+        entries = [(key, stored, {"point": i}, {"camp": {"i": i}})
+                   for i, key in enumerate(self.KEYS)]
+        entries[0] = (self.HIT, stored, None, None)
+        single, batch = make_store("single"), make_store("batch")
+        paths = [single.put(*entry) for entry in entries]
+        assert paths == [single.backend.location] * len(entries)
+        assert batch.put_many(entries) == [batch.backend.location] * 4
+        assert (self._texts(single, self.KEYS)
+                == self._texts(batch, self.KEYS))
+        assert single.stats()["puts"] == batch.stats()["puts"] == 4
+
+    def test_tag_matches_tag_many(self, make_store, sim_result):
+        single = self._seeded(make_store, "single", sim_result)
+        batch = self._seeded(make_store, "batch", sim_result)
+        entries = [(key, "camp", {"i": i})
+                   for i, key in enumerate(self.KEYS)]
+        with warnings.catch_warnings(record=True) as single_warnings:
+            warnings.simplefilter("always")
+            tagged = [single.tag(*entry) for entry in entries]
+        with warnings.catch_warnings(record=True) as batch_warnings:
+            warnings.simplefilter("always")
+            count = batch.tag_many(entries)
+        assert tagged == [True, False, False, False]
+        assert count == sum(tagged)
+        present = (self.HIT, self.CORRUPT, self.STALE)
+        assert self._texts(single, present) == self._texts(batch, present)
+        assert single.campaign_keys("camp") == batch.campaign_keys("camp")
+        assert len(single_warnings) == len(batch_warnings) == 1
 
 
 class TestStatsCache:

@@ -8,6 +8,7 @@ file-level damage an old directory store can carry into
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -209,6 +210,63 @@ class TestReadOnlyDegradation:
             store.get("ab" * 32)  # miss-bump write fails -> degrade
         assert store.contains(key)
         assert store.get(key) is not None  # hit served, bump dropped
+
+    @staticmethod
+    def _tables(store):
+        """Every row of every table, for an unchanged-store check."""
+        db = store.backend._db()
+        return {table: db.execute(f"SELECT * FROM {table}").fetchall()
+                for table in ("records", "tags", "counters", "quarantine",
+                              "leases", "checkpoints")}
+
+    @pytest.mark.parametrize("operation", [
+        "put", "put_many", "tag", "tag_many", "quarantine_add",
+        "quarantine_clear", "lease_update", "lease_release",
+        "write_checkpoint", "gc", "verify_gc", "get",
+    ])
+    def test_first_failing_write_degrades_once(
+            self, make_store, sim_result, monkeypatch, operation):
+        """Each write entry point, failing first, warns "read-only"
+        exactly once, flips the store and returns its default."""
+        store = make_store()
+        stored = StoredResult.from_sim_result(sim_result)
+        good, stale, new = "aa" * 32, "bb" * 32, "cc" * 32
+        store.put_many([(good, stored, None, None),
+                        (stale, stored, None, None)])
+        record = load_record(store, stale)
+        record["schema"] = 999
+        rewrite_record(store, stale, json.dumps(record))
+        store.quarantine_add(good, {"error": "boom"})
+        store.lease_update(good, {"worker": "w1"})
+        location = store.backend.location
+        calls = {
+            "put": (lambda: store.put(new, stored), location),
+            "put_many": (lambda: store.put_many(
+                [(new, stored, None, None)]), [location]),
+            "tag": (lambda: store.tag(good, "camp"), True),
+            "tag_many": (lambda: store.tag_many(
+                [(good, "camp", None), (new, "camp", None)]), 1),
+            "quarantine_add": (
+                lambda: store.quarantine_add(new, {}), None),
+            "quarantine_clear": (lambda: store.quarantine_clear(), 0),
+            "lease_update": (lambda: store.lease_update(new, {}), None),
+            "lease_release": (lambda: store.lease_release(), 0),
+            "write_checkpoint": (
+                lambda: store.write_checkpoint("camp", {}), None),
+            "gc": (lambda: store.gc(), 0),
+            "verify_gc": (lambda: store.verify(gc=True).swept, 0),
+            "get": (lambda: store.get(good), stored),
+        }
+        call, default = calls[operation]
+        before = self._tables(store)
+        break_writes(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert call() == default
+        assert [w.category for w in caught] == [ResultStoreWarning]
+        assert "read-only" in str(caught[0].message)
+        assert store.read_only
+        assert self._tables(store) == before
 
     def test_suite_keeps_simulating_on_degraded_store(self, tmp_path,
                                                       root_kind,

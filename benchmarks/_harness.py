@@ -93,7 +93,7 @@ def record_texts(root) -> Dict[str, str]:
 
     store = ResultStore(root)
     try:
-        return dict(store.backend._db().execute(
+        return dict(store._db().execute(
             "SELECT key, record FROM records ORDER BY key").fetchall())
     finally:
         store.close()

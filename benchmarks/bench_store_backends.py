@@ -94,7 +94,7 @@ def _run_contended(payload, pool):
     # Only start the clock once every bumper is demonstrably running.
     poll = ResultStore(root)
     deadline = time.monotonic() + 30
-    while poll.backend.counters().get("misses", 0) < BUMPERS:
+    while poll.counters().get("misses", 0) < BUMPERS:
         assert time.monotonic() < deadline, "bumpers never started"
         time.sleep(0.01)
     start = time.perf_counter()
@@ -150,7 +150,7 @@ def bench_store_cold_scan(benchmark):
     document = {"schema": 1, "provenance": {}, "tags": {},
                 "result": {"execution_time": 1.0}}
     root = f"sqlite:{tempfile.mkdtemp(prefix='bench-store-scan-')}/db.sqlite"
-    ResultStore(root).backend.write_records(
+    ResultStore(root).write_records(
         (f"{i:064x}", dict(document, key=f"{i:064x}")) for i in range(n))
 
     def run():

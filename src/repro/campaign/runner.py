@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 from repro.core.suite import MicroBenchmarkSuite, SweepResult, SweepRow
 from repro.campaign.backend import ExecutionBackend
@@ -36,7 +36,7 @@ from repro.campaign.executor import (
 )
 from repro.campaign.spec import Campaign, CampaignPoint
 from repro.sim.trace import Tracer
-from repro.store import ResultStore
+from repro.store import StoreLike
 
 #: Signature of the progress callback.
 ProgressFn = Callable[["PointProgress"], None]
@@ -151,7 +151,7 @@ class CampaignResult:
 
 def run_campaign(
     campaign: Campaign,
-    store: Optional[Union[ResultStore, str]] = None,
+    store: Optional[StoreLike] = None,
     jobs: int = 1,
     progress: Optional[ProgressFn] = None,
     policy: Optional[RetryPolicy] = None,
@@ -188,8 +188,6 @@ def run_campaign(
     socket-connected worker pool with lease-based failover. A supplied
     backend is borrowed — the caller owns its lifecycle (``close()``).
     """
-    if isinstance(store, str):
-        store = ResultStore(store)
     suite = MicroBenchmarkSuite(
         cluster=campaign.cluster_spec(),
         jobconf=campaign.jobconf(),
@@ -266,8 +264,8 @@ def run_campaign(
             cached=outcome.status == STATUS_CACHED,
             result=outcome.result,
         ))
-    if store is not None:
-        store.tag_many([
+    if suite.store is not None:
+        suite.store.tag_many([
             (outcome.key, campaign.name, metas[i])
             for i, outcome in succeeded
         ])

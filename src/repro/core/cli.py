@@ -573,9 +573,13 @@ def _cmd_store(args) -> int:
               + (f", {report.swept} swept" if args.gc else "")
               + f"  [{state}]")
         if not report.meta_ok:
-            print(f"warning: metadata of the {store.describe()} is "
-                  f"corrupt (counters will reinitialize)", file=sys.stderr)
-        if report.clean or (args.gc and report.swept == len(report.problems)):
+            print(f"warning: the database of the {store.describe()} is "
+                  f"damaged: reads warn and miss, and the first write "
+                  f"leaves the store read-only; restore it from a copy, "
+                  f"or `repro store migrate` a copy into a new store",
+                  file=sys.stderr)
+        if report.clean or (args.gc and report.meta_ok
+                            and report.swept == len(report.problems)):
             return 0
         return 1
     if args.store_command == "ls":

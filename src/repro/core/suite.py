@@ -32,8 +32,7 @@ full caching contract is documented in ``docs/MODEL.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.stats import improvement_pct
@@ -48,7 +47,14 @@ from repro.hadoop.result import SimJobResult
 from repro.hadoop.simulation import run_simulated_job
 from repro.net.transport import TransportModel
 from repro.sim.trace import Tracer
-from repro.store import ResultStore, StoredResult, point_components, point_key
+from repro.store import (
+    ResultStore,
+    StoredResult,
+    StoreLike,
+    as_store,
+    point_components,
+    point_key,
+)
 
 #: What a cached-or-simulated point run returns: a full
 #: :class:`SimJobResult` when simulated this process, a
@@ -183,7 +189,7 @@ class MicroBenchmarkSuite:
         jobconf: Optional[JobConf] = None,
         cost_model: Optional[CostModel] = None,
         fault_plan: Optional[FaultPlan] = None,
-        store: Optional[Union[ResultStore, str, Path]] = None,
+        store: Optional[StoreLike] = None,
     ):
         self.cluster = cluster if cluster is not None else cluster_a()
         self.jobconf = jobconf
@@ -192,11 +198,10 @@ class MicroBenchmarkSuite:
         #: sweeps stay deterministic — including under ``jobs=N``).
         self.fault_plan = fault_plan
         #: Persistent result store backing the in-process memo cache
-        #: (a directory path is coerced). ``None`` disables disk
-        #: caching; the memo cache still applies.
+        #: (a root is opened). ``None`` disables disk caching; the memo
+        #: cache still applies.
         self.store: Optional[ResultStore] = (
-            ResultStore(store) if isinstance(store, (str, Path)) else store
-        )
+            None if store is None else as_store(store))
         #: ``id(config) -> (config, store key)``. The batch executor
         #: needs a point's key up to three times (keys list, lookup,
         #: record), so it is derived once per config object. The cache

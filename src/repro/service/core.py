@@ -27,7 +27,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.campaign.executor import RetryPolicy
@@ -40,7 +39,7 @@ from repro.service.singleflight import (
     SingleFlight,
     Ticket,
 )
-from repro.store import ResultStore, dump_record_text, hit_rate
+from repro.store import StoreLike, as_store, dump_record_text, hit_rate
 
 #: Warm hits accumulated before one batched store-counter write.
 HIT_FLUSH_THRESHOLD = 64
@@ -72,7 +71,7 @@ class BenchmarkService:
 
     def __init__(
         self,
-        store: Union[ResultStore, str, Path],
+        store: StoreLike,
         policy: Optional[RetryPolicy] = None,
         jobs: int = 1,
         max_queue: int = DEFAULT_MAX_QUEUE,
@@ -84,8 +83,7 @@ class BenchmarkService:
         started :class:`~repro.campaign.pool.PoolBackend`); it is
         borrowed — the caller closes it after :meth:`stop`.
         """
-        self.store = (store if isinstance(store, ResultStore)
-                      else ResultStore(store))
+        self.store = as_store(store)
         self.flight = SingleFlight()
         self.scheduler = ColdScheduler(
             self.store, self.flight, policy=policy, jobs=jobs,
@@ -132,14 +130,14 @@ class BenchmarkService:
             if self._pending_hits >= HIT_FLUSH_THRESHOLD:
                 flush, self._pending_hits = self._pending_hits, 0
         if flush:
-            self.store.backend.bump_counters({"hits": flush})
+            self.store.bump_counters({"hits": flush})
 
     def _flush_hits(self) -> None:
         """Push accumulated warm hits into the store's hit counter."""
         with self._counter_lock:
             flush, self._pending_hits = self._pending_hits, 0
         if flush:
-            self.store.backend.bump_counters({"hits": flush})
+            self.store.bump_counters({"hits": flush})
 
     # -- queries -----------------------------------------------------------
 
@@ -287,12 +285,12 @@ class BenchmarkService:
     def healthz(self) -> Dict[str, object]:
         """The liveness document (cheap: no disk reads)."""
         healthy = (self.scheduler.alive
-                   and not self.store.backend.read_only)
+                   and not self.store.read_only)
         return {
             "status": "ok" if healthy else "degraded",
-            "backend": self.store.backend.scheme,
+            "backend": self.store.scheme,
             "root": str(self.store.root),
             "scheduler_alive": self.scheduler.alive,
-            "read_only": self.store.backend.read_only,
+            "read_only": self.store.read_only,
             "uptime_seconds": round(time.time() - self.started_at, 3),
         }

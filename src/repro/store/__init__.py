@@ -11,10 +11,9 @@ repeated campaigns warm-start across processes:
   JSON-round-trippable subset of a ``SimJobResult``.
 * :mod:`repro.store.backend` — canonical record text, root resolution
   (``sqlite:PATH``, database paths, directories) and the verify types.
-* :mod:`repro.store.sqlite` — the backend: one WAL-mode SQLite
-  database (transactional counters, indexed tags, fast stats).
-* :mod:`repro.store.store` — :class:`ResultStore`, the facade with
-  hit/miss/put counters, corruption tolerance, schema invalidation and
+* :mod:`repro.store.store` — :class:`ResultStore`, the one store class:
+  a WAL-mode SQLite database with transactional hit/miss/put counters,
+  indexed tags, corruption tolerance, schema invalidation and
   ``gc``/``export`` maintenance.
 * :mod:`repro.store.migrate` — byte-identical store-to-store copies,
   and imports of directory stores written by older releases
@@ -46,10 +45,11 @@ from repro.store.keys import (
 )
 from repro.store.migrate import MigrationReport, migrate_store
 from repro.store.records import StoredResult
-from repro.store.sqlite import SQLiteBackend
 from repro.store.store import (
     STORE_ENV_VAR,
     ResultStore,
+    StoreLike,
+    as_store,
     default_store_root,
     hit_rate,
 )
@@ -62,10 +62,11 @@ __all__ = [
     "MigrationReport",
     "ResultStore",
     "ResultStoreWarning",
-    "SQLiteBackend",
+    "StoreLike",
     "StoredResult",
     "VerifyProblem",
     "VerifyReport",
+    "as_store",
     "dump_record_text",
     "migrate_store",
     "resolve_root",

@@ -1,8 +1,7 @@
 """Record text, root resolution and the shared types of the store.
 
 :class:`~repro.store.ResultStore` keeps every record, counter, ledger
-and checkpoint in one WAL-mode SQLite database
-(:class:`~repro.store.sqlite.SQLiteBackend`). A record is stored as its
+and checkpoint in one WAL-mode SQLite database. A record is stored as its
 canonical JSON text (:func:`dump_record_text`) under the content address
 from :mod:`repro.store.keys`, so ``repro store export`` bytes and warm
 starts stay hex-exact.
@@ -55,13 +54,13 @@ def fsync_enabled() -> bool:
     return raw not in ("0", "false", "no", "off")
 
 
-def legacy_directory(root: Union[str, Path]) -> Optional[Path]:
+def legacy_directory(root: Union[str, "os.PathLike[str]"]) -> Optional[Path]:
     """The old directory store ``root`` names, if it names one.
 
     ``file:DIR`` always does; a plain directory does when it holds an
     ``objects/`` record tree and no ``store.sqlite``.
     """
-    raw = str(root)
+    raw = os.fspath(root)
     if raw.startswith("file:"):
         return Path(raw[len("file:"):])
     path = Path(raw)
@@ -70,7 +69,7 @@ def legacy_directory(root: Union[str, Path]) -> Optional[Path]:
     return None
 
 
-def resolve_root(root: Union[str, Path]) -> Tuple[Path, str]:
+def resolve_root(root: Union[str, "os.PathLike[str]"]) -> Tuple[Path, str]:
     """Resolve a store root to ``(database path, display root)``.
 
     ``display root`` is what the store reports as its root: the
@@ -82,7 +81,7 @@ def resolve_root(root: Union[str, Path]) -> Tuple[Path, str]:
     if backend not in ("", "sqlite"):
         raise ValueError(f"unknown store backend {backend!r} "
                          f"(the only backend is sqlite)")
-    raw = str(root)
+    raw = os.fspath(root)
     if raw.startswith("sqlite:"):
         rest = raw[len("sqlite:"):]
         return Path(rest), rest
@@ -100,9 +99,9 @@ def resolve_root(root: Union[str, Path]) -> Tuple[Path, str]:
 def dump_record_text(record: dict) -> str:
     """The canonical serialized form of one record document.
 
-    The text the SQLite backend stores. Older releases wrote the same
-    bytes into each ``objects/`` record file, which is why ``repro store
-    migrate`` imports such a store byte-identically.
+    The text the store's ``records`` table holds. Older releases wrote
+    the same bytes into each ``objects/`` record file, which is why
+    ``repro store migrate`` imports such a store byte-identically.
 
     The text is ``json.dumps(record, indent=1, sort_keys=True)``, built
     faster (docs/STORE.md §4 has the argument): a *flat* container (only

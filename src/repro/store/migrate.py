@@ -4,16 +4,15 @@ Copies a result corpus key for key, byte for byte, into a SQLite store:
 from another SQLite store, or from a directory store written by an
 older release (``objects/<aa>/<key>.json`` files, read by
 :class:`DirectoryStoreReader`). Those record files hold the canonical
-record text (:func:`~repro.store.backend.dump_record_text`) the SQLite
-backend stores, so an import is byte-identical and warm starts through
-it stay hex-exact; nothing is re-simulated.
+record text (:func:`~repro.store.backend.dump_record_text`) the
+store's database holds, so an import is byte-identical and warm starts
+through it stay hex-exact; nothing is re-simulated.
 
 What migrates:
 
 * **records** — every *parsable* record, any schema version (stale
   records are preserved verbatim so ``gc`` policy stays the owner's
-  call), via backend-level writes that bypass the facade's ``puts``
-  accounting;
+  call), via raw record writes that bypass the ``puts`` accounting;
 * **counters** — added onto the destination's totals, so migrating
   into an empty store reproduces the source totals exactly;
 * **quarantine ledger**, **lease ledger** and **campaign
@@ -27,6 +26,7 @@ and from then on ``DIR`` opens as that database.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +37,7 @@ from repro.store.backend import (
     ResultStoreWarning,
     legacy_directory,
 )
-from repro.store.store import ResultStore
+from repro.store.store import ResultStore, StoreLike, as_store
 
 
 @dataclass
@@ -152,10 +152,15 @@ class DirectoryStoreReader:
         return out
 
 
-def migrate_store(
-    source: Union[str, ResultStore],
-    destination: Union[str, ResultStore],
-) -> MigrationReport:
+def _same_database(a: Path, b: Path) -> bool:
+    """Whether two database paths name one file, however spelled."""
+    if a.exists() and b.exists():
+        return os.path.samefile(a, b)
+    return a.resolve() == b.resolve()
+
+
+def migrate_store(source: StoreLike,
+                  destination: StoreLike) -> MigrationReport:
     """Copy one store into another, losslessly.
 
     ``source`` accepts any store root or an opened :class:`ResultStore`;
@@ -166,22 +171,21 @@ def migrate_store(
     ``DIR/store.sqlite``. Existing destination records with the same
     key are overwritten with the source's bytes; destination counters
     *accumulate* the source totals. Raises ``ValueError`` when source
-    and destination resolve to the same database.
+    and destination are the same database file, however spelled
+    (relative or absolute paths, symlinks).
     """
-    legacy = (legacy_directory(source) if isinstance(source, str)
-              else None)
-    if legacy is not None:
-        src = DirectoryStoreReader(legacy)
-    else:
-        src = (source if isinstance(source, ResultStore)
-               else ResultStore(source)).backend
-    if isinstance(destination, str):
+    legacy = (None if isinstance(source, ResultStore)
+              else legacy_directory(source))
+    src = (DirectoryStoreReader(legacy) if legacy is not None
+           else as_store(source))
+    if not isinstance(destination, ResultStore):
         into = legacy_directory(destination)
-        if into is not None and not destination.startswith("file:"):
+        if into is not None and not os.fspath(destination).startswith(
+                "file:"):
             destination = f"sqlite:{into / SQLITE_FILENAME}"
-        destination = ResultStore(destination)
-    dst = destination.backend
-    if src.describe() == dst.describe():
+    dst = as_store(destination)
+    if (isinstance(src, ResultStore)
+            and _same_database(src.location, dst.location)):
         raise ValueError(
             f"source and destination are the same store ({src.describe()})")
     report = MigrationReport(source=src.describe(),
@@ -198,6 +202,6 @@ def migrate_store(
         dst.lease_update(key, entry)
         report.leases += 1
     for campaign, payload in src.checkpoints().items():
-        if dst.write_checkpoint(campaign, payload):
+        if dst._put_checkpoint(campaign, payload) is not None:
             report.checkpoints += 1
     return report

@@ -191,6 +191,19 @@ class TestRunner:
             assert meta["baseline"] == "1GigE"
             assert "shuffle_gb" in meta and "network" in meta
 
+    def test_path_root_is_opened_for_the_tag_pass(self, tmp_path):
+        """``store=Path(...)`` works like a string root: a warm point
+        gains the second campaign's tag."""
+        one = dict(TINY, shuffle_gbs=(0.02,), networks=("1GigE",))
+        root = tmp_path / "store"
+        assert run_campaign(Campaign(**one), store=root).executed == 1
+        clear_result_cache()
+        again = run_campaign(Campaign(**dict(one, name="again")),
+                             store=root)
+        assert again.from_store == 1
+        [(_key, record)] = ResultStore(root).records()
+        assert set(record["tags"]) == {"tiny", "again"}
+
     @pytest.mark.parametrize("batch", [True, False])
     def test_value_equal_spellings_are_distinct_points(self, tmp_path,
                                                        batch):

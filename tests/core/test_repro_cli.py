@@ -14,9 +14,9 @@ import pytest
 
 from repro.core.cli import build_repro_parser, main, repro_main
 from repro.core.suite import clear_result_cache
-from repro.store import ResultStore
+from repro.store import ResultStore, ResultStoreWarning
 
-from tests.store.conftest import rewrite_record
+from tests.store.conftest import corrupt_metadata, rewrite_record
 from tests.store.conftest import store_root as cli_store_root
 
 TINY_SPEC = {
@@ -338,6 +338,26 @@ class TestStoreVerifyCli:
                            "--store", str(store_root)]) == 0
 
 
+    def test_damaged_database_says_how_to_recover(self, spec_path,
+                                                  tmp_path, capsys):
+        store_root = tmp_path / "store"
+        repro_main(["campaign", "run", str(spec_path),
+                    "--store", str(store_root), "--quiet"])
+        corrupt_metadata(ResultStore(store_root))
+        capsys.readouterr()
+        with pytest.warns(ResultStoreWarning, match="unreadable"):
+            rc = repro_main(["store", "verify", "--store", str(store_root)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "damaged" in err and "reads warn and miss" in err
+        assert "read-only" in err and "repro store migrate" in err
+        assert "reinitialize" not in err
+        # --gc sweeps no record out of a damaged database: still exit 1.
+        with pytest.warns(ResultStoreWarning, match="unreadable"):
+            assert repro_main(["store", "verify", "--gc",
+                               "--store", str(store_root)]) == 1
+
+
 class TestStoreCliExtensions:
     """`stats --json`, `ls --campaign`, and `store migrate` — both root
     spellings, through the real CLI."""
@@ -408,3 +428,18 @@ class TestStoreCliExtensions:
         capsys.readouterr()
         assert repro_main(["store", "migrate", store, store]) == 2
         assert "same store" in capsys.readouterr().err
+
+    def test_migrate_onto_another_spelling_of_itself_is_an_error(
+            self, tmp_path, capsys, monkeypatch):
+        """Relative vs absolute, and a symlinked directory: exit 2, and
+        the counters are not added to themselves."""
+        real = tmp_path / "store"
+        ResultStore(real).get_batch(["00" * 32] * 3)  # three misses
+        (tmp_path / "link").symlink_to(real, target_is_directory=True)
+        monkeypatch.chdir(tmp_path)
+        for source, destination in (("store", str(real)),
+                                    (str(real), "link")):
+            assert repro_main(["store", "migrate", source,
+                               destination]) == 2
+            assert "same store" in capsys.readouterr().err
+        assert ResultStore(real).stats()["misses"] == 3

@@ -62,7 +62,7 @@ class TestWarmAndCold:
 
         # Byte-identity with the store's own canonical serialization.
         key = parse_point_query(tiny_query()).key
-        record = store.backend.read_record(key)
+        record = store.fetch_record(key)
         assert warm.payload == dump_record_text(record).encode("utf-8")
 
     def test_lookup_by_key_matches_query_payload(self, service):

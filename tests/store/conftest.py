@@ -56,7 +56,7 @@ def store_root_str(tmp_path, root_kind):
 
 def record_text(store, key):
     """The raw stored text of one record."""
-    rows = store.backend._db().execute(
+    rows = store._db().execute(
         "SELECT record FROM records WHERE key = ?", (key,)).fetchall()
     return rows[0][0]
 
@@ -70,7 +70,7 @@ def record_texts(root):
     """Key -> stored record text of every record under one root."""
     store = ResultStore(root)
     try:
-        return dict(store.backend._db().execute(
+        return dict(store._db().execute(
             "SELECT key, record FROM records ORDER BY key").fetchall())
     finally:
         store.close()
@@ -87,7 +87,7 @@ def rewrite_record(store, key, text):
         schema = json.loads(text).get("schema")
     except (ValueError, AttributeError):
         schema = None
-    db = store.backend._db()
+    db = store._db()
     with db:
         db.execute(
             "INSERT INTO records (key, schema, record) VALUES (?, ?, ?) "
@@ -102,9 +102,9 @@ def break_writes(monkeypatch):
     As root, chmod tricks can't produce EACCES, so the ``_execute``
     statement funnel is patched instead (non-SELECT statements only).
     """
-    import repro.store.sqlite as sqlite_mod
+    import repro.store.store as store_mod
 
-    real_execute = sqlite_mod._execute
+    real_execute = store_mod._execute
 
     def failing_execute(db, sql, params=()):
         head = sql.lstrip().split(None, 1)[0].upper()
@@ -112,12 +112,12 @@ def break_writes(monkeypatch):
             return real_execute(db, sql, params)
         raise sqlite3.OperationalError("database or disk is full")
 
-    monkeypatch.setattr(sqlite_mod, "_execute", failing_execute)
+    monkeypatch.setattr(store_mod, "_execute", failing_execute)
 
 
 def corrupt_checkpoint(store, campaign):
     """Leave one campaign's checkpoint unparsable."""
-    db = store.backend._db()
+    db = store._db()
     with db:
         db.execute(
             "INSERT INTO checkpoints (campaign, payload) VALUES (?, ?) "
@@ -127,14 +127,13 @@ def corrupt_checkpoint(store, campaign):
 
 def corrupt_metadata(store):
     """Corrupt the database header."""
-    backend = store.backend
     # Fold the WAL back into the main file first, or a fresh reader
     # would transparently recover page 1 from it and mask the damage.
-    backend._db().execute("PRAGMA wal_checkpoint(TRUNCATE)")
-    backend.close()
-    with open(backend.location, "r+b") as handle:
+    store._db().execute("PRAGMA wal_checkpoint(TRUNCATE)")
+    store.close()
+    with open(store.location, "r+b") as handle:
         handle.write(b"this is not a sqlite database header")
     for suffix in ("-wal", "-shm"):
-        sidecar = backend.location.with_name(backend.location.name + suffix)
+        sidecar = store.location.with_name(store.location.name + suffix)
         if sidecar.exists():
             sidecar.unlink()

@@ -138,13 +138,13 @@ class TestMigration:
             texts = {record_text(store, key) for store in stores}
             assert len(texts) == 1
         # Exact counter totals, quarantine and checkpoints preserved.
-        reference = stores[0].backend.counters()
+        reference = stores[0].counters()
         assert any(reference.values())  # the comparison is non-vacuous
         for store in stores[1:]:
-            assert store.backend.counters() == reference
+            assert store.counters() == reference
             assert store.quarantine() == stores[0].quarantine()
-            assert (store.backend.checkpoints()
-                    == stores[0].backend.checkpoints())
+            assert (store.checkpoints()
+                    == stores[0].checkpoints())
 
     def test_round_trip_reproduces_record_files(self, tmp_path):
         """old directory -> sqlite -> sqlite keeps every record file's
@@ -186,3 +186,36 @@ class TestMigration:
         ResultStore(root).quarantine_add("aa" * 32, {"error": "x"})
         with pytest.raises(ValueError, match="same store"):
             migrate_store(root, root)
+
+    @pytest.mark.parametrize("spelling", ["relative", "sqlite", "symlink"])
+    def test_another_spelling_of_the_same_store_is_refused(
+            self, tmp_path, monkeypatch, spelling):
+        """A relative root and its absolute form, a ``sqlite:`` path and
+        its absolute form, or a symlinked directory all name one
+        database: refused, and its counters are not added to
+        themselves."""
+        real = tmp_path / "real"
+        ResultStore(real).get_batch(["00" * 32] * 3)  # three misses
+        (tmp_path / "link").symlink_to(real, target_is_directory=True)
+        monkeypatch.chdir(tmp_path)
+        source, destination = {
+            "relative": ("real", str(real)),
+            "sqlite": ("sqlite:real/store.sqlite",
+                       f"sqlite:{real / 'store.sqlite'}"),
+            "symlink": (str(real), "link"),
+        }[spelling]
+        with pytest.raises(ValueError, match="same store"):
+            migrate_store(source, destination)
+        assert ResultStore(real).stats()["misses"] == 3
+
+    def test_path_roots_are_accepted(self, tmp_path):
+        """``pathlib.Path`` roots work on both sides, for a database and
+        for an old directory store."""
+        ResultStore(tmp_path / "a").quarantine_add("aa" * 32, {"error": "x"})
+        report = migrate_store(tmp_path / "a", tmp_path / "b")
+        assert report.quarantined == 1
+        assert set(ResultStore(tmp_path / "b").quarantine()) == {"aa" * 32}
+        old = tmp_path / "old"
+        shutil.copytree(LEGACY_STORE, old)
+        assert migrate_store(old, old).records == 2
+        assert len(list(ResultStore(old).keys())) == 2

@@ -137,11 +137,11 @@ class TestImportInPlace:
 
     def test_counters_ledgers_and_checkpoints_match(self, imported):
         store = ResultStore(str(imported))
-        assert store.backend.location == imported / "store.sqlite"
-        assert store.backend.counters() == EXPECTED["counters"]
+        assert store.location == imported / "store.sqlite"
+        assert store.counters() == EXPECTED["counters"]
         assert store.quarantine() == EXPECTED["quarantine"]
         assert store.leases() == EXPECTED["leases"]
-        assert store.backend.checkpoints() == EXPECTED["checkpoints"]
+        assert store.checkpoints() == EXPECTED["checkpoints"]
 
     def test_record_text_is_each_old_file_byte_for_byte(self, imported):
         store = ResultStore(str(imported))
@@ -199,5 +199,5 @@ def test_import_into_another_store(old_store, tmp_path):
     assert report.records == 2
     store = ResultStore(f"sqlite:{tmp_path / 'new.sqlite'}")
     assert list(store.export()) == EXPECTED["export"]
-    assert store.backend.counters() == EXPECTED["counters"]
+    assert store.counters() == EXPECTED["counters"]
     assert _files(old_store) == _files(LEGACY)  # read-only source

@@ -130,9 +130,9 @@ class TestSqliteBusyRetry:
     def _flaky_execute(monkeypatch, failures):
         import sqlite3
 
-        import repro.store.sqlite as sqlite_mod
+        import repro.store.store as store_mod
 
-        real_execute = sqlite_mod._execute
+        real_execute = store_mod._execute
 
         def flaky(db, sql, params=()):
             head = sql.lstrip().split(None, 1)[0].upper()
@@ -141,7 +141,7 @@ class TestSqliteBusyRetry:
                 raise sqlite3.OperationalError("database is locked")
             return real_execute(db, sql, params)
 
-        monkeypatch.setattr(sqlite_mod, "_execute", flaky)
+        monkeypatch.setattr(store_mod, "_execute", flaky)
 
     def test_transient_busy_retries_instead_of_degrading(
             self, tmp_path, monkeypatch):
@@ -150,10 +150,10 @@ class TestSqliteBusyRetry:
         self._flaky_execute(monkeypatch, failures)
         # error::UserWarning module filter: a degrade warning would
         # raise here instead of being swallowed.
-        store.backend.bump_counters({"puts": 5})
+        store.bump_counters({"puts": 5})
         assert failures["left"] == 0  # the busy window was actually hit
-        assert store.backend.read_only is False
-        assert store.backend.counters()["puts"] == 5
+        assert store.read_only is False
+        assert store.counters()["puts"] == 5
 
     def test_persistent_busy_eventually_degrades(self, tmp_path,
                                                  monkeypatch):
@@ -163,17 +163,17 @@ class TestSqliteBusyRetry:
         failures = {"left": 10 ** 9}
         self._flaky_execute(monkeypatch, failures)
         with pytest.warns(ResultStoreWarning, match="read-only"):
-            store.backend.bump_counters({"puts": 1})
-        assert store.backend.read_only is True
+            store.bump_counters({"puts": 1})
+        assert store.read_only is True
 
     @staticmethod
     def _busy_once(monkeypatch, statement):
         """Fail the first statement starting with ``statement`` once."""
         import sqlite3
 
-        import repro.store.sqlite as sqlite_mod
+        import repro.store.store as store_mod
 
-        real_execute = sqlite_mod._execute
+        real_execute = store_mod._execute
         failures = {"left": 1}
 
         def flaky(db, sql, params=()):
@@ -182,7 +182,7 @@ class TestSqliteBusyRetry:
                 raise sqlite3.OperationalError("database is locked")
             return real_execute(db, sql, params)
 
-        monkeypatch.setattr(sqlite_mod, "_execute", flaky)
+        monkeypatch.setattr(store_mod, "_execute", flaky)
         return failures
 
     @pytest.mark.parametrize("statement", ["PRAGMA journal_mode",
@@ -209,7 +209,7 @@ class TestSqliteBusyRetry:
             self, tmp_path, monkeypatch, statement):
         root = store_root(tmp_path, "sqlite")
         writer = ResultStore(root)
-        writer.backend.bump_counters({"puts": 2, "hits": 3, "misses": 4})
+        writer.bump_counters({"puts": 2, "hits": 3, "misses": 4})
         writer.close()
         reader = ResultStore(root)
         failures = self._busy_once(monkeypatch, statement)

@@ -162,7 +162,7 @@ def test_every_trials_record_matches_the_stdlib(tmp_path):
     store = ResultStore(f"sqlite:{tmp_path / 'trials.sqlite'}")
     result = run_campaign(trials_campaign(), store=store)
     assert result.executed == 1000 and result.unique_simulations == 25
-    db = store.backend._db()
+    db = store._db()
     rows = db.execute("SELECT key, record FROM records").fetchall()
     assert len(rows) == 1000
     for key, text in rows:

@@ -1,7 +1,7 @@
 """ResultStore behavior: round-trips, counters, corruption, gc.
 
 Every class here runs against both root spellings (``root_kind`` /
-``make_store`` from ``conftest.py``): the facade contract — not where
+``make_store`` from ``conftest.py``): the store contract — not where
 the database lives — is what these tests pin down.
 """
 
@@ -241,8 +241,8 @@ class TestSingularIsOneElementBatch:
         assert one_by_one[0] is not None
         assert one_by_one[1:] == [None, None, None]
         assert one_by_one == together
-        assert single.backend.counters() == batch.backend.counters()
-        assert batch.backend.counters() == {"puts": 3, "hits": 1,
+        assert single.counters() == batch.counters()
+        assert batch.counters() == {"puts": 3, "hits": 1,
                                             "misses": 3}
         assert len(single_warnings) == len(batch_warnings) == 1
 
@@ -253,8 +253,8 @@ class TestSingularIsOneElementBatch:
         entries[0] = (self.HIT, stored, None, None)
         single, batch = make_store("single"), make_store("batch")
         paths = [single.put(*entry) for entry in entries]
-        assert paths == [single.backend.location] * len(entries)
-        assert batch.put_many(entries) == [batch.backend.location] * 4
+        assert paths == [single.location] * len(entries)
+        assert batch.put_many(entries) == [batch.location] * 4
         assert (self._texts(single, self.KEYS)
                 == self._texts(batch, self.KEYS))
         assert single.stats()["puts"] == batch.stats()["puts"] == 4
@@ -276,6 +276,35 @@ class TestSingularIsOneElementBatch:
         assert self._texts(single, present) == self._texts(batch, present)
         assert single.campaign_keys("camp") == batch.campaign_keys("camp")
         assert len(single_warnings) == len(batch_warnings) == 1
+
+
+class TestPutIsOneTransaction:
+    """A put's records and its ``puts`` count commit together."""
+
+    def test_death_at_the_counter_upsert_leaves_neither(
+            self, make_store, sim_result, monkeypatch):
+        import repro.store.store as store_mod
+
+        class Killed(BaseException):
+            """The writer dying between the record and the count."""
+
+        real_execute = store_mod._execute
+
+        def dying(db, sql, params=()):
+            if sql.startswith("INSERT INTO counters"):
+                raise Killed()
+            return real_execute(db, sql, params)
+
+        store = make_store()
+        monkeypatch.setattr(store_mod, "_execute", dying)
+        with pytest.raises(Killed):
+            store.put_many([("ab" * 32, StoredResult.from_sim_result(
+                sim_result), None, None)])
+        monkeypatch.undo()
+        fresh = make_store()
+        assert list(fresh.keys()) == []
+        assert fresh.counters()["puts"] == 0
+        assert not fresh.read_only
 
 
 class TestStatsCache:
@@ -305,7 +334,7 @@ class TestStatsCache:
         store.put("00extra" + key[:8],
                   StoredResult.from_sim_result(sim_result))
         assert store.stats(cached=True) == snapshot  # stale by design
-        store.refresh_stats()
+        store.stats()
         assert store.stats(cached=True)["puts"] == 2
 
     def test_cached_without_snapshot_computes_one(self, make_store):

@@ -86,7 +86,7 @@ class TestSharedInstanceAcrossThreads:
 
 class TestSqliteConnectionCache:
     def test_each_thread_gets_its_own_connection(self, tmp_path):
-        backend = ResultStore(f"sqlite:{tmp_path / 's.sqlite'}").backend
+        backend = ResultStore(f"sqlite:{tmp_path / 's.sqlite'}")
         conn_ids = {}
         barrier = threading.Barrier(4)
 
@@ -104,11 +104,11 @@ class TestSqliteConnectionCache:
         assert len(set(conn_ids.values())) == 4
 
     def test_connection_is_reused_within_a_thread(self, tmp_path):
-        backend = ResultStore(f"sqlite:{tmp_path / 's.sqlite'}").backend
+        backend = ResultStore(f"sqlite:{tmp_path / 's.sqlite'}")
         assert backend._db() is backend._db()
 
     def test_close_invalidates_every_thread_cache(self, tmp_path):
-        backend = ResultStore(f"sqlite:{tmp_path / 's.sqlite'}").backend
+        backend = ResultStore(f"sqlite:{tmp_path / 's.sqlite'}")
         first = backend._db()
         backend.close()
         second = backend._db()

@@ -214,7 +214,7 @@ class TestReadOnlyDegradation:
     @staticmethod
     def _tables(store):
         """Every row of every table, for an unchanged-store check."""
-        db = store.backend._db()
+        db = store._db()
         return {table: db.execute(f"SELECT * FROM {table}").fetchall()
                 for table in ("records", "tags", "counters", "quarantine",
                               "leases", "checkpoints")}
@@ -238,7 +238,7 @@ class TestReadOnlyDegradation:
         rewrite_record(store, stale, json.dumps(record))
         store.quarantine_add(good, {"error": "boom"})
         store.lease_update(good, {"worker": "w1"})
-        location = store.backend.location
+        location = store.location
         calls = {
             "put": (lambda: store.put(new, stored), location),
             "put_many": (lambda: store.put_many(

@@ -247,9 +247,9 @@ class CampaignExecutor:
         #: Optional ``(campaign_name, metas)`` with one tag-meta dict
         #: per config (set by the runner). When present, replicated
         #: sibling records are written with their campaign tag already
-        #: in place, so the runner's post-hoc tag pass reads — but
-        #: never rewrites — them (the bytes match put-then-tag
-        #: exactly).
+        #: in place, so the runner's post-hoc tag pass finds the tag in
+        #: the store's tags index and neither reads nor rewrites them
+        #: (the bytes match put-then-tag exactly).
         self.tag_plan: Optional[Tuple[str, Sequence[Optional[dict]]]] = None
         #: Per-stage wall-clock seconds of the last ``execute`` pass.
         self.profile: Dict[str, float] = {}

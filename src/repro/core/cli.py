@@ -510,12 +510,21 @@ def build_repro_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _repro_store(args):
-    """The store a ``repro`` subcommand operates on (always set)."""
+def _repro_store(args, create: bool = True):
+    """The store a ``repro`` subcommand operates on (always set).
+
+    Commands that only inspect or maintain a store pass
+    ``create=False``: a root whose database does not exist is then a
+    ``ValueError`` (exit 2) instead of a new, empty store, so a
+    mistyped root is reported and nothing is created.
+    """
     from repro.store import ResultStore, default_store_root
 
     root = args.store or default_store_root() or ".repro-store"
-    return ResultStore(root)
+    store = ResultStore(root)
+    if not create and not store.location.exists():
+        raise ValueError(f"no store at {root}")
+    return store
 
 
 def _render_quarantine_entry(key: str, entry: dict) -> str:
@@ -539,7 +548,7 @@ def _render_quarantine_entry(key: str, entry: dict) -> str:
 def _cmd_store(args) -> int:
     if args.store_command == "migrate":
         return _cmd_store_migrate(args)
-    store = _repro_store(args)
+    store = _repro_store(args, create=False)
     if args.store_command == "stats":
         from repro.store import hit_rate
 
@@ -792,7 +801,7 @@ def _cmd_worker(args) -> int:
 def _cmd_book(args) -> int:
     from repro.analysis.book import build_book
 
-    written = build_book(_repro_store(args), args.out_dir,
+    written = build_book(_repro_store(args, create=False), args.out_dir,
                          campaigns=args.campaign, title=args.title)
     for path in written:
         print(f"wrote {path}")

@@ -170,14 +170,18 @@ def migrate_store(source: StoreLike,
     the old directory itself puts the database at
     ``DIR/store.sqlite``. Existing destination records with the same
     key are overwritten with the source's bytes; destination counters
-    *accumulate* the source totals. Raises ``ValueError`` when source
-    and destination are the same database file, however spelled
-    (relative or absolute paths, symlinks).
+    *accumulate* the source totals. Raises ``ValueError``, before
+    anything is created, when the source database does not exist, and
+    when source and destination are the same database file, however
+    spelled (relative or absolute paths, symlinks).
     """
     legacy = (None if isinstance(source, ResultStore)
               else legacy_directory(source))
     src = (DirectoryStoreReader(legacy) if legacy is not None
            else as_store(source))
+    if isinstance(src, ResultStore) and not src.location.exists():
+        named = src.root if isinstance(source, ResultStore) else source
+        raise ValueError(f"no store at {os.fspath(named)}")
     if not isinstance(destination, ResultStore):
         into = legacy_directory(destination)
         if into is not None and not os.fspath(destination).startswith(

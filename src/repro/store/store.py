@@ -46,9 +46,13 @@ Design points:
   one-element case of ``get_batch``, ``put_many`` and ``tag_many``.
   Internal calls use the private bodies, never these public names, so
   a wrapper around each public method sees one call per operation.
+* **The tag pass trusts the index.** A record's text and its ``tags``
+  rows are written together, so ``tag``/``tag_many`` answer an entry
+  whose row already holds the meta without reading the record, and a
+  put that replaces a record carries the tags stored on it.
 * **Integrity is checkable.** :meth:`ResultStore.verify` is an fsck
-  (:func:`verify_record` per record, ``PRAGMA quick_check`` for the
-  database).
+  (:func:`verify_record` per record, the ``tags`` index against the
+  record text, ``PRAGMA quick_check`` for the database).
 """
 
 from __future__ import annotations
@@ -114,6 +118,26 @@ CREATE TABLE IF NOT EXISTS checkpoints (
 );
 """
 
+#: The tag pass's index lookup: one entry's meta text, when its record
+#: exists at the current schema (the record text is never read).
+_TAGGED_SQL = ("SELECT t.meta FROM tags AS t "
+               "JOIN records AS r ON r.key = t.key "
+               "WHERE t.key = ? AND t.campaign = ? AND r.schema = ?")
+
+#: What :func:`_loads` returns for NULL or unparsable text; it equals
+#: no meta.
+_UNREADABLE = object()
+
+_COUNTERS_SQL = "SELECT name, value FROM counters"
+
+#: ``stats()``'s footprint: record count, current-schema count, record
+#: bytes, quarantine and lease entries.
+_FOOTPRINT_SQL = ("SELECT COUNT(*), "
+                  "COALESCE(SUM(schema = ?), 0), "
+                  "COALESCE(SUM(LENGTH(record)), 0), "
+                  "(SELECT COUNT(*) FROM quarantine), "
+                  "(SELECT COUNT(*) FROM leases) FROM records")
+
 #: What every entry point taking a store accepts: a store or its root.
 StoreLike = Union["ResultStore", str, "os.PathLike[str]"]
 
@@ -152,6 +176,25 @@ def _execute(db: sqlite3.Connection, sql: str,
     tricks can't produce a read-only database.
     """
     return db.execute(sql, params)
+
+
+def _loads(text: Optional[str]) -> object:
+    """The value of one column's JSON text, or :data:`_UNREADABLE` when
+    it is NULL or does not parse."""
+    if text is None:
+        return _UNREADABLE
+    try:
+        return json.loads(text)
+    except ValueError:
+        return _UNREADABLE
+
+
+def _counter_totals(rows: Iterable[tuple]) -> Dict[str, int]:
+    """Lifetime counter totals from ``counters`` rows."""
+    totals = {"puts": 0, "hits": 0, "misses": 0}
+    for name, value in rows:
+        totals[name] = int(value)
+    return totals
 
 
 @contextlib.contextmanager
@@ -373,17 +416,26 @@ class ResultStore:
             self._degrade(exc)
             return default
 
-    def _rows(self, sql: str, params: Tuple = ()) -> List[tuple]:
-        """Fetch query rows, tolerating an unopenable/corrupt database."""
+    def _read(self, operation, default):
+        """Run one read, tolerating an unopenable/corrupt database.
+
+        ``operation(db)`` runs under the busy retry and its return value
+        is passed back. A database that cannot be read warns once and
+        gives ``default``.
+        """
         try:
-            return self._retry(
-                lambda: _execute(self._db(), sql, params).fetchall())
+            return self._retry(lambda: operation(self._db()))
         except (sqlite3.Error, OSError) as exc:
             warnings.warn(
                 f"unreadable store database {self.location}: {exc}",
-                ResultStoreWarning, stacklevel=4,
+                ResultStoreWarning, stacklevel=5,
             )
-            return []
+            return default
+
+    def _rows(self, sql: str, params: Tuple = ()) -> List[tuple]:
+        """Fetch query rows (none, with one warning, when unreadable)."""
+        return self._read(
+            lambda db: _execute(db, sql, params).fetchall(), [])
 
     # -- records -----------------------------------------------------------
 
@@ -481,6 +533,16 @@ class ResultStore:
         }
 
     @staticmethod
+    def _tag_index(record: dict) -> Dict[str, str]:
+        """The ``tags`` rows one record document indexes to: campaign
+        → meta text."""
+        tags = record.get("tags")
+        if not isinstance(tags, dict):
+            return {}
+        return {str(campaign): json.dumps(meta, sort_keys=True)
+                for campaign, meta in tags.items()}
+
+    @staticmethod
     def _publish(db: sqlite3.Connection, key: str, record: dict) -> None:
         """Write one record document and its tag index rows (inside a
         transaction)."""
@@ -490,14 +552,25 @@ class ResultStore:
                  "schema = excluded.schema, record = excluded.record",
                  (key, record.get("schema"), dump_record_text(record)))
         _execute(db, "DELETE FROM tags WHERE key = ?", (key,))
-        tags = record.get("tags")
-        if isinstance(tags, dict):
-            for campaign, meta in tags.items():
-                _execute(db,
-                         "INSERT INTO tags (key, campaign, meta) "
-                         "VALUES (?, ?, ?)",
-                         (key, str(campaign),
-                          json.dumps(meta, sort_keys=True)))
+        for campaign, meta in ResultStore._tag_index(record).items():
+            _execute(db,
+                     "INSERT INTO tags (key, campaign, meta) "
+                     "VALUES (?, ?, ?)",
+                     (key, campaign, meta))
+
+    @staticmethod
+    def _indexed_tags(db: sqlite3.Connection, key: str) -> Dict[str, object]:
+        """One key's tags as its index rows hold them (inside a
+        transaction); a row whose meta is NULL or unparsable is left
+        out."""
+        tags: Dict[str, object] = {}
+        for campaign, text in _execute(
+                db, "SELECT campaign, meta FROM tags WHERE key = ?",
+                (key,)).fetchall():
+            meta = _loads(text)
+            if meta is not _UNREADABLE:
+                tags[campaign] = meta
+        return tags
 
     def write_records(self, entries: Iterable[Tuple[str, dict]]) -> int:
         """Publish many raw record documents in one transaction.
@@ -541,10 +614,12 @@ class ResultStore:
         ``entries`` yields ``(key, result, provenance, tags)`` tuples.
         Writing campaign tags at put time makes a later
         :meth:`tag`/:meth:`tag_many` of the same ``{campaign: meta}``
-        a read-only no-op (records serialize with the same canonical
-        formatting either way, so the stored bytes are identical). A
-        failed write degrades the store exactly like :meth:`put`.
-        Returns the database path once per entry.
+        an index lookup that never reads the record (records serialize
+        with the same canonical formatting either way, so the stored
+        bytes are identical). A put that replaces a record keeps the
+        tags other campaigns stored on it; where both name a campaign,
+        the put's meta wins. A failed write degrades the store exactly
+        like :meth:`put`. Returns the database path once per entry.
         """
         return self._put_many(entries)
 
@@ -556,13 +631,21 @@ class ResultStore:
         """The one write body behind :meth:`put` and :meth:`put_many`.
 
         The records and the ``puts`` bump share one transaction, so a
-        writer that dies mid-put leaves neither behind.
+        writer that dies mid-put leaves neither behind. The tag rows of
+        a record being replaced are carried into the new record's
+        ``tags`` in the same transaction, so a re-put never drops a tag
+        another campaign stored; a first-time put writes its envelope
+        unchanged.
         """
         records = [(key, self._envelope(key, result, provenance, tags))
                    for key, result, provenance, tags in entries]
         if records:
             def publish(db: sqlite3.Connection) -> None:
                 for key, record in records:
+                    carried = self._indexed_tags(db, key)
+                    if carried:
+                        carried.update(record["tags"])
+                        record = dict(record, tags=carried)
                     self._publish(db, key, record)
                 self._add_counters(db, {"puts": len(records)})
 
@@ -598,11 +681,18 @@ class ResultStore:
     ) -> int:
         """The one tag body behind :meth:`tag` and :meth:`tag_many`.
 
-        The record text and the ``tags`` index move together: the tag is
-        merged into the parsed document, the canonical text rewritten,
-        and the index row upserted — all inside a single transaction, so
-        a reader (or a migration) never sees them disagree. When the
-        write is skipped or fails, the readable records are counted.
+        :meth:`_publish` writes a record's text and its ``tags`` rows in
+        one transaction, so the index answers "does this record already
+        carry this tag?" exactly. Inside the write transaction each entry
+        is first looked up there: a current-schema record whose row holds
+        an equal meta (a value comparison, so ``0`` and ``0.0`` agree)
+        counts as tagged without its record being read. Every other
+        entry merges the tag into the parsed document and rewrites the
+        canonical text and its rows. The lookup runs under the write lock
+        and sees this transaction's own writes, so a concurrent re-put or
+        a key named twice in one call gets the answer reading the record
+        would give. When the write is skipped or fails, the readable
+        records are counted.
         """
         entries = list(entries)
         if not entries:
@@ -611,6 +701,11 @@ class ResultStore:
         def merge(db: sqlite3.Connection) -> int:
             tagged = 0
             for key, campaign, meta in entries:
+                row = _execute(db, _TAGGED_SQL,
+                               (key, campaign, SCHEMA_VERSION)).fetchone()
+                if row is not None and _loads(row[0]) == (meta or {}):
+                    tagged += 1
+                    continue
                 row = _execute(
                     db, "SELECT record FROM records WHERE key = ?",
                     (key,)).fetchone()
@@ -655,10 +750,7 @@ class ResultStore:
 
     def counters(self) -> Dict[str, int]:
         """Fresh lifetime counter totals."""
-        totals = {"puts": 0, "hits": 0, "misses": 0}
-        for name, value in self._rows("SELECT name, value FROM counters"):
-            totals[name] = int(value)
-        return totals
+        return _counter_totals(self._rows(_COUNTERS_SQL))
 
     # -- quarantine and lease ledgers --------------------------------------
 
@@ -828,25 +920,29 @@ class ResultStore:
         snapshot when one exists (copied, so callers can annotate it
         freely), only falling back to a fresh read the first time; a
         hot stats endpoint serves the cache and refreshes on its own
-        schedule via ``stats()``.
+        schedule via ``stats()``. Both queries are one read, so an
+        unreadable database warns once per call and reports zeros.
         """
         if cached and self._stats_cache is not None:
             return dict(self._stats_cache)
-        stats: Dict[str, object] = dict(self.counters())
-        rows = self._rows(
-            "SELECT COUNT(*), "
-            "COALESCE(SUM(schema = ?), 0), "
-            "COALESCE(SUM(LENGTH(record)), 0) FROM records",
-            (SCHEMA_VERSION,))
-        total, current, nbytes = rows[0] if rows else (0, 0, 0)
+
+        def read(db: sqlite3.Connection):
+            return (_execute(db, _COUNTERS_SQL).fetchall(),
+                    _execute(db, _FOOTPRINT_SQL,
+                             (SCHEMA_VERSION,)).fetchone())
+
+        counter_rows, footprint = self._read(read, ([], None))
+        total, current, nbytes, quarantined, leases = (
+            footprint or (0, 0, 0, 0, 0))
+        stats: Dict[str, object] = dict(_counter_totals(counter_rows))
         stats.update(
             records=int(current),
             stale_records=int(total) - int(current),
             bytes=int(nbytes),
             root=str(self.root), schema=SCHEMA_VERSION,
             backend=self.scheme,
-            quarantined=len(self.quarantine()),
-            leases=len(self.leases()),
+            quarantined=int(quarantined),
+            leases=int(leases),
         )
         self._stats_cache = dict(stats)
         return stats
@@ -860,10 +956,17 @@ class ResultStore:
         payload loads as a :class:`StoredResult`, and — when a
         provenance block is present — the provenance hashes back to the
         record's own key (the content-address actually addresses the
-        content). The metadata check is SQLite's own
-        ``PRAGMA quick_check``. ``gc=True`` sweeps every failing record
-        (exactly the set that would otherwise warn as
-        :class:`ResultStoreWarning` or never hit).
+        content). A sound record's ``tags`` object must also match its
+        rows in the ``tags`` index, meta for meta as the text
+        :meth:`_publish` writes, and every index row must belong to a
+        record: the tag pass answers from the index alone. The metadata
+        check is SQLite's own ``PRAGMA quick_check``.
+
+        ``gc=True`` sweeps every failing record (exactly the set that
+        would otherwise warn as :class:`ResultStoreWarning` or never
+        hit), rebuilds a sound record's drifted rows by publishing it
+        again from its own text, and drops rows that have no record;
+        ``swept`` counts the problems it resolved.
         """
         report = VerifyReport()
         try:
@@ -872,38 +975,84 @@ class ResultStore:
             report.meta_ok = bool(check) and check[0] == "ok"
         except (sqlite3.Error, OSError):
             report.meta_ok = False
+
+        def scan(db: sqlite3.Connection):
+            return (_execute(db, "SELECT key, record FROM records "
+                                 "ORDER BY key").fetchall(),
+                    _execute(db, "SELECT key, campaign, meta "
+                                 "FROM tags").fetchall())
+
+        records, tag_rows = self._read(scan, ([], []))
+        index: Dict[str, Dict[str, Optional[str]]] = {}
+        for key, campaign, meta in tag_rows:
+            index.setdefault(key, {})[campaign] = meta
         failing: List[str] = []
-        for key, text in self._rows(
-                "SELECT key, record FROM records ORDER BY key"):
+        drifted: List[str] = []
+        for key, text in records:
             report.checked += 1
+            rows = index.pop(key, {})
             try:
                 data = json.loads(text)
             except ValueError as exc:
                 problem: Optional[str] = f"unparsable: {exc}"
             else:
                 problem = verify_record(key, data)
-            if problem is None:
+            if problem is not None:
+                failing.append(key)
+            elif self._tag_index(data) != rows:
+                problem = "tags index disagrees with the record's tags"
+                drifted.append(key)
+            else:
                 report.ok += 1
                 continue
             report.problems.append(VerifyProblem(
                 path=self.location, key=key, problem=problem))
-            failing.append(key)
-        if gc and failing:
-            report.swept = self._delete_keys(failing)
+        orphans = sorted(index)
+        for key in orphans:
+            report.problems.append(VerifyProblem(
+                path=self.location, key=key,
+                problem=f"{len(index[key])} tag row(s) with no record"))
+        if gc and report.problems:
+            report.swept = self._sweep(failing, drifted, orphans)
         return report
 
-    def _delete_keys(self, keys: List[str]) -> int:
-        """Drop record rows (and their tag index rows); returns count."""
-        def drop(db: sqlite3.Connection) -> int:
-            removed = 0
-            for key in keys:
-                cursor = _execute(
-                    db, "DELETE FROM records WHERE key = ?", (key,))
-                removed += cursor.rowcount
-                _execute(db, "DELETE FROM tags WHERE key = ?", (key,))
-            return removed
+    def _sweep(self, failing: List[str], drifted: List[str],
+               orphans: List[str]) -> int:
+        """Resolve verify's problems in one transaction; returns how many.
 
-        return self._write(drop, 0)
+        Failing records are dropped with their rows. A drifted record is
+        published again from the text it holds now, which rebuilds its
+        rows. An orphan key's rows are dropped unless a record arrived
+        since the scan.
+        """
+        def sweep(db: sqlite3.Connection) -> int:
+            resolved = self._drop(db, failing)
+            for key in drifted:
+                row = _execute(db, "SELECT record FROM records WHERE key = ?",
+                               (key,)).fetchone()
+                data = _loads(row[0]) if row is not None else None
+                if isinstance(data, dict):
+                    self._publish(db, key, data)
+                    resolved += 1
+            for key in orphans:
+                cursor = _execute(
+                    db, "DELETE FROM tags WHERE key = ? AND NOT EXISTS "
+                        "(SELECT 1 FROM records WHERE key = ?)", (key, key))
+                resolved += cursor.rowcount > 0
+            return resolved
+
+        return self._write(sweep, 0)
+
+    @staticmethod
+    def _drop(db: sqlite3.Connection, keys: List[str]) -> int:
+        """Drop record rows and their tag index rows (inside a
+        transaction); returns the records removed."""
+        removed = 0
+        for key in keys:
+            removed += _execute(
+                db, "DELETE FROM records WHERE key = ?", (key,)).rowcount
+            _execute(db, "DELETE FROM tags WHERE key = ?", (key,))
+        return removed
 
     def gc(self, remove_all: bool = False) -> int:
         """Remove stale (wrong-schema or unreadable) records.
@@ -923,7 +1072,7 @@ class ResultStore:
             except (ValueError, AttributeError):
                 pass
             stale.append(key)
-        return self._delete_keys(stale)
+        return self._write(lambda db: self._drop(db, stale), 0)
 
     def export(self) -> Iterator[str]:
         """Each usable record as one JSON line (``repro store export``)."""

@@ -204,6 +204,28 @@ class TestRunner:
         [(_key, record)] = ResultStore(root).records()
         assert set(record["tags"]) == {"tiny", "again"}
 
+    def test_a_later_put_keeps_the_campaign_tag(self, tmp_path):
+        """A point simulated again outside the campaign (the service's
+        cold scheduler, a plain suite) is re-put without tags; the
+        campaign must still find it."""
+        from repro.core.suite import MicroBenchmarkSuite
+
+        campaign = Campaign(**dict(TINY, name="camp-a", shuffle_gbs=(0.02,),
+                                   networks=("1GigE",)))
+        store = ResultStore(tmp_path / "store")
+        assert run_campaign(campaign, store=store).executed == 1
+        clear_result_cache()
+        suite = MicroBenchmarkSuite(
+            cluster=campaign.cluster_spec(), jobconf=campaign.jobconf(),
+            fault_plan=campaign.fault_plan, store=store)
+        config = campaign.points()[0].config
+        suite.simulate_point(config)
+        key = suite.store_key(config)
+        assert store.stats()["puts"] == 2
+        assert list(store.fetch_record(key)["tags"]) == ["camp-a"]
+        assert store.campaign_keys("camp-a") == [key]
+        assert store.verify().clean
+
     @pytest.mark.parametrize("batch", [True, False])
     def test_value_equal_spellings_are_distinct_points(self, tmp_path,
                                                        batch):

@@ -443,3 +443,52 @@ class TestStoreCliExtensions:
                                destination]) == 2
             assert "same store" in capsys.readouterr().err
         assert ResultStore(real).stats()["misses"] == 3
+
+
+class TestMissingStore:
+    """Commands that inspect or maintain a store refuse a root that holds
+    none, exit 2 and create nothing; a mistyped root is not a new store."""
+
+    COMMANDS = {
+        "stats": ["store", "stats", "--store", "{typo}"],
+        "ls": ["store", "ls", "--store", "{typo}"],
+        "export": ["store", "export", "--store", "{typo}"],
+        "verify": ["store", "verify", "--store", "{typo}"],
+        "gc": ["store", "gc", "--store", "{typo}"],
+        "book": ["book", "{out}", "--store", "{typo}"],
+        "migrate": ["store", "migrate", "{typo}", "{out}"],
+    }
+
+    @staticmethod
+    def _path(root):
+        """The filesystem path a root string names."""
+        return root[len("sqlite:"):] if root.startswith("sqlite:") else root
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_refused_and_nothing_created(self, command, tmp_path, capsys,
+                                         root_kind):
+        typo = cli_store_root(tmp_path, root_kind, "typo")
+        out = str(tmp_path / "out")
+        argv = [arg.format(typo=typo, out=out)
+                for arg in self.COMMANDS[command]]
+        assert repro_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no store at {typo}\n"
+        assert captured.out == ""
+        assert not os.path.exists(self._path(typo))
+        assert not os.path.exists(out)
+
+    def test_migrate_store_refuses_a_missing_source(self, tmp_path):
+        from repro.store import migrate_store
+
+        with pytest.raises(ValueError, match="no store at"):
+            migrate_store(tmp_path / "typo", tmp_path / "dst")
+        assert sorted(os.listdir(tmp_path)) == []
+
+    def test_writers_still_create_their_store(self, tmp_path, spec_path,
+                                              capsys):
+        store = tmp_path / "new"
+        assert repro_main(["campaign", "run", str(spec_path), "--store",
+                           str(store), "--quiet"]) == 0
+        assert (store / "store.sqlite").is_file()
+        assert repro_main(["store", "stats", "--store", str(store)]) == 0

@@ -4,9 +4,11 @@ The headline hardening bug this file pins: store counter updates were
 once read-modify-write with no inter-process exclusion, so two
 concurrent ``campaign run`` processes lost puts/hits/misses
 increments. The multiprocess stress class runs against both root
-spellings and must land on the exact final count; the busy-retry class
-pins that a transient ``SQLITE_BUSY`` neither degrades the store nor
-turns a read into a miss.
+spellings and must land on the exact final count, and re-puts racing
+tag passes must leave every tag in place and the tags index agreeing
+with the record text; the busy-retry class pins that a transient
+``SQLITE_BUSY`` neither degrades the store nor turns a read into a
+miss.
 """
 
 import multiprocessing
@@ -49,6 +51,26 @@ def _tag_worker(args):
     store = ResultStore(root)
     for key in keys:
         store.tag(key, f"campaign-{worker_id}", {"w": worker_id})
+
+
+def _reput_or_tag_worker(args):
+    """Stress worker: re-put records without tags, or tag passes of one
+    campaign whose meta flips every round (so each pass rewrites)."""
+    import warnings
+
+    from repro.store import StoredResult
+
+    root, role, keys, rounds, payload = args
+    store = ResultStore(root)
+    result = StoredResult.from_dict(payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for round_ in range(rounds):
+            if role.startswith("put"):
+                store.put_many([(key, result, None, None) for key in keys])
+            else:
+                store.tag_many([(key, role, {"round": round_ % 2})
+                                for key in keys])
 
 
 class TestConcurrentCounters:
@@ -100,6 +122,37 @@ class TestConcurrentCounters:
         expected = {f"campaign-{w}" for w in range(self.WORKERS)}
         for _key, record in ResultStore(root).records():
             assert set(record["tags"]) == expected
+
+    def test_reputs_racing_tag_passes_keep_index_and_text_agreed(
+            self, tmp_path, root_kind, sim_result):
+        """Two processes re-put the records without tags while two run
+        tag passes of two campaigns over them. Puts keep the tags, so
+        both campaigns are complete as soon as the workers finish, one
+        final pass per campaign counts every record, and the tags index
+        agrees with every record's text."""
+        from repro.store import StoredResult
+
+        root = store_root(tmp_path, root_kind)
+        store = ResultStore(root)
+        result = StoredResult.from_sim_result(sim_result)
+        keys = [f"{i:02x}" + "b" * 62 for i in range(8)]
+        store.put_many([(key, result, None, None) for key in keys])
+        roles = ["put-0", "put-1", "camp-0", "camp-1"]
+        with multiprocessing.Pool(len(roles)) as pool:
+            pool.map(_reput_or_tag_worker,
+                     [(root, role, keys, 10, result.to_dict())
+                      for role in roles])
+        for campaign in ("camp-0", "camp-1"):
+            assert store.campaign_keys(campaign) == sorted(keys)
+        for campaign in ("camp-0", "camp-1"):
+            assert store.tag_many([(key, campaign, {"final": True})
+                                   for key in keys]) == len(keys)
+            assert store.campaign_keys(campaign) == sorted(keys)
+        for _key, record in store.records():
+            assert record["tags"] == {"camp-0": {"final": True},
+                                      "camp-1": {"final": True}}
+        assert store.verify().clean
+        assert store.stats()["puts"] == len(keys) * 21
 
 
 @pytest.fixture(scope="module")

@@ -127,6 +127,117 @@ class TestVerify:
             report = fresh.verify()
         assert report.meta_ok is False
 
+    def test_stats_on_a_damaged_database_warns_once(self, tmp_path,
+                                                    root_kind):
+        store, _keys = _fill(tmp_path, root_kind)
+        corrupt_metadata(store)
+        fresh = ResultStore(store_root(tmp_path, root_kind))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stats = fresh.stats()
+        assert [w.category for w in caught] == [ResultStoreWarning]
+        assert "unreadable" in str(caught[0].message)
+        assert (stats["records"], stats["puts"], stats["quarantined"],
+                stats["leases"]) == (0, 0, 0, 0)
+
+
+class TestTagIndexCheck:
+    """``verify`` holds the tags index to the record text it indexes,
+    and ``verify(gc=True)`` rebuilds the index instead of deleting a
+    sound result. Rows are added, deleted and altered through SQL."""
+
+    @staticmethod
+    def _tagged(tmp_path, root_kind):
+        store, keys = _fill(tmp_path, root_kind)
+        store.tag_many([(key, "camp", {"trial": i})
+                        for i, key in enumerate(keys)])
+        assert store.verify().clean
+        return store, keys
+
+    @staticmethod
+    def _sql(store, sql, params=()):
+        db = store._db()
+        with db:
+            db.execute(sql, params)
+
+    @staticmethod
+    def _records(store):
+        return store._db().execute(
+            "SELECT key, record FROM records ORDER BY key").fetchall()
+
+    def _check_repaired(self, store, keys, texts, problem):
+        report = store.verify()
+        assert [(p.key, p.problem) for p in report.problems] == [
+            (keys[0], problem)]
+        assert report.checked == 2 and report.ok == 1
+        report = store.verify(gc=True)
+        assert report.swept == 1
+        assert store.verify().clean
+        assert self._records(store) == texts
+        assert store.campaign_keys("camp") == sorted(keys)
+
+    def test_deleted_row_is_reported_and_rebuilt(self, tmp_path, root_kind):
+        store, keys = self._tagged(tmp_path, root_kind)
+        texts = self._records(store)
+        self._sql(store, "DELETE FROM tags WHERE key = ?", (keys[0],))
+        self._check_repaired(store, keys, texts,
+                             "tags index disagrees with the record's tags")
+
+    def test_added_row_is_reported_and_dropped(self, tmp_path, root_kind):
+        store, keys = self._tagged(tmp_path, root_kind)
+        texts = self._records(store)
+        self._sql(store, "INSERT INTO tags (key, campaign, meta) "
+                         "VALUES (?, 'ghost', '{}')", (keys[0],))
+        self._check_repaired(store, keys, texts,
+                             "tags index disagrees with the record's tags")
+        assert store.campaign_keys("ghost") == []
+
+    @pytest.mark.parametrize("meta", ['{"trial": 99}', '{"trial":0}',
+                                      None, "{ nope"])
+    def test_altered_meta_is_reported_and_rebuilt(self, tmp_path,
+                                                  root_kind, meta):
+        """Any meta text but the one ``_publish`` writes is drift, even a
+        value-equal spelling."""
+        store, keys = self._tagged(tmp_path, root_kind)
+        texts = self._records(store)
+        self._sql(store, "UPDATE tags SET meta = ? WHERE key = ?",
+                  (meta, keys[0]))
+        self._check_repaired(store, keys, texts,
+                             "tags index disagrees with the record's tags")
+
+    def test_orphan_rows_are_reported_and_dropped(self, tmp_path,
+                                                  root_kind):
+        store, keys = self._tagged(tmp_path, root_kind)
+        texts = self._records(store)
+        orphan = "ee" * 32
+        for campaign in ("camp", "other"):
+            self._sql(store, "INSERT INTO tags (key, campaign, meta) "
+                             "VALUES (?, ?, '{}')", (orphan, campaign))
+        report = store.verify()
+        assert [(p.key, p.problem) for p in report.problems] == [
+            (orphan, "2 tag row(s) with no record")]
+        assert report.checked == report.ok == 2
+        assert store.verify(gc=True).swept == 1
+        assert store.verify().clean
+        assert self._records(store) == texts
+        assert store.campaign_keys("camp") == sorted(keys)
+        assert store.campaign_keys("other") == []
+
+    def test_a_failing_record_is_still_swept(self, tmp_path, root_kind):
+        """A record with a real problem is reported for it (not for its
+        rows) and swept with its rows."""
+        store, keys = self._tagged(tmp_path, root_kind)
+        rewrite_record(store, keys[0], "garbage")
+        self._sql(store, "DELETE FROM tags WHERE key = ?", (keys[1],))
+        problems = {p.key: p.problem for p in store.verify().problems}
+        assert problems[keys[0]].startswith("unparsable")
+        assert problems[keys[1]] == (
+            "tags index disagrees with the record's tags")
+        assert store.verify(gc=True).swept == 2
+        assert store.verify().clean
+        assert list(store.keys()) == [keys[1]]
+        assert store.campaign_keys("camp") == [keys[1]]
+
 
 def _old_directory_store(tmp_path, files):
     """A minimal old-layout directory store: ``files`` (relative path ->

@@ -5,8 +5,9 @@ of intermediate records — and therefore bytes — the reducer fetches
 from that map's host. This module produces that matrix by *running the
 configured partitioner*:
 
-* exactly, record by record, when the per-map pair count is small
-  enough (tests, functional engine cross-validation); or
+* exactly, replaying the partitioner's draws pair by pair, when the
+  per-map pair count is small enough (tests, functional engine
+  cross-validation, the service's small cold points); or
 * via a seeded multinomial draw from the partitioner's
   ``expected_distribution()`` when a map generates millions of pairs
   (a 64 GB / 1 KB sweep point has 6.4e7 records; looping in Python
@@ -19,13 +20,14 @@ the exact counts have a closed form.
 
 from __future__ import annotations
 
+import random
 from typing import List
 
 import numpy as np
 
 from repro.core.config import BenchmarkConfig, PATTERN_AVG
 from repro.core.datagen import KeyValueGenerator
-from repro.core.partitioners import make_partitioner
+from repro.core.partitioners import make_partitioner, seat_generator
 
 #: Per-map record count above which the sampled path is used.
 EXACT_LIMIT = 250_000
@@ -123,11 +125,40 @@ def _avg_matrix(config: BenchmarkConfig) -> np.ndarray:
     return np.vstack(rows)
 
 
+def _pattern_matrix(config: BenchmarkConfig, exact_limit: int) -> np.ndarray:
+    """The matrix of a PRNG-driven pattern, one map row at a time.
+
+    Map ``m``'s partitioner is seeded ``config.seed + m``. An exact row
+    seats one shared ``MT19937`` at that seed's ``random.Random`` state
+    and runs the partitioner's row kernel, which counts the same pairs
+    ``exact_counts`` would without touching a Python PRNG; a row above
+    ``exact_limit`` is sampled.
+    """
+    partitioner = make_partitioner(config.pattern, config.num_reduces,
+                                   seed=config.seed)
+    mt = np.random.MT19937()
+    rows = []
+    for map_id in range(config.num_maps):
+        pairs = config.pairs_for_map(map_id)
+        if pairs > exact_limit:
+            rows.append(_sampled_counts(config, map_id))
+        elif partitioner.uses_keys:
+            rows.append(_exact_counts(config, map_id))
+        else:
+            seat_generator(mt, random.Random(config.seed + map_id).getstate())
+            rows.append(partitioner.row_counts(mt, pairs)[0])
+    return np.vstack(rows)
+
+
 #: Record matrices keyed by the fields that determine them. The matrix
 #: is independent of the network/cluster, so sweep points that differ
-#: only in interconnect share one computation. Matrices are tiny
-#: (maps x reduces int64), so the cache is unbounded.
+#: only in interconnect share one computation.
 _MATRIX_CACHE: dict = {}
+
+#: Most matrices the cache holds before it starts over: far above the
+#: 34 the shipped figure specs need, so only a long-lived process (a
+#: ``repro serve`` answering distinct cold points) ever reaches it.
+MATRIX_CACHE_LIMIT = 512
 
 
 def clear_matrix_cache() -> None:
@@ -154,20 +185,20 @@ def matrix_cache_key(
 def compute_shuffle_matrix(
     config: BenchmarkConfig, exact_limit: int = EXACT_LIMIT
 ) -> ShuffleMatrix:
-    """Build the (maps x reduces) record-count matrix for a config."""
+    """Build the (maps x reduces) record-count matrix for a config.
+
+    Matrices are memoized process-wide on :func:`matrix_cache_key`; the
+    memo starts over once it holds :data:`MATRIX_CACHE_LIMIT` of them.
+    """
     key = matrix_cache_key(config, exact_limit)
     records = _MATRIX_CACHE.get(key)
     if records is None:
         if config.pattern == PATTERN_AVG:
             records = _avg_matrix(config)
         else:
-            rows = []
-            for map_id in range(config.num_maps):
-                if config.pairs_for_map(map_id) <= exact_limit:
-                    rows.append(_exact_counts(config, map_id))
-                else:
-                    rows.append(_sampled_counts(config, map_id))
-            records = np.vstack(rows)
+            records = _pattern_matrix(config, exact_limit)
+        if len(_MATRIX_CACHE) >= MATRIX_CACHE_LIMIT:
+            _MATRIX_CACHE.clear()
         _MATRIX_CACHE[key] = records
     return ShuffleMatrix(config, records)
 

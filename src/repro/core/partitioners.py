@@ -38,33 +38,35 @@ _RANDOM_SCALE = 1.0 / 9007199254740992.0  # 2**-53
 _WINDOW = 1 << 16
 
 
-def _mt_from(rng: random.Random) -> np.random.MT19937:
-    """A numpy MT19937 positioned at ``rng``'s exact generator state.
+def seat_generator(mt: np.random.MT19937, state: tuple) -> None:
+    """Position ``mt`` at a ``random.Random`` state, ``rng.getstate()``.
 
     CPython's ``random.Random`` and numpy's ``MT19937`` share the same
-    core generator, so transplanting the 624-word state vector makes
-    ``mt.random_raw(n)`` reproduce the next ``n`` 32-bit words ``rng``
-    would draw — the basis of the vectorized ``exact_counts`` paths.
+    core generator, so transplanting the 624-word state vector through
+    the public ``mt.state`` setter makes ``mt.random_raw(n)`` reproduce
+    the next ``n`` 32-bit words that generator would draw — the basis
+    of the vectorized row kernels. One ``mt`` can be seated again and
+    again, so a caller replaying many streams builds it once. The
+    setter copies the key word by word, which takes a tuple of ints
+    about twenty times faster than an array of numpy scalars.
     """
-    _version, internal, _gauss = rng.getstate()
-    mt = np.random.MT19937()
+    internal = state[1]
     mt.state = {
         "bit_generator": "MT19937",
-        "state": {"key": np.array(internal[:-1], dtype=np.uint64),
-                  "pos": internal[-1]},
+        "state": {"key": internal[:-1], "pos": internal[-1]},
     }
-    return mt
 
 
-def _advance_rng(rng: random.Random, nwords: int) -> None:
+def _advance_rng(rng: random.Random, nwords: int,
+                 mt: np.random.MT19937) -> None:
     """Advance ``rng`` by exactly ``nwords`` 32-bit draws (in C speed,
-    without materializing them)."""
-    version, internal, gauss = rng.getstate()
-    mt = _mt_from(rng)
+    without materializing them), reseating ``mt`` to do it."""
+    version, _internal, gauss = state = rng.getstate()
+    seat_generator(mt, state)
     mt.random_raw(nwords, output=False)
-    state = mt.state["state"]
+    after = mt.state["state"]
     rng.setstate((version,
-                  tuple(int(x) for x in state["key"]) + (int(state["pos"]),),
+                  tuple(after["key"].tolist()) + (int(after["pos"]),),
                   gauss))
 
 
@@ -225,59 +227,87 @@ class AveragePartitioner(Partitioner):
         return counts
 
 
-class RandomPartitioner(Partitioner):
-    """MR-RAND: uniform pseudo-random reducer per pair, seeded."""
+class SeededPartitioner(Partitioner):
+    """A pattern drawn from a seeded Mersenne-Twister stream.
+
+    Each subclass has one row kernel, :meth:`row_counts`, that replays
+    its draw sequence from a caller-supplied ``np.random.MT19937``
+    seated at the start of the stream; :meth:`exact_counts` seats one
+    at ``self._rng``'s state, runs the kernel and advances ``self._rng``
+    past the words the kernel used. The shuffle matrix calls the kernel
+    directly, seating one generator afresh for each map row.
+    """
 
     def __init__(self, num_reduces: int, seed: int = 20140901):
         super().__init__(num_reduces)
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def get_partition(self, key: Writable, value: Writable) -> int:
-        return self._rng.randrange(self.num_reduces)
-
     def reset(self) -> None:
         self._rng = random.Random(self.seed)
 
+    @abc.abstractmethod
+    def row_counts(self, mt: np.random.MT19937,
+                   n_pairs: int) -> Tuple[np.ndarray, int]:
+        """Per-reducer counts of ``n_pairs`` pairs drawn from ``mt``.
+
+        ``mt`` is at the start of the stream; returns the counts and
+        the number of 32-bit words the pairs consumed (``mt`` itself
+        may have been drawn past them). Only ``mt`` is read: the
+        partitioner's own state is left as it was.
+        """
+
     def exact_counts(self, n_pairs: int) -> np.ndarray:
+        return self._replay(self.row_counts, n_pairs)
+
+    def _replay(self, kernel, n_pairs: int) -> np.ndarray:
+        """Run ``kernel`` from ``self._rng``'s state, then advance it."""
+        mt = np.random.MT19937()
+        seat_generator(mt, self._rng.getstate())
+        counts, words = kernel(mt, n_pairs)
+        _advance_rng(self._rng, words, mt)
+        return counts
+
+
+class RandomPartitioner(SeededPartitioner):
+    """MR-RAND: uniform pseudo-random reducer per pair, seeded."""
+
+    def get_partition(self, key: Writable, value: Writable) -> int:
+        return self._rng.randrange(self.num_reduces)
+
+    def row_counts(self, mt: np.random.MT19937,
+                   n_pairs: int) -> Tuple[np.ndarray, int]:
         """Vectorized replay of ``randrange(n)`` rejection sampling.
 
         ``randrange(n)`` is ``getrandbits(n.bit_length())`` redrawn
         while the value is >= n; each ``getrandbits(k)`` consumes one
         raw word, shifted down to its top k bits. The accepted values
-        of the raw stream, in order, ARE the randrange outputs — so
-        count them with numpy and advance the Python PRNG by exactly
-        the number of words consumed.
+        of the raw stream, in order, ARE the randrange outputs, so the
+        counts are a ``bincount`` of the draws up to the ``n_pairs``-th
+        accepted one, cut to the first ``n`` bins.
         """
         n = self.num_reduces
-        counts = np.zeros(n, dtype=np.int64)
-        if n_pairs <= 0:
-            return counts
         k = n.bit_length()
         shift = 32 - k
-        mt = _mt_from(self._rng)
+        counts = np.zeros(n, dtype=np.int64)
         consumed = 0
         needed = n_pairs
-        while needed:
+        while needed > 0:
             # Acceptance rate is n / 2**k; draw with a little headroom.
+            # Draws are below 2**k, so the int64 view reads the same.
             est = int(needed * (1 << k) / n * 1.05) + 64
-            draws = (mt.random_raw(est) >> shift).astype(np.int64)
+            draws = (mt.random_raw(est) >> shift).view(np.int64)
             accepted = draws < n
-            n_accepted = int(accepted.sum())
-            if n_accepted >= needed:
-                cut = int(np.nonzero(accepted)[0][needed - 1]) + 1
-                counts += np.bincount(draws[:cut][accepted[:cut]],
-                                      minlength=n)
-                consumed += cut
-                break
-            counts += np.bincount(draws[accepted], minlength=n)
-            consumed += est
-            needed -= n_accepted
-        _advance_rng(self._rng, consumed)
-        return counts
+            got = int(np.count_nonzero(accepted))
+            cut = (int(np.flatnonzero(accepted)[needed - 1]) + 1
+                   if got >= needed else est)
+            counts += np.bincount(draws[:cut], minlength=1 << k)[:n]
+            consumed += cut
+            needed -= got
+        return counts, consumed
 
 
-class SkewedPartitioner(Partitioner):
+class SkewedPartitioner(SeededPartitioner):
     """MR-SKEW: geometric head (50 %, 12.5 %, ~4.7 %) + uniform tail.
 
     Thresholds over a uniform draw ``u``:
@@ -298,11 +328,6 @@ class SkewedPartitioner(Partitioner):
     #: word is below ``t * 2**32``, whatever the second word.
     _HEAD_WORDS = tuple(int(t * 2**32) for t in _HEAD)
 
-    def __init__(self, num_reduces: int, seed: int = 20140901):
-        super().__init__(num_reduces)
-        self.seed = seed
-        self._rng = random.Random(seed)
-
     def get_partition(self, key: Writable, value: Writable) -> int:
         u = self._rng.random()
         head = min(len(self._HEAD), self.num_reduces - 1)
@@ -311,21 +336,17 @@ class SkewedPartitioner(Partitioner):
                 return reducer
         return self._rng.randrange(self.num_reduces)
 
-    def reset(self) -> None:
-        self._rng = random.Random(self.seed)
-
-    def exact_counts(self, n_pairs: int) -> np.ndarray:
+    def row_counts(self, mt: np.random.MT19937,
+                   n_pairs: int) -> Tuple[np.ndarray, int]:
         """Vectorized replay of the head-or-tail draw, window by window.
 
         The raw word stream is drawn up to ``_WINDOW`` words at a time
         and each window is replayed by :func:`_replay_skew`; the words
         of a pair cut off at a window's end carry into the next one.
-        The Python PRNG then advances by exactly the words consumed.
         """
         n = self.num_reduces
         head_words = self._HEAD_WORDS[:min(len(self._HEAD), n - 1)]
         shift = 32 - n.bit_length()
-        mt = _mt_from(self._rng)
         counts = np.zeros(n, dtype=np.int64)
         words = np.empty(0, dtype=np.int64)
         consumed = 0
@@ -341,8 +362,7 @@ class SkewedPartitioner(Partitioner):
             need -= pairs
             consumed += resume
             words = words[resume:]
-        _advance_rng(self._rng, consumed)
-        return counts
+        return counts, consumed
 
     def expected_distribution(self) -> List[float]:
         n = self.num_reduces
@@ -358,7 +378,7 @@ class SkewedPartitioner(Partitioner):
         return probs
 
 
-class ZipfPartitioner(Partitioner):
+class ZipfPartitioner(SeededPartitioner):
     """Extension pattern: Zipf-distributed reducer loads.
 
     The paper's future work calls for features that let "users gain a
@@ -370,12 +390,10 @@ class ZipfPartitioner(Partitioner):
 
     def __init__(self, num_reduces: int, seed: int = 20140901,
                  exponent: float = 1.0):
-        super().__init__(num_reduces)
+        super().__init__(num_reduces, seed=seed)
         if exponent <= 0:
             raise ValueError(f"exponent must be positive, got {exponent}")
-        self.seed = seed
         self.exponent = exponent
-        self._rng = random.Random(seed)
         weights = [1.0 / (r + 1) ** exponent for r in range(num_reduces)]
         total = sum(weights)
         self._cdf: List[float] = []
@@ -397,17 +415,14 @@ class ZipfPartitioner(Partitioner):
                 lo = mid + 1
         return lo
 
-    def reset(self) -> None:
-        self._rng = random.Random(self.seed)
-
-    def exact_counts(self, n_pairs: int) -> np.ndarray:
+    def row_counts(self, mt: np.random.MT19937,
+                   n_pairs: int) -> Tuple[np.ndarray, int]:
         """Vectorized CDF inversion: every pair consumes exactly two
         raw words (one ``random()`` call), so the whole draw sequence
         reconstructs in one shot."""
         n = self.num_reduces
         if n_pairs <= 0:
-            return np.zeros(n, dtype=np.int64)
-        mt = _mt_from(self._rng)
+            return np.zeros(n, dtype=np.int64), 0
         raw = mt.random_raw(2 * n_pairs)
         u = ((raw[0::2] >> np.uint64(5)).astype(np.float64) * 67108864.0
              + (raw[1::2] >> np.uint64(6)).astype(np.float64)) * _RANDOM_SCALE
@@ -416,8 +431,7 @@ class ZipfPartitioner(Partitioner):
         # which searchsorted(side="left") reproduces (cdf[-1] is 1.0).
         draws = np.searchsorted(np.asarray(self._cdf), u, side="left")
         counts = np.bincount(draws, minlength=n).astype(np.int64)
-        _advance_rng(self._rng, 2 * n_pairs)
-        return counts
+        return counts, 2 * n_pairs
 
     def expected_distribution(self) -> List[float]:
         weights = [1.0 / (r + 1) ** self.exponent
@@ -458,19 +472,29 @@ class SplitSkewedPartitioner(SkewedPartitioner):
         super().reset()
         self._spread = 0
 
+    def row_counts(self, mt: np.random.MT19937,
+                   n_pairs: int) -> Tuple[np.ndarray, int]:
+        counts, words = super().row_counts(mt, n_pairs)
+        return self._fan_out(counts), words
+
     def exact_counts(self, n_pairs: int) -> np.ndarray:
-        counts = SkewedPartitioner.exact_counts(self, n_pairs)
+        counts = self._replay(super().row_counts, n_pairs)
+        hot = int(counts[0])
+        counts = self._fan_out(counts)
+        self._spread = (self._spread + hot) % self.split
+        return counts
+
+    def _fan_out(self, counts: np.ndarray) -> np.ndarray:
+        """MR-SKEW ``counts`` with reducer 0's pairs dealt round-robin
+        over the ``split`` tail reducers from the current pointer."""
         hot = int(counts[0])
         counts[0] = 0
-        # Round-robin the hot pairs over the `split` tail reducers,
-        # continuing from the current spread pointer.
         base, extra = divmod(hot, self.split)
         start = self.num_reduces - self.split
         add = np.full(self.split, base, dtype=np.int64)
         for offset in range(extra):
             add[(self._spread + offset) % self.split] += 1
         counts[start:] += add
-        self._spread = (self._spread + hot) % self.split
         return counts
 
     def expected_distribution(self) -> List[float]:

@@ -72,6 +72,12 @@ BenchmarkLike = Union[str, MicroBenchmark]
 #: entry.
 _RESULT_CACHE: Dict[str, ResultLike] = {}
 
+#: Most results the memo holds before it starts over: far above the
+#: 1000 points of the largest shipped campaign, so only a long-lived
+#: process (a ``repro serve`` answering distinct cold points) reaches
+#: it, and the store still answers whatever the memo dropped.
+RESULT_CACHE_LIMIT = 1 << 12
+
 #: Cache bookkeeping for tests/diagnostics.
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
@@ -90,6 +96,16 @@ def clear_result_cache() -> None:
 def result_cache_stats() -> Dict[str, int]:
     """Copy of the memo cache hit/miss counters."""
     return dict(_CACHE_STATS, size=len(_RESULT_CACHE))
+
+
+def _memoize(key: str, result: ResultLike) -> None:
+    """Memoize one result, emptying the memo first when it is full.
+    Only single dict operations touch it, so the service's threads
+    share it without a lock (concurrent inserts can overshoot the
+    limit by one entry per thread)."""
+    if len(_RESULT_CACHE) >= RESULT_CACHE_LIMIT:
+        _RESULT_CACHE.clear()
+    _RESULT_CACHE[key] = result
 
 
 def _run_point(payload: tuple) -> SimJobResult:
@@ -290,7 +306,7 @@ class MicroBenchmarkSuite:
             stored = self.store.get_batch([k for _i, k in store_queries])
             for (i, key), result in zip(store_queries, stored):
                 if result is not None:
-                    _RESULT_CACHE[key] = result
+                    _memoize(key, result)
                     results[i] = result
         return results
 
@@ -316,7 +332,7 @@ class MicroBenchmarkSuite:
             config, result = entry[0], entry[1]
             tags = entry[2] if len(entry) > 2 else None
             key = self.store_key(config)
-            _RESULT_CACHE[key] = result
+            _memoize(key, result)
             if self.store is not None:
                 stored = (result if isinstance(result, StoredResult)
                           else StoredResult.from_sim_result(result))

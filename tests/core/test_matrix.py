@@ -1,10 +1,26 @@
 """Tests for shuffle-matrix computation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.campaign import load_campaigns
 from repro.core import BenchmarkConfig, compute_shuffle_matrix
-from repro.core.matrix import ShuffleMatrix, _exact_counts, _sampled_counts
+from repro.core import matrix as matrix_mod
+from repro.core import partitioners
+from repro.core.matrix import (
+    EXACT_LIMIT,
+    ShuffleMatrix,
+    _exact_counts,
+    _sampled_counts,
+    clear_matrix_cache,
+)
+from repro.core.partitioners import make_partitioner
+
+SPEC_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "campaigns"
 
 
 def cfg(**kw):
@@ -98,3 +114,114 @@ def test_matrix_is_nonnegative():
     for pattern in ("avg", "rand", "skew"):
         matrix = compute_shuffle_matrix(cfg(pattern=pattern))
         assert (matrix.records >= 0).all()
+
+
+# -- the one-generator row path against per-partitioner rows --------------
+
+def _oracle_matrix(config, exact_limit):
+    """The matrix built one fresh partitioner per map row: each exact
+    row from ``exact_counts`` (its own generators and PRNG round trip),
+    each row above ``exact_limit`` from the multinomial sample."""
+    rows = []
+    for map_id in range(config.num_maps):
+        pairs = config.pairs_for_map(map_id)
+        if pairs <= exact_limit:
+            partitioner = make_partitioner(
+                config.pattern, config.num_reduces,
+                seed=config.seed + map_id)
+            rows.append(partitioner.exact_counts(pairs))
+        else:
+            rows.append(_sampled_counts(config, map_id))
+    return np.vstack(rows)
+
+
+def _limit(config, rows):
+    """An ``exact_limit`` making the config's rows all exact, all
+    sampled, or exact for the smaller maps and sampled for the larger
+    (rows differ by at most one pair)."""
+    sizes = [config.pairs_for_map(m) for m in range(config.num_maps)]
+    return {"exact": max(sizes), "sampled": min(sizes) - 1,
+            "mixed": min(sizes)}[rows]
+
+
+@given(
+    pattern=st.sampled_from(("rand", "skew", "zipf", "skew-split")),
+    num_maps=st.integers(1, 6),
+    num_reduces=st.integers(1, 40),
+    # Past 2**32 a seed takes a multi-word init_by_array key.
+    seed=st.integers(0, 2**40),
+    num_pairs=st.integers(1, 60_000),
+    rows=st.sampled_from(("exact", "sampled", "mixed")),
+)
+@settings(max_examples=120, deadline=None)
+def test_matrix_matches_per_partitioner_rows(
+        pattern, num_maps, num_reduces, seed, num_pairs, rows):
+    config = BenchmarkConfig(pattern=pattern, num_maps=num_maps,
+                             num_reduces=num_reduces, seed=seed,
+                             num_pairs=num_pairs, key_size=16,
+                             value_size=48)
+    limit = _limit(config, rows)
+    clear_matrix_cache()
+    got = compute_shuffle_matrix(config, exact_limit=limit).records
+    assert np.array_equal(got, _oracle_matrix(config, limit))
+
+
+def _figure_configs():
+    """The 4 GB config of Fig. 2(b), 2(c), 3(b) and 3(c)."""
+    configs = {}
+    for name in ("fig2.json", "fig3.json"):
+        for campaign in load_campaigns(SPEC_DIR / name):
+            if campaign.name[-1] in "bc":
+                point = next(p for p in campaign.points()
+                             if p.shuffle_gb == 4.0)
+                configs[campaign.name] = point.config
+    return configs
+
+
+@pytest.mark.parametrize("figure", ("fig2b", "fig2c", "fig3b", "fig3c"))
+def test_figure_rows_match_exact_counts(figure):
+    """The first and last map rows of a whole figure-scale matrix."""
+    config = _figure_configs()[figure]
+    clear_matrix_cache()
+    records = compute_shuffle_matrix(config).records
+    for map_id in (0, config.num_maps - 1):
+        pairs = config.pairs_for_map(map_id)
+        assert pairs <= EXACT_LIMIT  # an exact row, not a sample
+        partitioner = make_partitioner(config.pattern, config.num_reduces,
+                                       seed=config.seed + map_id)
+        assert np.array_equal(records[map_id],
+                              partitioner.exact_counts(pairs))
+
+
+def test_one_generator_per_matrix_and_no_prng_round_trip(monkeypatch):
+    """An 8-map MR-RAND matrix seats one generator for all its rows and
+    never advances a Python PRNG."""
+    built = []
+    real = np.random.MT19937
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    def refuse(*_args):
+        raise AssertionError("the matrix advanced a Python PRNG")
+
+    config = cfg(pattern="rand", num_maps=8, num_pairs=96_000, seed=424242)
+    want = _oracle_matrix(config, EXACT_LIMIT)
+    clear_matrix_cache()
+    monkeypatch.setattr(np.random, "MT19937", counting)
+    monkeypatch.setattr(partitioners, "_advance_rng", refuse)
+    got = compute_shuffle_matrix(config).records
+    assert len(built) == 1
+    assert np.array_equal(got, want)
+
+
+def test_matrix_memo_stays_within_its_limit(monkeypatch):
+    monkeypatch.setattr(matrix_mod, "MATRIX_CACHE_LIMIT", 3)
+    clear_matrix_cache()
+    configs = [cfg(pattern="rand", seed=seed) for seed in range(7)]
+    first = [compute_shuffle_matrix(c).records for c in configs]
+    assert len(matrix_mod._MATRIX_CACHE) <= 3
+    again = [compute_shuffle_matrix(c).records for c in configs]
+    assert len(matrix_mod._MATRIX_CACHE) <= 3
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))

@@ -4,6 +4,8 @@ import pytest
 
 from repro import MicroBenchmarkSuite, cluster_a
 from repro.core import BenchmarkConfig, MR_SKEW
+from repro.core import suite as suite_mod
+from repro.core.suite import clear_result_cache, result_cache_stats
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +89,25 @@ def test_compare_patterns(suite):
     avg = out["MR-AVG"].time("1GigE", 0.25)
     skew = out["MR-SKEW"].time("1GigE", 0.25)
     assert skew > avg
+
+
+class TestResultMemoBound:
+    def test_memo_stays_within_its_limit(self, monkeypatch):
+        """More distinct points than the limit: the memo starts over
+        instead of growing, and a re-run returns the same times."""
+        monkeypatch.setattr(suite_mod, "RESULT_CACHE_LIMIT", 3)
+        clear_result_cache()
+        suite = MicroBenchmarkSuite(cluster=cluster_a(2))
+        configs = [BenchmarkConfig(pattern="rand", num_pairs=2_000,
+                                   seed=seed, **SMALL)
+                   for seed in range(7)]
+        try:
+            first = [suite.run_config(c).execution_time.hex()
+                     for c in configs]
+            assert result_cache_stats()["size"] <= 3
+            again = [suite.run_config(c).execution_time.hex()
+                     for c in configs]
+            assert result_cache_stats()["size"] <= 3
+        finally:
+            clear_result_cache()
+        assert again == first

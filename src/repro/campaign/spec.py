@@ -34,6 +34,7 @@ JSON always works.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,6 +49,27 @@ from repro.hadoop.runtime import available_runtimes
 
 #: Seed stride between trials (matches ``MicroBenchmarkSuite.run_trials``).
 TRIAL_SEED_STRIDE = 9973
+
+#: Most distinct (cluster, slaves) specs and runtimes
+#: :meth:`Campaign.cluster_spec` and :meth:`Campaign.jobconf` keep.
+SPEC_CACHE_LIMIT = 64
+
+
+@functools.lru_cache(maxsize=SPEC_CACHE_LIMIT, typed=True)
+def _cluster_spec(cluster: str, slaves: Optional[int]) -> ClusterSpec:
+    """The shared testbed spec for one (cluster, slaves) pair.
+
+    Cached by exact argument type: ``slaves`` 2, 2.0 and ``True`` build
+    specs with different canonical text, so they must not share one.
+    """
+    factory = cluster_a if cluster == "a" else cluster_b
+    return factory(slaves) if slaves else factory()
+
+
+@functools.lru_cache(maxsize=SPEC_CACHE_LIMIT, typed=True)
+def _jobconf(runtime: str) -> JobConf:
+    """The shared framework configuration of one runtime generation."""
+    return JobConf(version=runtime)
 
 
 @dataclass(frozen=True)
@@ -131,13 +153,47 @@ class Campaign:
     # -- expansion ---------------------------------------------------------
 
     def cluster_spec(self) -> ClusterSpec:
-        """The testbed this campaign runs on."""
-        factory = cluster_a if self.cluster == "a" else cluster_b
-        return factory(self.slaves) if self.slaves else factory()
+        """The testbed this campaign runs on.
+
+        One shared frozen instance per (cluster, slaves), so the store
+        key's fragment memo, which is keyed by object identity, hits
+        for every campaign and service query naming the same testbed.
+        """
+        return _cluster_spec(self.cluster, self.slaves)
 
     def jobconf(self) -> JobConf:
-        """The framework configuration (runtime generation)."""
-        return JobConf(version=self.runtime)
+        """The framework configuration (runtime generation); one shared
+        frozen instance per runtime, like :meth:`cluster_spec`."""
+        return _jobconf(self.runtime)
+
+    def point(self, shuffle_gb: float, network: str, trial: int = 0,
+              variant: Optional[Dict[str, object]] = None) -> CampaignPoint:
+        """One grid point, derived on its own.
+
+        :meth:`points` is this over the grid, so a point's config and
+        trial seed are the same however it is reached, and the cost
+        does not grow with ``trial``. ``variant`` is one of
+        :attr:`variants` (default: the anonymous one).
+        """
+        variant = variant if variant is not None else {"label": ""}
+        overrides = {k: v for k, v in variant.items() if k != "label"}
+        kwargs = dict(self.params, **overrides)
+        base_seed = kwargs.pop("seed", None)
+        if base_seed is not None or trial:
+            kwargs["seed"] = ((base_seed if base_seed is not None
+                               else BenchmarkConfig.seed)
+                              + trial * TRIAL_SEED_STRIDE)
+        config = BenchmarkConfig.from_shuffle_size(
+            shuffle_gb * 1e9, pattern=get_benchmark(self.benchmark).pattern,
+            network=network, **kwargs)
+        return CampaignPoint(
+            campaign=self.name,
+            variant=str(variant["label"]),
+            shuffle_gb=shuffle_gb,
+            network=network,
+            trial=trial,
+            config=config,
+        )
 
     def points(self) -> List[CampaignPoint]:
         """The fully-expanded grid, in deterministic order.
@@ -145,34 +201,11 @@ class Campaign:
         Order: variant → shuffle size → network → trial (the same
         nesting the figure tables use).
         """
-        pattern = get_benchmark(self.benchmark).pattern
-        variants = self.variants or ({"label": ""},)
-        out: List[CampaignPoint] = []
-        for variant in variants:
-            overrides = {k: v for k, v in variant.items() if k != "label"}
-            kwargs = dict(self.params, **overrides)
-            base_seed = kwargs.pop("seed", None)
-            for size in self.shuffle_gbs:
-                for network in self.networks:
-                    for trial in range(self.trials):
-                        seed_kwargs = dict(kwargs)
-                        if base_seed is not None or trial:
-                            seed = ((base_seed if base_seed is not None
-                                     else BenchmarkConfig.seed)
-                                    + trial * TRIAL_SEED_STRIDE)
-                            seed_kwargs["seed"] = seed
-                        config = BenchmarkConfig.from_shuffle_size(
-                            size * 1e9, pattern=pattern, network=network,
-                            **seed_kwargs)
-                        out.append(CampaignPoint(
-                            campaign=self.name,
-                            variant=str(variant["label"]),
-                            shuffle_gb=size,
-                            network=network,
-                            trial=trial,
-                            config=config,
-                        ))
-        return out
+        return [self.point(size, network, trial, variant)
+                for variant in self.variants or ({"label": ""},)
+                for size in self.shuffle_gbs
+                for network in self.networks
+                for trial in range(self.trials)]
 
     # -- (de)serialization -------------------------------------------------
 

@@ -347,7 +347,8 @@ def build_repro_parser() -> argparse.ArgumentParser:
                             "0-100, or null with no lookups)")
     verify = store_sub.add_parser(
         "verify", help="fsck every record: parses, matches its key, "
-                       "matches the schema, provenance hashes back")
+                       "matches the schema, provenance hashes back, "
+                       "text is canonical")
     add_store_arg(verify)
     verify.add_argument("--gc", action="store_true",
                         help="sweep records that fail verification")

@@ -27,7 +27,11 @@ import numpy as np
 
 from repro.core.config import BenchmarkConfig, PATTERN_AVG
 from repro.core.datagen import KeyValueGenerator
-from repro.core.partitioners import make_partitioner, seat_generator
+from repro.core.partitioners import (
+    make_partitioner,
+    seat_generator,
+    thread_generator,
+)
 
 #: Per-map record count above which the sampled path is used.
 EXACT_LIMIT = 250_000
@@ -129,14 +133,14 @@ def _pattern_matrix(config: BenchmarkConfig, exact_limit: int) -> np.ndarray:
     """The matrix of a PRNG-driven pattern, one map row at a time.
 
     Map ``m``'s partitioner is seeded ``config.seed + m``. An exact row
-    seats one shared ``MT19937`` at that seed's ``random.Random`` state
+    seats the thread's ``MT19937`` at that seed's ``random.Random`` state
     and runs the partitioner's row kernel, which counts the same pairs
     ``exact_counts`` would without touching a Python PRNG; a row above
     ``exact_limit`` is sampled.
     """
     partitioner = make_partitioner(config.pattern, config.num_reduces,
                                    seed=config.seed)
-    mt = np.random.MT19937()
+    mt = thread_generator()
     rows = []
     for map_id in range(config.num_maps):
         pairs = config.pairs_for_map(map_id)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import abc
 import random
+import threading
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -55,6 +56,26 @@ def seat_generator(mt: np.random.MT19937, state: tuple) -> None:
         "bit_generator": "MT19937",
         "state": {"key": internal[:-1], "pos": internal[-1]},
     }
+
+
+#: Each thread's reusable ``MT19937`` (see :func:`thread_generator`).
+_GENERATORS = threading.local()
+
+
+def thread_generator() -> np.random.MT19937:
+    """The calling thread's ``MT19937``, built on its first use.
+
+    Building one seeds it from OS entropy, which costs more than
+    seating it, and every user seats it with :func:`seat_generator`
+    before it draws, so one generator serves all of a thread's matrix
+    rows and ``exact_counts`` calls. One per thread, because the
+    service's scheduler thread and the caller's thread build matrices
+    at the same time.
+    """
+    mt = getattr(_GENERATORS, "mt", None)
+    if mt is None:
+        mt = _GENERATORS.mt = np.random.MT19937()
+    return mt
 
 
 def _advance_rng(rng: random.Random, nwords: int,
@@ -235,7 +256,7 @@ class SeededPartitioner(Partitioner):
     seated at the start of the stream; :meth:`exact_counts` seats one
     at ``self._rng``'s state, runs the kernel and advances ``self._rng``
     past the words the kernel used. The shuffle matrix calls the kernel
-    directly, seating one generator afresh for each map row.
+    directly, seating the thread's generator afresh for each map row.
     """
 
     def __init__(self, num_reduces: int, seed: int = 20140901):
@@ -262,7 +283,7 @@ class SeededPartitioner(Partitioner):
 
     def _replay(self, kernel, n_pairs: int) -> np.ndarray:
         """Run ``kernel`` from ``self._rng``'s state, then advance it."""
-        mt = np.random.MT19937()
+        mt = thread_generator()
         seat_generator(mt, self._rng.getstate())
         counts, words = kernel(mt, n_pairs)
         _advance_rng(self._rng, words, mt)

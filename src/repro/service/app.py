@@ -2,10 +2,17 @@
 
 Stdlib-only by design (the container bakes no web framework): a
 hand-rolled, keep-alive-capable HTTP/1.1 server on
-``asyncio.start_server``. The event loop only parses requests and
-writes responses; every service call — store reads, ticket waits —
-runs in a worker thread via ``asyncio.to_thread`` so a blocked
-``wait=true`` query never stalls other clients.
+``asyncio.start_server``.
+
+Threading: one rule, :func:`_off_loop`, decides where each request's
+:func:`dispatch` call runs. ``GET /v1/stats`` (a counter flush and a
+store scan) and a ``POST /v1/points`` whose parsed body asks to
+``wait`` run in a worker thread via ``asyncio.to_thread``, so a
+blocked query never stalls other clients. Every other request cannot
+block: it makes at most store reads and no store write (the warm-hit
+counter flush is the scheduler thread's chore), so it is answered on
+the event loop, with no thread hand-off. ``/healthz`` and warm queries
+therefore answer even while every worker thread holds a waiting query.
 
 Routes::
 
@@ -64,9 +71,30 @@ def _encode(response: ServiceResponse, keep_alive: bool) -> bytes:
     return head.encode("latin-1") + body
 
 
+def _off_loop(method: str, target: str, body: bytes) -> bool:
+    """Whether a request can block, so its :func:`dispatch` call runs
+    in a worker thread instead of on the event loop.
+
+    True for ``GET /v1/stats`` and for a ``POST /v1/points`` whose body
+    parses to an object with a ``wait`` other than null or false. A
+    body that does not parse is answered 400 on the loop.
+    """
+    path = target.partition("?")[0]
+    if path == "/v1/stats":
+        return method == "GET"
+    if path != "/v1/points" or method != "POST":
+        return False
+    try:
+        data = json.loads(body.decode("utf-8") or "null")
+    except (ValueError, UnicodeDecodeError, RecursionError):
+        return False
+    return isinstance(data, dict) and data.get("wait") not in (None, False)
+
+
 def dispatch(service: BenchmarkService, method: str, target: str,
              body: bytes) -> ServiceResponse:
-    """Route one parsed request (synchronous; runs in a worker thread)."""
+    """Route one parsed request (synchronous; :func:`_off_loop` says
+    whether it runs on the event loop or in a worker thread)."""
     path, _, query_string = target.partition("?")
     if path == "/healthz":
         if method != "GET":
@@ -82,7 +110,8 @@ def dispatch(service: BenchmarkService, method: str, target: str,
             return ServiceResponse(405, {"error": "use POST"})
         try:
             data = json.loads(body.decode("utf-8") or "null")
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder follows.
             return ServiceResponse(400, {"error": f"invalid JSON: {exc}"})
         return service.query_point(data)
     if path.startswith("/v1/points/"):
@@ -147,8 +176,11 @@ async def _serve_connection(service: BenchmarkService,
                 return
             method, target, headers, body = request
             keep_alive = headers.get("connection", "").lower() != "close"
-            response = await asyncio.to_thread(
-                dispatch, service, method, target, body)
+            if _off_loop(method, target, body):
+                response = await asyncio.to_thread(
+                    dispatch, service, method, target, body)
+            else:
+                response = dispatch(service, method, target, body)
             writer.write(_encode(response, keep_alive=keep_alive))
             await writer.drain()
             if not keep_alive:

@@ -2,22 +2,33 @@
 
 Everything the HTTP app does goes through this object, and tests drive
 it directly — no sockets needed for the contract tests. The core is
-plain thread-safe synchronous code (the asyncio front end calls it via
-``asyncio.to_thread``), built from three pieces:
+plain thread-safe synchronous code, built from three pieces:
 
-* the :class:`~repro.store.ResultStore` for warm answers — served
-  as the record's canonical bytes, so a service response is
-  byte-identical to ``repro store export``'s line for the same key;
+* the :class:`~repro.store.ResultStore` for warm answers — one
+  :meth:`~repro.store.ResultStore.fetch_record` read, served as the
+  record's stored canonical text
+  (:class:`~repro.store.RecordDocument` ``.text``), so a service
+  response is byte-identical to ``repro store export``'s line for the
+  same key without a second serialization;
 * a :class:`~repro.service.singleflight.SingleFlight` table so N
   concurrent queries for one cold point cost one simulation;
 * a :class:`~repro.service.scheduler.ColdScheduler` thread pushing
   cold points through the campaign executor.
 
+Threading: :meth:`BenchmarkService.query_point` and
+:meth:`BenchmarkService.lookup` block only when a body asks to
+``wait`` for a cold ticket; otherwise they make store reads and never a
+store write, so the asyncio front end calls them on its event loop.
+:meth:`BenchmarkService.stats` and waiting queries run in worker
+threads.
+
 Accounting: the service counts its own request-level traffic (warm
 hits, cold misses, coalesced joins) and flushes warm hits into the
-store's lifetime ``hits`` counter in batches — one counter write per
-:data:`HIT_FLUSH_THRESHOLD` requests instead of one per request, which
-is what keeps the warm path fast enough for the traffic benchmark.
+store's lifetime ``hits`` counter in batches — one counter write once
+:data:`HIT_FLUSH_THRESHOLD` hits are pending instead of one per
+request. The flush is the scheduler thread's chore, so a request never
+writes the store; :meth:`BenchmarkService.stats` and
+:meth:`BenchmarkService.stop` flush what is left.
 Cold points are *not* double-counted: the executor's store lookup
 already records their miss, exactly as a campaign run would.
 """
@@ -39,9 +50,10 @@ from repro.service.singleflight import (
     SingleFlight,
     Ticket,
 )
-from repro.store import StoreLike, as_store, dump_record_text, hit_rate
+from repro.store import RecordDocument, StoreLike, as_store, hit_rate
 
-#: Warm hits accumulated before one batched store-counter write.
+#: Warm hits pending before the scheduler thread makes one batched
+#: store-counter write.
 HIT_FLUSH_THRESHOLD = 64
 
 #: Longest a ``wait=true`` query blocks before returning the ticket.
@@ -87,7 +99,8 @@ class BenchmarkService:
         self.flight = SingleFlight()
         self.scheduler = ColdScheduler(
             self.store, self.flight, policy=policy, jobs=jobs,
-            max_queue=max_queue, execution_backend=execution_backend)
+            max_queue=max_queue, execution_backend=execution_backend,
+            chore=self._flush_due_hits)
         self.started_at = time.time()
         self._counter_lock = threading.Lock()
         self._counters: Dict[str, int] = {
@@ -109,7 +122,8 @@ class BenchmarkService:
 
         ``drain=False`` is the SIGINT path — in-flight work finishes
         its current unit (durable in the store), unstarted tickets
-        resolve ``cancelled``.
+        resolve ``cancelled``. The scheduler thread is joined before the
+        last hit flush, so no flush of its own can race it.
         """
         self.scheduler.stop(drain=drain, timeout=timeout)
         self._flush_hits()
@@ -121,23 +135,25 @@ class BenchmarkService:
         with self._counter_lock:
             self._counters[name] += 1
 
-    def _record_warm_hit(self) -> None:
-        """Count one warm hit; flush to the store counter in batches."""
-        flush = 0
+    def _warm(self, record: RecordDocument) -> ServiceResponse:
+        """Count one warm hit and answer it with the stored text."""
         with self._counter_lock:
             self._counters["warm_hits"] += 1
             self._pending_hits += 1
-            if self._pending_hits >= HIT_FLUSH_THRESHOLD:
-                flush, self._pending_hits = self._pending_hits, 0
-        if flush:
-            self.store.bump_counters({"hits": flush})
+        return ServiceResponse(200, record.text.encode("utf-8"))
 
-    def _flush_hits(self) -> None:
-        """Push accumulated warm hits into the store's hit counter."""
+    def _flush_hits(self, threshold: int = 1) -> None:
+        """Push pending warm hits into the store's hit counter, once at
+        least ``threshold`` are pending."""
         with self._counter_lock:
+            if self._pending_hits < threshold:
+                return
             flush, self._pending_hits = self._pending_hits, 0
-        if flush:
-            self.store.bump_counters({"hits": flush})
+        self.store.bump_counters({"hits": flush})
+
+    def _flush_due_hits(self) -> None:
+        """The scheduler thread's chore: flush a full batch of hits."""
+        self._flush_hits(HIT_FLUSH_THRESHOLD)
 
     # -- queries -----------------------------------------------------------
 
@@ -149,7 +165,8 @@ class BenchmarkService:
         (once), and answered 202 with the ticket — unless the body
         carries ``"wait": true`` (or a second count), in which case the
         call blocks until the ticket resolves and returns the final
-        result like a warm hit.
+        result like a warm hit. Only that wait blocks; the front end
+        runs every other query on its event loop.
         """
         self._count("requests")
         if not isinstance(body, dict):
@@ -171,9 +188,7 @@ class BenchmarkService:
             return ServiceResponse(400, {"error": str(exc)})
         record = self.store.fetch_record(query.key)
         if record is not None:
-            self._record_warm_hit()
-            return ServiceResponse(
-                200, dump_record_text(record).encode("utf-8"))
+            return self._warm(record)
         ticket, created = self.flight.admit(query.key, query)
         if created:
             # The store read above may have missed just before another
@@ -181,9 +196,7 @@ class BenchmarkService:
             record = self.store.fetch_record(query.key)
             if record is not None:
                 self.flight.resolve(ticket, DONE)
-                self._record_warm_hit()
-                return ServiceResponse(
-                    200, dump_record_text(record).encode("utf-8"))
+                return self._warm(record)
             self._count("cold_misses")
             if not self.scheduler.submit(ticket):
                 self.flight.resolve(ticket, CANCELLED,
@@ -200,8 +213,7 @@ class BenchmarkService:
         if ticket.resolved and ticket.state not in (FAILED, CANCELLED):
             record = self.store.fetch_record(query.key)
             if record is not None:
-                return ServiceResponse(
-                    200, dump_record_text(record).encode("utf-8"))
+                return ServiceResponse(200, record.text.encode("utf-8"))
         return self._ticket_response(ticket)
 
     def lookup(self, key: str) -> ServiceResponse:
@@ -215,9 +227,7 @@ class BenchmarkService:
         self._count("requests")
         record = self.store.fetch_record(key)
         if record is not None:
-            self._record_warm_hit()
-            return ServiceResponse(
-                200, dump_record_text(record).encode("utf-8"))
+            return self._warm(record)
         ticket = self.flight.get(key)
         if ticket is not None:
             return self._ticket_response(ticket)

@@ -121,15 +121,18 @@ def parse_point_query(body: object) -> PointQuery:
             fault_plan = FaultPlan.from_dict(body["fault_plan"])
         except (TypeError, ValueError, KeyError) as exc:
             raise ValueError(f"malformed fault_plan: {exc}") from None
+    network = str(body["network"])
     try:
         # A query is a one-point campaign: Campaign.__post_init__ is
-        # the validator, Campaign.points() the seed/config derivation —
-        # so service keys match campaign keys by construction.
+        # the validator, Campaign.point() the seed/config derivation
+        # that Campaign.points() runs for every grid point — so service
+        # keys match campaign keys by construction. The query's point
+        # is derived alone, so parsing costs the same at any trial.
         campaign = Campaign(
             name="service-query",
             benchmark=str(body.get("benchmark", "MR-AVG")),
             shuffle_gbs=(shuffle_gb,),
-            networks=(str(body["network"]),),
+            networks=(network,),
             cluster=str(body.get("cluster", "a")),
             slaves=body.get("slaves"),
             runtime=str(body.get("runtime", "mrv1")),
@@ -137,9 +140,7 @@ def parse_point_query(body: object) -> PointQuery:
             trials=trial + 1,
             fault_plan=fault_plan,
         )
-        # points() nests trial innermost; with one size and one network
-        # the list is exactly [trial 0, ..., trial N].
-        point = campaign.points()[trial]
+        point = campaign.point(shuffle_gb, network, trial)
         key = point_key(point.config, campaign.cluster_spec(),
                         jobconf=campaign.jobconf(),
                         fault_plan=campaign.fault_plan)

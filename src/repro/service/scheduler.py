@@ -16,6 +16,11 @@ executor runs with ``campaign=""`` (no checkpoint churn per drain) and
 ``handle_signals=False`` (the service owns signal handling; shutdown
 goes through :meth:`ColdScheduler.stop`).
 
+Chores: the thread also runs the owner's ``chore`` callable each time
+it wakes (at least every :data:`POLL_SECONDS` while idle, and after
+every pass). The service's warm-hit counter flush runs there, so no
+store write runs on the HTTP event loop.
+
 Shutdown: ``stop(drain=True)`` finishes everything already queued;
 ``stop(drain=False)`` is the SIGINT path — the in-flight executor pass
 stops launching new units (completed points are already durable in the
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.backend import ExecutionBackend
 from repro.campaign.executor import (
@@ -51,6 +56,10 @@ DEFAULT_MAX_QUEUE = 256
 #: Most tickets one drain pass batches into executor calls.
 DRAIN_LIMIT = 64
 
+#: Longest the idle worker waits for a ticket before it runs its chore
+#: and checks for shutdown again.
+POLL_SECONDS = 0.05
+
 
 class ColdScheduler:
     """Single background thread executing admitted cold tickets."""
@@ -63,19 +72,22 @@ class ColdScheduler:
         jobs: int = 1,
         max_queue: int = DEFAULT_MAX_QUEUE,
         execution_backend: Optional[ExecutionBackend] = None,
+        chore: Optional[Callable[[], None]] = None,
     ):
         """Wire the scheduler to a store and the single-flight table.
 
         ``execution_backend`` swaps the engine cold units run on
         (default: a per-pass :class:`LocalBackend`); a supplied backend
         is shared across drain passes and *borrowed* — the caller owns
-        its lifecycle.
+        its lifecycle. ``chore`` runs on the worker thread each time it
+        wakes.
         """
         self.store = store
         self.flight = flight
         self.policy = policy if policy is not None else RetryPolicy()
         self.jobs = jobs
         self.execution_backend = execution_backend
+        self.chore = chore
         self._queue: "queue.Queue[Ticket]" = queue.Queue(maxsize=max_queue)
         self._stop = threading.Event()
         self._drain = True
@@ -158,8 +170,10 @@ class ColdScheduler:
 
     def _run(self) -> None:
         while True:
+            if self.chore is not None:
+                self.chore()
             try:
-                first = self._queue.get(timeout=0.05)
+                first = self._queue.get(timeout=POLL_SECONDS)
             except queue.Empty:
                 if self._stop.is_set():
                     return

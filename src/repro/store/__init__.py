@@ -29,6 +29,7 @@ See ``docs/STORE.md``, ``docs/MODEL.md`` ("The caching contract") and
 from repro.store.backend import (
     BACKEND_ENV_VAR,
     FSYNC_ENV_VAR,
+    RecordDocument,
     ResultStoreWarning,
     VerifyProblem,
     VerifyReport,
@@ -60,6 +61,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "STORE_ENV_VAR",
     "MigrationReport",
+    "RecordDocument",
     "ResultStore",
     "ResultStoreWarning",
     "StoreLike",

@@ -96,6 +96,27 @@ def resolve_root(root: Union[str, "os.PathLike[str]"]) -> Tuple[Path, str]:
     return path / SQLITE_FILENAME, raw
 
 
+class RecordDocument(dict):
+    """A parsed record document that carries the text it was read from.
+
+    :meth:`~repro.store.ResultStore.fetch_record` returns one: the dict
+    is the parsed record, and :attr:`text` is the exact stored text.
+    That text is the document's canonical text
+    (:func:`dump_record_text`), because every write stores that text
+    and ``repro store verify`` reports a record whose text is not, so a
+    reader that only serves the record writes :attr:`text` instead of
+    serializing again. :attr:`text` is not updated when the dict
+    changes: serialize a changed document anew.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, data: dict, text: str):
+        """Wrap parsed ``data`` and the ``text`` it was parsed from."""
+        super().__init__(data)
+        self.text = text
+
+
 def dump_record_text(record: dict) -> str:
     """The canonical serialized form of one record document.
 
@@ -163,8 +184,11 @@ _STR_TYPE = frozenset((str,))
 _FLAT_ENCODERS: Dict[int, object] = {}
 
 #: Most bytes (compact keys plus indented texts) :data:`_SUBDOCS` holds
-#: before it starts over.
-SUBDOC_MEMO_BYTES = 1 << 20
+#: before it starts over. Its hits come from records written close
+#: together (a batch's siblings share their representative's
+#: ``phase_rows``; a campaign's records share their cluster), not from
+#: serving stored records again, which answer with their stored text.
+SUBDOC_MEMO_BYTES = 1 << 18
 
 #: Compact canonical text of a non-flat sub-document -> its indented
 #: text at depth 0. Readers make one ``get`` (atomic under the GIL), so
@@ -180,7 +204,8 @@ def _render(obj: object, depth: int) -> str:
     """The ``indent=1, sort_keys=True`` text of a container whose
     opening bracket sits at indent ``depth``."""
     kind = type(obj)
-    if kind is dict:
+    mapping = kind is dict or kind is RecordDocument
+    if mapping:
         if not obj:
             return "{}"
         values = obj.values()
@@ -191,7 +216,7 @@ def _render(obj: object, depth: int) -> str:
     else:
         raise _Fallback(kind.__name__)
     if _SCALAR_TYPES.issuperset(map(type, values)):
-        if kind is dict and not _STR_TYPE.issuperset(map(type, obj)):
+        if mapping and not _STR_TYPE.issuperset(map(type, obj)):
             raise _Fallback("non-str key")
         inner = depth + 1
         encoder = _FLAT_ENCODERS.get(inner)
@@ -216,7 +241,7 @@ def _members(obj: object, depth: int) -> str:
     """A non-empty, non-flat container's text, one member per line."""
     inner = depth + 1
     separator = ",\n" + " " * inner
-    if type(obj) is dict:
+    if isinstance(obj, dict):
         if not _STR_TYPE.issuperset(map(type, obj)):
             raise _Fallback("non-str key")
         keys = sorted(obj)

@@ -52,7 +52,8 @@ Design points:
   put that replaces a record carries the tags stored on it.
 * **Integrity is checkable.** :meth:`ResultStore.verify` is an fsck
   (:func:`verify_record` per record, the ``tags`` index against the
-  record text, ``PRAGMA quick_check`` for the database).
+  record text, canonical record text, ``PRAGMA quick_check`` for the
+  database).
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.store.backend import (
+    RecordDocument,
     ResultStoreWarning,
     VerifyProblem,
     VerifyReport,
@@ -86,6 +88,13 @@ BUSY_TIMEOUT_MS = 30_000
 #: Statement attempts before a persistent ``SQLITE_BUSY`` is treated as
 #: a real failure (each retry backs off a little longer).
 BUSY_RETRIES = 5
+
+#: KiB of pages each connection caches (SQLite's default is 2 MiB).
+#: Records are written once and read by key, so a repeat read is served
+#: by the operating system's file cache, and a process holds one
+#: connection per thread: the service's event loop, scheduler and
+#: worker threads would otherwise each cache up to 2 MiB of the store.
+CACHE_KIB = 256
 
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS records (
@@ -307,6 +316,7 @@ class ResultStore:
             _execute(conn, "PRAGMA journal_mode=WAL")
             _execute(conn, "PRAGMA synchronous=NORMAL")
             _execute(conn, f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+            _execute(conn, f"PRAGMA cache_size=-{CACHE_KIB}")
             with conn:
                 conn.executescript(_SCHEMA_SQL)
         except BaseException:
@@ -454,16 +464,17 @@ class ResultStore:
             return None
         return data
 
-    def _read_record(self, key: str) -> Optional[dict]:
+    def _read_record(self, key: str) -> Optional[RecordDocument]:
         """One usable current-schema record document, or None."""
         rows = self._rows("SELECT record FROM records WHERE key = ?",
                           (key,))
         if not rows:
             return None
-        data = self._parse(key, rows[0][0])
+        text = rows[0][0]
+        data = self._parse(key, text)
         if data is None or data.get("schema") != SCHEMA_VERSION:
             return None
-        return data
+        return RecordDocument(data, text)
 
     def _load_result(self, key: str,
                      data: Optional[dict]) -> Optional[StoredResult]:
@@ -484,17 +495,19 @@ class ResultStore:
         """Whether a usable record exists (no counter side effects)."""
         return self._read_record(key) is not None
 
-    def fetch_record(self, key: str) -> Optional[dict]:
+    def fetch_record(self, key: str) -> Optional[RecordDocument]:
         """One usable record *document* — no counter side effects.
 
         The raw envelope dict (``{key, schema, provenance, tags,
-        result}``) whose canonical serialization
-        (:func:`~repro.store.backend.dump_record_text`) is byte-identical
-        to what ``repro store export`` emits; the benchmark service
-        serves these bytes directly. Lookups through this path are the
-        *caller's* to account (the service keeps request-level counters),
-        unlike :meth:`get`, which bumps the store's own hit/miss
-        counters.
+        result}``) as a :class:`~repro.store.backend.RecordDocument`,
+        whose ``text`` is the stored text it was parsed from: its
+        canonical serialization
+        (:func:`~repro.store.backend.dump_record_text`), which
+        :meth:`verify` checks. The benchmark service serves that text
+        as is, with one read and no second serialization. Lookups
+        through this path are the *caller's* to account (the service
+        keeps request-level counters), unlike :meth:`get`, which bumps
+        the store's own hit/miss counters.
         """
         return self._read_record(key)
 
@@ -959,14 +972,17 @@ class ResultStore:
         content). A sound record's ``tags`` object must also match its
         rows in the ``tags`` index, meta for meta as the text
         :meth:`_publish` writes, and every index row must belong to a
-        record: the tag pass answers from the index alone. The metadata
-        check is SQLite's own ``PRAGMA quick_check``.
+        record: the tag pass answers from the index alone. Its text must
+        be canonical, ``dump_record_text`` of the document it parses
+        to: :meth:`fetch_record` readers serve that text as is. The
+        metadata check is SQLite's own ``PRAGMA quick_check``.
 
         ``gc=True`` sweeps every failing record (exactly the set that
         would otherwise warn as :class:`ResultStoreWarning` or never
-        hit), rebuilds a sound record's drifted rows by publishing it
-        again from its own text, and drops rows that have no record;
-        ``swept`` counts the problems it resolved.
+        hit), publishes a sound record with drifted rows or
+        non-canonical text again from the document its text parses to,
+        and drops rows that have no record; ``swept`` counts the
+        problems it resolved.
         """
         report = VerifyReport()
         try:
@@ -1002,6 +1018,9 @@ class ResultStore:
             elif self._tag_index(data) != rows:
                 problem = "tags index disagrees with the record's tags"
                 drifted.append(key)
+            elif dump_record_text(data) != text:
+                problem = "record text is not canonical"
+                drifted.append(key)
             else:
                 report.ok += 1
                 continue
@@ -1021,9 +1040,9 @@ class ResultStore:
         """Resolve verify's problems in one transaction; returns how many.
 
         Failing records are dropped with their rows. A drifted record is
-        published again from the text it holds now, which rebuilds its
-        rows. An orphan key's rows are dropped unless a record arrived
-        since the scan.
+        published again from the document its text parses to now, which
+        rebuilds its rows and writes its canonical text. An orphan key's
+        rows are dropped unless a record arrived since the scan.
         """
         def sweep(db: sqlite3.Connection) -> int:
             resolved = self._drop(db, failing)

@@ -1,5 +1,6 @@
 """Tests for shuffle-matrix computation."""
 
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_figure_rows_match_exact_counts(figure):
 
 def test_one_generator_per_matrix_and_no_prng_round_trip(monkeypatch):
     """An 8-map MR-RAND matrix seats one generator for all its rows and
-    never advances a Python PRNG."""
+    never advances a Python PRNG; the thread's next matrix reuses it."""
     built = []
     real = np.random.MT19937
 
@@ -207,13 +208,48 @@ def test_one_generator_per_matrix_and_no_prng_round_trip(monkeypatch):
         raise AssertionError("the matrix advanced a Python PRNG")
 
     config = cfg(pattern="rand", num_maps=8, num_pairs=96_000, seed=424242)
-    want = _oracle_matrix(config, EXACT_LIMIT)
+    other = cfg(pattern="skew", num_maps=8, num_pairs=96_000, seed=7)
+    want = [_oracle_matrix(c, EXACT_LIMIT) for c in (config, other)]
     clear_matrix_cache()
+    # A thread with no generator yet, so the first matrix builds one.
+    monkeypatch.setattr(partitioners, "_GENERATORS", threading.local())
     monkeypatch.setattr(np.random, "MT19937", counting)
     monkeypatch.setattr(partitioners, "_advance_rng", refuse)
     got = compute_shuffle_matrix(config).records
     assert len(built) == 1
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, want[0])
+    assert np.array_equal(compute_shuffle_matrix(other).records, want[1])
+    assert len(built) == 1
+
+
+def test_each_thread_seats_its_own_generator():
+    """Matrices built on two threads at once match the oracle: the
+    threads never share the generator they seat."""
+    configs = [cfg(pattern=pattern, num_maps=6, num_pairs=60_000, seed=seed)
+               for pattern in ("rand", "skew", "zipf") for seed in (3, 11)]
+    want = [_oracle_matrix(c, EXACT_LIMIT) for c in configs]
+    got = {}
+    generators = set()
+    start = threading.Barrier(2)
+
+    def build(half):
+        start.wait()
+        generators.add(id(partitioners.thread_generator()))
+        for _round in range(5):
+            for index in half:
+                clear_matrix_cache()
+                got.setdefault(index, []).append(
+                    compute_shuffle_matrix(configs[index]).records)
+
+    threads = [threading.Thread(target=build, args=(range(i, 6, 2),))
+               for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(generators) == 2
+    for index, matrices in got.items():
+        assert all(np.array_equal(m, want[index]) for m in matrices)
 
 
 def test_matrix_memo_stays_within_its_limit(monkeypatch):

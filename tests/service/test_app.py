@@ -2,22 +2,31 @@
 
 These drive a real socket — :class:`BackgroundServer` on an ephemeral
 port, ``http.client`` as the client — so the request parser, the
-``asyncio.to_thread`` dispatch and the byte-verbatim warm path are all
-exercised end to end. One directory root is enough here: root
-spelling parity is the core suite's job, the transport doesn't touch
-it.
+split between dispatch on the event loop and in worker threads, and
+the byte-verbatim warm path are all exercised end to end. One directory
+root is enough here: root spelling parity is the core suite's job, the
+transport doesn't touch it.
 """
 
 import asyncio
 import http.client
 import json
 import logging
+import os
+import threading
 import time
 
 import pytest
 
-from repro.service import BackgroundServer, BenchmarkService
+from repro.service import (
+    CANCELLED,
+    BackgroundServer,
+    BenchmarkService,
+    Ticket,
+    parse_point_query,
+)
 from repro.service.app import _serve_connection
+from repro.service.core import HIT_FLUSH_THRESHOLD
 
 from tests.service.conftest import tiny_query
 
@@ -117,6 +126,21 @@ class TestRoutes:
         assert response.status == 400
         assert "invalid JSON" in doc["error"]
 
+    def test_deeply_nested_body_400(self, client, caplog):
+        """A body nested deeper than the JSON decoder follows (well under
+        MAX_BODY_BYTES) is invalid JSON, not a dropped connection."""
+        body = b"[" * 50_000 + b"]" * 50_000
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            client.request("POST", "/v1/points", body=body)
+            response = client.getresponse()
+            doc = json.loads(response.read())
+            assert response.status == 400
+            assert "invalid JSON" in doc["error"]
+            # The connection is still good for the next request.
+            status, _, _ = request(client, "GET", "/healthz")
+            assert status == 200
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
     def test_bad_query_400(self, client):
         status, _, doc = request(client, "POST", "/v1/points",
                                  {"network": "1GigE"})
@@ -155,6 +179,108 @@ class TestProtocol:
         assert int(response.headers["Content-Length"]) == len(raw)
         assert response.headers["Content-Type"] == "application/json"
         conn.close()
+
+
+def _timed(server, method, target, body=None):
+    """One request on a fresh connection: (status, seconds)."""
+    conn = http.client.HTTPConnection(*server.address, timeout=30)
+    try:
+        started = time.perf_counter()
+        status, _, _ = request(conn, method, target, body)
+        return status, time.perf_counter() - started
+    finally:
+        conn.close()
+
+
+class TestEventLoop:
+    """Only ``GET /v1/stats`` and waiting queries leave the event loop;
+    every other request is answered on it and never writes the store."""
+
+    def test_healthz_and_warm_answer_while_every_worker_thread_waits(
+            self, tmp_path, monkeypatch):
+        service = BenchmarkService(str(tmp_path / "store"))
+        # As many waiting queries as asyncio's default executor has
+        # threads: every worker thread is then blocked.
+        holds = min(32, (os.cpu_count() or 1) + 4)
+        cold = tiny_query(shuffle_gb=0.03, wait=30)
+        key = parse_point_query(tiny_query(shuffle_gb=0.03)).key
+        with BackgroundServer(service) as server:
+            status, _ = _timed(server, "POST", "/v1/points",
+                               tiny_query(wait=True))
+            assert status == 200  # the warm point
+            # From here on the scheduler never resolves a ticket.
+            monkeypatch.setattr(service.scheduler, "submit",
+                                lambda ticket: True)
+            statuses = []
+            clients = [threading.Thread(
+                target=lambda: statuses.append(
+                    _timed(server, "POST", "/v1/points", cold)[0]))
+                for _ in range(holds)]
+            for client in clients:
+                client.start()
+            try:
+                deadline = time.monotonic() + 20
+                ticket = service.flight.get(key)
+                while ((ticket is None or ticket.waiters < holds)
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                    ticket = service.flight.get(key)
+                assert ticket is not None and ticket.waiters == holds
+                time.sleep(0.1)  # the last waiter reaches ticket.wait
+                status, seconds = _timed(server, "GET", "/healthz")
+                assert status == 200 and seconds < 0.5
+                status, seconds = _timed(server, "POST", "/v1/points",
+                                         tiny_query())
+                assert status == 200 and seconds < 0.5
+            finally:
+                ticket = service.flight.get(key)
+                if ticket is not None:
+                    service.flight.resolve(ticket, CANCELLED, "test over")
+                for client in clients:
+                    client.join(30)
+        assert statuses == [503] * holds
+
+    def test_counter_flush_and_ticket_waits_stay_off_the_loop(
+            self, tmp_path, monkeypatch):
+        service = BenchmarkService(str(tmp_path / "store"))
+        threads = {"bump_counters": [], "wait": []}
+        bump = service.store.bump_counters
+        wait = Ticket.wait
+
+        def recording_bump(deltas):
+            threads["bump_counters"].append(threading.current_thread())
+            return bump(deltas)
+
+        def recording_wait(ticket, timeout=None):
+            threads["wait"].append(threading.current_thread())
+            return wait(ticket, timeout)
+
+        monkeypatch.setattr(service.store, "bump_counters", recording_bump)
+        monkeypatch.setattr(Ticket, "wait", recording_wait)
+        with BackgroundServer(service) as server:
+            loop_thread = server._thread
+            conn = http.client.HTTPConnection(*server.address, timeout=30)
+            status, _, doc = request(conn, "POST", "/v1/points",
+                                     tiny_query(wait=True))
+            assert status == 200
+            key = doc["key"]
+            for _ in range(HIT_FLUSH_THRESHOLD):
+                assert request(conn, "POST", "/v1/points",
+                               tiny_query())[0] == 200
+                assert request(conn, "GET", f"/v1/points/{key}")[0] == 200
+            deadline = time.monotonic() + 10
+            flusher = service.scheduler._thread
+            while (flusher not in threads["bump_counters"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert flusher in threads["bump_counters"]
+            status, _, stats = request(conn, "GET", "/v1/stats")
+            assert status == 200
+            assert stats["hits"] == 2 * HIT_FLUSH_THRESHOLD
+            conn.close()
+        assert threads["wait"]
+        assert loop_thread not in threads["wait"]
+        assert loop_thread not in threads["bump_counters"]
 
 
 class _ClosingWriter:

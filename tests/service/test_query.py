@@ -6,11 +6,13 @@ for the same coordinates — that parity is what makes the store a
 shared cache between ``repro serve`` and ``repro campaign run``.
 """
 
+import time
+
 import pytest
 
 from repro.campaign import Campaign
 from repro.service import parse_point_query
-from repro.store import point_key
+from repro.store import canonical_json, point_key
 
 from tests.service.conftest import TINY_POINT, tiny_query
 
@@ -57,6 +59,69 @@ class TestKeyParity:
             "params": dict(TINY_POINT["params"]),
         })
         assert minimal.key == explicit.key
+
+
+class TestTrialDerivation:
+    """A query derives only its own trial, through the same per-point
+    helper ``Campaign.points()`` runs, so its cost does not grow with
+    the trial number."""
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_keys_match_campaign_points(self, seeded):
+        params = dict(TINY_POINT["params"])
+        if seeded:
+            params["seed"] = 4242
+        campaign = Campaign(
+            name="oracle", benchmark=TINY_POINT["benchmark"],
+            shuffle_gbs=(TINY_POINT["shuffle_gb"],),
+            networks=(TINY_POINT["network"],),
+            slaves=TINY_POINT["slaves"], params=params, trials=6)
+        points = campaign.points()
+        for trial in range(6):
+            query = parse_point_query(tiny_query(params=params, trial=trial))
+            want = points[trial]
+            assert query.config == want.config
+            assert query.key == point_key(
+                want.config, campaign.cluster_spec(),
+                jobconf=campaign.jobconf(), fault_plan=campaign.fault_plan)
+
+    def test_huge_trial_parses_in_constant_time(self, monkeypatch):
+        def refuse(_campaign):
+            raise AssertionError("the query expanded the whole grid")
+
+        # Expanding 10**9 trials would exhaust memory long before any
+        # time limit: fail at once instead.
+        monkeypatch.setattr(Campaign, "points", refuse)
+        started = time.perf_counter()
+        query = parse_point_query(tiny_query(trial=10**9))
+        assert time.perf_counter() - started < 0.1
+        assert query.point.trial == 10**9
+        assert query.config.seed == 20140901 + 10**9 * 9973
+
+
+class TestSharedSpecs:
+    """``cluster_spec()``/``jobconf()`` hand out one frozen instance
+    per exact value, so the identity-keyed key-fragment memo hits."""
+
+    def test_equal_campaigns_share_instances(self):
+        first, second = (parse_point_query(tiny_query()).campaign
+                         for _ in range(2))
+        assert first.cluster_spec() is second.cluster_spec()
+        assert first.jobconf() is second.jobconf()
+        assert first.jobconf() is not Campaign(
+            name="x", shuffle_gbs=(1.0,), networks=("1GigE",),
+            runtime="yarn").jobconf()
+
+    def test_value_equal_spellings_stay_apart(self):
+        specs = [Campaign(name="x", shuffle_gbs=(1.0,),
+                          networks=("1GigE",), slaves=slaves).cluster_spec()
+                 for slaves in (2, 2.0, True, 1)]
+        texts = [canonical_json(spec) for spec in specs]
+        assert len({id(spec) for spec in specs}) == 4
+        assert len(set(texts)) == 4
+        keys = {parse_point_query(tiny_query(slaves=slaves)).key
+                for slaves in (2, 2.0)}
+        assert len(keys) == 2
 
 
 class TestValidation:

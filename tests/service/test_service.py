@@ -65,6 +65,36 @@ class TestWarmAndCold:
         record = store.fetch_record(key)
         assert warm.payload == dump_record_text(record).encode("utf-8")
 
+    def test_padded_record_is_served_canonical_after_verify_gc(
+            self, service, tmp_path, root_kind, capsys):
+        """Warm answers are the stored text as is. A record whose text
+        is padded through SQL is flagged by ``repro store verify``;
+        ``--gc`` writes its canonical text back, and the service then
+        answers the canonical bytes again."""
+        from repro.core.cli import repro_main
+
+        cold = service.query_point(tiny_query(wait=True))
+        key = parse_point_query(tiny_query()).key
+        root = store_root(tmp_path, root_kind)
+        store = ResultStore(root)
+        db = store._db()
+        with db:
+            db.execute("UPDATE records SET record = ' ' || record "
+                       "WHERE key = ?", (key,))
+        assert service.query_point(tiny_query()).payload == (
+            b" " + cold.payload)
+        capsys.readouterr()
+        assert repro_main(["store", "verify", "--store", root]) == 1
+        assert "record text is not canonical" in capsys.readouterr().out
+        assert repro_main(["store", "verify", "--gc", "--store", root]) == 0
+        assert "1 swept" in capsys.readouterr().out
+        warm = service.query_point(tiny_query())
+        assert warm.status == 200
+        assert warm.payload == cold.payload
+        assert warm.payload == dump_record_text(
+            store.fetch_record(key)).encode("utf-8")
+        store.close()
+
     def test_lookup_by_key_matches_query_payload(self, service):
         posted = service.query_point(tiny_query(wait=True))
         key = parse_point_query(tiny_query()).key

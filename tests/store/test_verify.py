@@ -8,6 +8,7 @@ file-level damage an old directory store can carry into
 """
 
 import json
+import types
 import warnings
 
 import pytest
@@ -15,10 +16,12 @@ import pytest
 from repro.core.config import BenchmarkConfig
 from repro.core.suite import MicroBenchmarkSuite, clear_result_cache
 from repro.hadoop.cluster import cluster_a
+import repro.store.backend as backend_mod
 from repro.store import (
     ResultStore,
     ResultStoreWarning,
     StoredResult,
+    dump_record_text,
     migrate_store,
     point_key,
 )
@@ -28,6 +31,7 @@ from tests.store.conftest import (
     corrupt_checkpoint,
     corrupt_metadata,
     load_record,
+    record_text,
     rewrite_record,
     store_root,
 )
@@ -237,6 +241,50 @@ class TestTagIndexCheck:
         assert store.verify().clean
         assert list(store.keys()) == [keys[1]]
         assert store.campaign_keys("camp") == [keys[1]]
+
+
+class TestCanonicalText:
+    """``fetch_record`` readers serve a record's stored text as is, so
+    ``verify`` reports a sound record whose text is not
+    ``dump_record_text`` of its document, and ``verify(gc=True)``
+    writes the canonical text back. The text is padded through SQL."""
+
+    @pytest.mark.parametrize("padded", [
+        "' ' || record", "record || char(10)",
+        "replace(record, char(10), char(10) || ' ')",
+    ])
+    def test_padded_text_is_reported_and_rewritten(self, tmp_path,
+                                                   root_kind, padded):
+        store, keys = _fill(tmp_path, root_kind)
+        canonical = record_text(store, keys[0])
+        db = store._db()
+        with db:
+            db.execute(f"UPDATE records SET record = {padded} "
+                       f"WHERE key = ?", (keys[0],))
+        assert record_text(store, keys[0]) != canonical
+        assert store.fetch_record(keys[0]).text != canonical
+        report = store.verify()
+        assert [(p.key, p.problem) for p in report.problems] == [
+            (keys[0], "record text is not canonical")]
+        assert report.checked == 2 and report.ok == 1
+        assert store.verify(gc=True).swept == 1
+        assert store.verify().clean
+        assert record_text(store, keys[0]) == canonical
+        assert store.fetch_record(keys[0]).text == canonical
+
+    def test_fetch_record_carries_the_stored_text(self, tmp_path,
+                                                  root_kind, monkeypatch):
+        store, keys = _fill(tmp_path, root_kind)
+        def stdlib_dump(*_args, **_kwargs):
+            raise AssertionError("a fetched record left the fast path")
+
+        monkeypatch.setattr(backend_mod, "json",
+                            types.SimpleNamespace(dumps=stdlib_dump))
+        for key in keys:
+            record = store.fetch_record(key)
+            assert record.text == record_text(store, key)
+            assert record == json.loads(record.text)
+            assert dump_record_text(record) == record.text
 
 
 def _old_directory_store(tmp_path, files):

@@ -34,7 +34,6 @@ from _harness import check_or_record, one_shot, record, record_texts
 from repro.campaign import Campaign, run_campaign
 from repro.core.matrix import clear_matrix_cache
 from repro.core.suite import clear_result_cache
-from repro.net.fabric import clear_link_table_cache
 from repro.store import ResultStore
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_campaign.json"
@@ -82,7 +81,6 @@ def _clear_process_caches() -> None:
     """Reset every process-wide cache so each phase starts cold."""
     clear_result_cache()
     clear_matrix_cache()
-    clear_link_table_cache()
 
 
 def _run_mode(campaign: Campaign, batch: bool):

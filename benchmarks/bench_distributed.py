@@ -33,7 +33,6 @@ from repro.campaign import Campaign, PoolBackend, run_campaign
 from repro.campaign.chaos import ENV_CHAOS_ATTEMPTS, ENV_CHAOS_CRASH
 from repro.core.matrix import clear_matrix_cache
 from repro.core.suite import clear_result_cache
-from repro.net.fabric import clear_link_table_cache
 from repro.store import ResultStore
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_distributed.json"
@@ -64,7 +63,6 @@ def _campaign() -> Campaign:
 def _clear_process_caches() -> None:
     clear_result_cache()
     clear_matrix_cache()
-    clear_link_table_cache()
 
 
 def _run_local(campaign):

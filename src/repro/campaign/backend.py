@@ -246,10 +246,6 @@ class ExecutionBackend(abc.ABC):
     def close(self) -> None:
         """Release backend resources (idempotent; default no-op)."""
 
-    def describe(self) -> dict:
-        """A JSON-able summary for stats endpoints and checkpoints."""
-        return {"backend": self.name}
-
 
 @dataclass
 class _Worker:

@@ -218,16 +218,6 @@ class PoolBackend(ExecutionBackend):
                     pass
         self._procs = []
 
-    def describe(self) -> dict:
-        info = {"backend": self.name, "workers": self.workers,
-                "lease_seconds": self.lease,
-                "connected": len(self._conns)}
-        if self._listener is not None:
-            host, port = self._listener.getsockname()[:2]
-            info["address"] = f"{host}:{port}"
-        info.update(self.counters)
-        return info
-
     # -- main loop ---------------------------------------------------------
 
     def run(self, ctx: ExecutionContext) -> None:

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.core.suite import MicroBenchmarkSuite, SweepResult, SweepRow
+from repro.core.suite import SweepResult, SweepRow
 from repro.campaign.backend import ExecutionBackend
 from repro.campaign.executor import (
     STATUS_CACHED,
@@ -188,12 +188,7 @@ def run_campaign(
     socket-connected worker pool with lease-based failover. A supplied
     backend is borrowed — the caller owns its lifecycle (``close()``).
     """
-    suite = MicroBenchmarkSuite(
-        cluster=campaign.cluster_spec(),
-        jobconf=campaign.jobconf(),
-        fault_plan=campaign.fault_plan,
-        store=store,
-    )
+    suite = campaign.suite(store)
     expand_started = time.monotonic()
     points = campaign.points()
     expand_seconds = time.monotonic() - expand_started

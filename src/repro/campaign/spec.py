@@ -41,14 +41,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.benchmarks import get_benchmark
-from repro.core.config import BenchmarkConfig
+from repro.core.config import TRIAL_SEED_STRIDE, BenchmarkConfig
+from repro.core.suite import MicroBenchmarkSuite
 from repro.faults import FaultPlan
 from repro.hadoop.cluster import ClusterSpec, cluster_a, cluster_b
 from repro.hadoop.job import JobConf
 from repro.hadoop.runtime import available_runtimes
-
-#: Seed stride between trials (matches ``MicroBenchmarkSuite.run_trials``).
-TRIAL_SEED_STRIDE = 9973
+from repro.store import StoreLike
 
 #: Most distinct (cluster, slaves) specs and runtimes
 #: :meth:`Campaign.cluster_spec` and :meth:`Campaign.jobconf` keep.
@@ -166,6 +165,18 @@ class Campaign:
         frozen instance per runtime, like :meth:`cluster_spec`."""
         return _jobconf(self.runtime)
 
+    def suite(self, store: Optional[StoreLike] = None) -> MicroBenchmarkSuite:
+        """The suite this campaign's points run on, backed by ``store``.
+
+        Its cluster, jobconf and fault plan are the campaign's, so every
+        caller that runs or looks up a campaign's points derives the
+        same store keys.
+        """
+        return MicroBenchmarkSuite(
+            cluster=self.cluster_spec(), jobconf=self.jobconf(),
+            fault_plan=self.fault_plan, store=store,
+        )
+
     def point(self, shuffle_gb: float, network: str, trial: int = 0,
               variant: Optional[Dict[str, object]] = None) -> CampaignPoint:
         """One grid point, derived on its own.
@@ -255,9 +266,15 @@ class Campaign:
                 f"known: {sorted(known)}"
             )
         kwargs = dict(data)
-        kwargs["shuffle_gbs"] = tuple(
-            float(s) for s in data.get("shuffle_gbs", ())
-        )
+        try:
+            kwargs["shuffle_gbs"] = tuple(
+                float(s) for s in data.get("shuffle_gbs", ())
+            )
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"shuffle_gbs must be a list of numbers, got "
+                f"{data.get('shuffle_gbs')!r}"
+            ) from None
         kwargs["networks"] = tuple(data.get("networks", ()))
         if "params" in kwargs:
             kwargs["params"] = dict(kwargs["params"])

@@ -746,12 +746,7 @@ def _cmd_campaign(args) -> int:
 
 def _campaign_keys(campaign, store):
     """Store keys of every grid point of a campaign."""
-    from repro.core.suite import MicroBenchmarkSuite
-
-    suite = MicroBenchmarkSuite(
-        cluster=campaign.cluster_spec(), jobconf=campaign.jobconf(),
-        fault_plan=campaign.fault_plan, store=store,
-    )
+    suite = campaign.suite(store)
     return [suite.store_key(p.config) for p in campaign.points()]
 
 

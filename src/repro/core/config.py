@@ -8,6 +8,7 @@ reduce tasks, data type, and network configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Type
 
@@ -28,6 +29,11 @@ PATTERNS = (PATTERN_AVG, PATTERN_RAND, PATTERN_SKEW, PATTERN_ZIPF,
 #: Data types the paper evaluates (Sect. 5.2); the suite supports any
 #: registered Writable with payload semantics.
 SUPPORTED_DATA_TYPES = ("BytesWritable", "Text")
+
+#: Trial ``t`` of a point with base seed ``s`` runs with seed
+#: ``s + t * TRIAL_SEED_STRIDE``, whether a campaign, the service or
+#: ``MicroBenchmarkSuite.run_trials`` runs it.
+TRIAL_SEED_STRIDE = 9973
 
 
 @dataclass(frozen=True)
@@ -154,8 +160,13 @@ class BenchmarkConfig:
         This is how the paper's sweeps are expressed ("we vary the
         number of intermediate key/value pairs generated" for a target
         shuffle data size). The pair count is rounded to keep per-map
-        counts integral.
+        counts integral. Raises :class:`ValueError` for an infinite or
+        NaN size.
         """
+        if not math.isfinite(shuffle_bytes):
+            raise ValueError(
+                f"shuffle size must be a finite number of bytes, got "
+                f"{shuffle_bytes!r}")
         probe = cls(num_pairs=1, **kwargs)  # type: ignore[arg-type]
         pairs = max(1, round(shuffle_bytes / probe.record_size))
         return replace(probe, num_pairs=pairs)

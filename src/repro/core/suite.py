@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.analysis.stats import improvement_pct
 from repro.analysis.tables import format_table
 from repro.core.benchmarks import MicroBenchmark, get_benchmark
-from repro.core.config import BenchmarkConfig
+from repro.core.config import TRIAL_SEED_STRIDE, BenchmarkConfig
 from repro.faults import FaultPlan
 from repro.hadoop.cluster import ClusterSpec, cluster_a
 from repro.hadoop.costmodel import CostModel
@@ -484,7 +484,7 @@ class MicroBenchmarkSuite:
         benchmark: BenchmarkLike,
         trials: int,
         shuffle_gb: Optional[float] = None,
-        base_seed: int = 20140901,
+        base_seed: int = BenchmarkConfig.seed,
         jobs: int = 1,
         **config_kwargs: object,
     ) -> List[float]:
@@ -494,7 +494,8 @@ class MicroBenchmarkSuite:
         identical record-to-reducer mapping; this method quantifies how
         much that mapping matters by re-drawing it. For MR-AVG the
         variance is zero by construction (round-robin); for MR-RAND and
-        MR-SKEW the spread reflects genuine placement luck. Returns the
+        MR-SKEW the spread reflects genuine placement luck. Trial ``t``
+        runs with ``base_seed + t * TRIAL_SEED_STRIDE``. Returns the
         execution times, one per trial (trial order; ``jobs > 1`` runs
         trials on worker processes without changing order or values).
         """
@@ -503,7 +504,7 @@ class MicroBenchmarkSuite:
         bench = get_benchmark(benchmark) if isinstance(benchmark, str) else benchmark
         configs = []
         for trial in range(trials):
-            seed = base_seed + trial * 9973
+            seed = base_seed + trial * TRIAL_SEED_STRIDE
             if shuffle_gb is not None:
                 config = BenchmarkConfig.from_shuffle_size(
                     shuffle_gb * 1e9, pattern=bench.pattern, seed=seed,

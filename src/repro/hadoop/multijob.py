@@ -25,18 +25,15 @@ from typing import List, Optional
 from repro.core.config import BenchmarkConfig
 from repro.core.matrix import compute_shuffle_matrix
 from repro.faults import FaultInjector, FaultPlan, ResilienceReport
-from repro.hadoop.cluster import ClusterSpec, cluster_a
-from repro.hadoop.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.hadoop.cluster import ClusterSpec
+from repro.hadoop.costmodel import CostModel
 from repro.hadoop.events_log import JobEventLog
-from repro.hadoop.job import DEFAULT_JOB_CONF, JobConf
-from repro.hadoop.node import SimNode
-from repro.hadoop.runtime import JobExecution, create_runtime
-from repro.hadoop.simulation import JOB_OVERHEAD
-from repro.net.fabric import NetworkFabric
+from repro.hadoop.job import JobConf
+from repro.hadoop.runtime import JobExecution
+from repro.hadoop.simulation import JOB_OVERHEAD, Testbed, build_testbed
 from repro.net.interconnect import get_interconnect
-from repro.net.transport import transport_for
+from repro.net.transport import TransportModel, transport_for
 from repro.sim.events import AllOf
-from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 
 
@@ -96,40 +93,20 @@ def run_concurrent_jobs(
     """
     if not requests:
         raise ValueError("run_concurrent_jobs needs at least one request")
-    cluster = cluster if cluster is not None else cluster_a()
-    jobconf = jobconf if jobconf is not None else DEFAULT_JOB_CONF
-    base_costs = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-    costs = base_costs.scaled(cluster.node.clock_ghz)
-
-    networks = {req.config.network for req in requests}
-    interconnects = {get_interconnect(n).name for n in networks}
+    interconnects = {get_interconnect(r.config.network).name for r in requests}
     if len(interconnects) > 1:
         raise ValueError(
             f"concurrent jobs must share one network, got {sorted(interconnects)}"
         )
     interconnect = get_interconnect(requests[0].config.network)
     transport = transport_for(interconnect)
-
-    sim = Simulator()
-    if tracer is not None:
-        sim.tracer = tracer.bind(sim)
-    uplink = None
-    if cluster.racks > 1:
-        uplink = cluster.rack_uplink_bandwidth(interconnect.sustained_bandwidth)
-    fabric = NetworkFabric(sim, interconnect, rack_uplink_bandwidth=uplink)
-    nodes: List[SimNode] = [
-        SimNode(sim, name, cluster.node, fabric, rack=cluster.rack_of(i))
-        for i, name in enumerate(cluster.slave_names())
-    ]
-    runtime = create_runtime(jobconf.version, sim, nodes, jobconf, costs)
+    bed = build_testbed(interconnect, cluster, jobconf, cost_model, tracer)
+    sim = bed.sim
 
     # One injector serves the whole batch: node crashes and link faults
     # hit every tenant; the per-job placement offset salts the failure
     # coins so jobs fail independently.
-    faults = None
-    if fault_plan is not None and not fault_plan.is_noop():
-        faults = FaultInjector(fault_plan, sim, fabric, nodes)
-        faults.install()
+    faults = bed.inject(fault_plan)
 
     results: List[ConcurrentJobResult] = []
     job_procs = []
@@ -145,8 +122,8 @@ def run_concurrent_jobs(
         results.append(result)
         job_procs.append(
             sim.process(
-                _run_one_job(sim, runtime, fabric, transport, jobconf,
-                             costs, request, result, job_index, faults),
+                _run_one_job(bed, transport, request, result, job_index,
+                             faults),
                 name=f"job{job_index}",
             )
         )
@@ -155,10 +132,11 @@ def run_concurrent_jobs(
     return results
 
 
-def _run_one_job(sim, runtime, fabric, transport, jobconf, costs,
+def _run_one_job(bed: Testbed, transport: TransportModel,
                  request: JobRequest, result: ConcurrentJobResult,
-                 job_index: int, faults: Optional[FaultInjector] = None):
+                 job_index: int, faults: Optional[FaultInjector]):
     """One job's orchestration inside the shared world."""
+    sim = bed.sim
     config = request.config
     if request.submit_at > 0:
         yield sim.timeout(request.submit_at)
@@ -166,11 +144,11 @@ def _run_one_job(sim, runtime, fabric, transport, jobconf, costs,
 
     execution = JobExecution(
         sim=sim,
-        runtime=runtime,
+        runtime=bed.runtime,
         config=config,
-        jobconf=jobconf,
-        costs=costs,
-        fabric=fabric,
+        jobconf=bed.jobconf,
+        costs=bed.costs,
+        fabric=bed.fabric,
         transport=transport,
         matrix=compute_shuffle_matrix(config),
         events=result.events,

@@ -23,6 +23,7 @@ produce bit-identical times.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.config import BenchmarkConfig
@@ -34,20 +35,14 @@ from repro.hadoop.events_log import JobEventLog
 from repro.hadoop.job import DEFAULT_JOB_CONF, JobConf
 from repro.hadoop.node import SimNode
 from repro.hadoop.result import SimJobResult
-from repro.hadoop.runtime import (  # noqa: F401 - re-exported compat names
-    SPECULATION_SLOWDOWN,
-    SPECULATION_THRESHOLD,
+from repro.hadoop.runtime import (  # noqa: F401 - TaskFailedError re-exported
     JobExecution,
+    Runtime,
     TaskFailedError,
-    attempt_fails as _attempt_fails,
     create_runtime,
 )
-from repro.net.fabric import (
-    DEFAULT_LOOPBACK_BANDWIDTH,
-    NetworkFabric,
-    link_table_for,
-)
-from repro.net.interconnect import get_interconnect
+from repro.net.fabric import NetworkFabric
+from repro.net.interconnect import InterconnectSpec, get_interconnect
 from repro.net.transport import TransportModel, transport_for
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import ResourceMonitor
@@ -56,6 +51,61 @@ from repro.sim.trace import CAT_JOB, Tracer
 #: Fixed job bring-up/teardown overhead (submission, setup/cleanup
 #: tasks) added to the reported execution time, seconds.
 JOB_OVERHEAD = 4.0
+
+
+@dataclass
+class Testbed:
+    """One simulated cluster, as :func:`build_testbed` wires it; the
+    dedicated and the concurrent job drivers both run on one."""
+
+    cluster: ClusterSpec
+    jobconf: JobConf
+    #: The cost model scaled to the cluster's clock.
+    costs: CostModel
+    sim: Simulator
+    fabric: NetworkFabric
+    nodes: List[SimNode]
+    runtime: Runtime
+
+    def inject(self, plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
+        """Install ``plan``'s faults; None (nothing installed) when the
+        plan is absent or a no-op, which keeps a healthy run
+        bit-identical to one without fault injection."""
+        if plan is None or plan.is_noop():
+            return None
+        faults = FaultInjector(plan, self.sim, self.fabric, self.nodes)
+        faults.install()
+        return faults
+
+
+def build_testbed(
+    interconnect: InterconnectSpec,
+    cluster: Optional[ClusterSpec] = None,
+    jobconf: Optional[JobConf] = None,
+    cost_model: Optional[CostModel] = None,
+    tracer: Optional[Tracer] = None,
+) -> Testbed:
+    """Build the simulator, fabric, slave nodes and runtime, in that order.
+
+    Defaults: Cluster A with 4 slaves, Hadoop 1.2.1 (MRv1) and
+    :data:`DEFAULT_COST_MODEL`. A ``tracer`` is bound to the simulator.
+    """
+    cluster = cluster if cluster is not None else cluster_a()
+    jobconf = jobconf if jobconf is not None else DEFAULT_JOB_CONF
+    base_costs = cost_model if cost_model is not None else DEFAULT_COST_MODEL
+    costs = base_costs.scaled(cluster.node.clock_ghz)
+    sim = Simulator()
+    if tracer is not None:
+        sim.tracer = tracer.bind(sim)
+    uplink = (cluster.rack_uplink_bandwidth(interconnect.sustained_bandwidth)
+              if cluster.racks > 1 else None)
+    fabric = NetworkFabric(sim, interconnect, rack_uplink_bandwidth=uplink)
+    nodes = [
+        SimNode(sim, name, cluster.node, fabric, rack=cluster.rack_of(i))
+        for i, name in enumerate(cluster.slave_names())
+    ]
+    runtime = create_runtime(jobconf.version, sim, nodes, jobconf, costs)
+    return Testbed(cluster, jobconf, costs, sim, fabric, nodes, runtime)
 
 
 def run_simulated_job(
@@ -100,56 +150,24 @@ def run_simulated_job(
         as ``result.resilience``. ``None`` (or an empty plan) is
         bit-identical to the pre-fault-injection code.
     """
-    cluster = cluster if cluster is not None else cluster_a()
-    jobconf = jobconf if jobconf is not None else DEFAULT_JOB_CONF
-    base_costs = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     interconnect = get_interconnect(config.network)
     transport = transport if transport is not None else transport_for(interconnect)
-    costs = base_costs.scaled(cluster.node.clock_ghz)
     if matrix is None:
         matrix = compute_shuffle_matrix(config)
     elif matrix.config != config:
         raise ValueError("supplied matrix was computed for a different config")
 
-    sim = Simulator()
-    if tracer is not None:
-        sim.tracer = tracer.bind(sim)
-    uplink = None
-    if cluster.racks > 1:
-        uplink = cluster.rack_uplink_bandwidth(
-            interconnect.sustained_bandwidth
-        )
-    hosts = tuple(
-        (name, cluster.rack_of(i))
-        for i, name in enumerate(cluster.slave_names())
-    )
-    fabric = NetworkFabric(
-        sim,
-        interconnect,
-        rack_uplink_bandwidth=uplink,
-        link_table=link_table_for(
-            interconnect, DEFAULT_LOOPBACK_BANDWIDTH, uplink, hosts
-        ),
-    )
-    nodes: List[SimNode] = [
-        SimNode(sim, name, cluster.node, fabric, rack=cluster.rack_of(i))
-        for i, name in enumerate(cluster.slave_names())
-    ]
-
-    runtime = create_runtime(jobconf.version, sim, nodes, jobconf, costs)
+    bed = build_testbed(interconnect, cluster, jobconf, cost_model, tracer)
+    sim, runtime = bed.sim, bed.runtime
     runtime.job_started()
-
-    faults = None
-    if fault_plan is not None and not fault_plan.is_noop():
-        faults = FaultInjector(fault_plan, sim, fabric, nodes)
-        faults.install()
+    faults = bed.inject(fault_plan)
 
     events = JobEventLog()
 
     monitor = None
     if monitor_interval is not None:
         monitor = ResourceMonitor(sim, interval=monitor_interval)
-        slave0 = nodes[0]
+        slave0 = bed.nodes[0]
         monitor.register_gauge(
             "cpu_pct",
             lambda: 100.0 * slave0.total_cpu_level() / slave0.spec.cores,
@@ -165,16 +183,16 @@ def run_simulated_job(
         sim=sim,
         runtime=runtime,
         config=config,
-        jobconf=jobconf,
-        costs=costs,
-        fabric=fabric,
+        jobconf=bed.jobconf,
+        costs=bed.costs,
+        fabric=bed.fabric,
         transport=transport,
         matrix=matrix,
         events=events,
         faults=faults,
     )
     job_span = (sim.tracer.begin("job", CAT_JOB, "job", "job",
-                                 framework=jobconf.version,
+                                 framework=bed.jobconf.version,
                                  network=interconnect.name)
                 if sim.tracer.enabled else None)
     job_done = execution.start()
@@ -188,8 +206,8 @@ def run_simulated_job(
 
     return SimJobResult(
         config=config,
-        cluster=cluster,
-        jobconf=jobconf,
+        cluster=bed.cluster,
+        jobconf=bed.jobconf,
         interconnect_name=interconnect.name,
         transport_name=transport.name,
         execution_time=sim.now + JOB_OVERHEAD,

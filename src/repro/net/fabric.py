@@ -18,11 +18,13 @@ Rate allocation is the simulation's hot loop (each job re-solves it on
 every flow arrival/departure), so the fabric keeps three fast paths,
 all bit-identical to the reference solver (see :mod:`repro.net.solver`):
 
-* each flow's traversed-link tuple is computed once at creation and
-  interned, per fabric, to a small-integer *class id*; each link gets
-  a link id the same way. The fabric keeps a class id -> link-id tuple
-  table and capacity and active-flow-count lists indexed by link id,
-  so the hot path never hashes a link name or tuple;
+* a flow's traversed-link tuple depends only on its (src, dst) pair,
+  so each fabric computes it once per pair, at the pair's first flow,
+  and interns it to a small-integer *class id*; each link gets a link
+  id the same way. The fabric keeps a class id -> link-id tuple table
+  and capacity and active-flow-count lists indexed by link id, so the
+  hot path never hashes a link name or tuple. Nothing is shared
+  between fabrics, so the ids follow only the fabric's own flows;
 * per-link active-flow counts are maintained incrementally, and when a
   change point only touches links private to the changed flows (e.g. a
   loopback fetch on an otherwise-idle host), the solver run is skipped
@@ -48,7 +50,7 @@ import itertools
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.net.interconnect import InterconnectSpec
-from repro.net.solver import LinkClassTable, compute_max_min, solve_max_min_grouped
+from repro.net.solver import compute_max_min, solve_max_min_grouped
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.monitor import ByteCounter, UtilizationTracker
@@ -56,13 +58,10 @@ from repro.sim.trace import CAT_NET
 
 __all__ = [
     "DEFAULT_LOOPBACK_BANDWIDTH",
-    "FabricLinkTable",
     "FabricNode",
     "Flow",
     "NetworkFabric",
-    "clear_link_table_cache",
     "compute_max_min",
-    "link_table_for",
 ]
 
 _EPS = 1e-6
@@ -78,10 +77,10 @@ class Flow:
 
     ``done`` succeeds (with the flow as value) when the last byte has
     been delivered. ``rate`` is the current max-min share in bytes/s.
-    ``links`` is the tuple of fabric links the flow traverses, computed
-    once at creation, and ``class_id`` the fabric's small-integer id for
-    that tuple; ``wire`` is False for node-local (loopback) flows that
-    never touch a NIC.
+    ``links`` is the tuple of fabric links the flow traverses, shared by
+    every flow of its (src, dst) pair, and ``class_id`` the fabric's
+    small-integer id for that tuple; ``wire`` is False for node-local
+    (loopback) flows that never touch a NIC.
 
     Flow ids are assigned per fabric (not per process), so event names
     and id-keyed debugging output are identical from run to run no
@@ -106,8 +105,7 @@ class Flow:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.done: Event = fabric.sim.event(name=f"flow#{self.id}:{src}->{dst}")
-        self.links = fabric._links_of(self)
-        self.class_id = fabric._class_of(self.links)
+        self.links, self.class_id = fabric._route_of(self)
         self.wire = src != dst
 
     @property
@@ -172,102 +170,9 @@ class FabricNode:
         return f"<FabricNode {self.name} rack={self.rack}>"
 
 
-class FabricLinkTable:
-    """Frozen, shareable link topology for one fabric equivalence class.
-
-    A fabric's link structure is fully determined by the interconnect,
-    the loopback/uplink bandwidths and the (host, rack) layout — none
-    of which change during a healthy simulation. This table
-    precomputes, once per class:
-
-    * ``links[(src, dst)]`` — the traversed-link tuple of every
-      possible flow, interned through a :class:`~repro.net.solver.\
-LinkClassTable` so equal tuples are pointer-equal across flows (and
-      across every simulation sharing the table);
-    * ``caps[link]`` — the pristine capacity of every link, computed
-      with the exact expressions :meth:`NetworkFabric._cap_of` uses.
-
-    Tables are immutable after construction and safe to share between
-    concurrent simulations; fault injection never mutates them (a
-    faulted fabric falls back to computing scaled capacities itself).
-    Obtain shared instances through :func:`link_table_for`.
-    """
-
-    __slots__ = ("interconnect_name", "loopback_bandwidth",
-                 "rack_uplink_bandwidth", "hosts", "links", "caps")
-
-    def __init__(
-        self,
-        interconnect: InterconnectSpec,
-        loopback_bandwidth: float,
-        rack_uplink_bandwidth: Optional[float],
-        hosts: Tuple[Tuple[str, int], ...],
-    ):
-        """Precompute link tuples and capacities for ``hosts``
-        (name, rack) pairs on the given interconnect."""
-        self.interconnect_name = interconnect.name
-        self.loopback_bandwidth = loopback_bandwidth
-        self.rack_uplink_bandwidth = rack_uplink_bandwidth
-        self.hosts = tuple(hosts)
-        classes = LinkClassTable()
-        racks = dict(self.hosts)
-        links: Dict[Tuple[str, str], Tuple[Hashable, ...]] = {}
-        caps: Dict[Hashable, float] = {}
-        sustained = interconnect.sustained_bandwidth
-        for name, _rack in self.hosts:
-            links[(name, name)] = classes.intern((("loop", name),))
-            caps[("loop", name)] = loopback_bandwidth
-            caps[("out", name)] = sustained
-            caps[("in", name)] = sustained
-        for src, src_rack in self.hosts:
-            for dst, dst_rack in self.hosts:
-                if src == dst:
-                    continue
-                tup: Tuple[Hashable, ...] = (("out", src), ("in", dst))
-                if rack_uplink_bandwidth is not None and src_rack != dst_rack:
-                    tup = tup + (("rack-up", src_rack),
-                                 ("rack-down", dst_rack))
-                links[(src, dst)] = classes.intern(tup)
-        if rack_uplink_bandwidth is not None:
-            for rack in {r for _name, r in self.hosts}:
-                caps[("rack-up", rack)] = rack_uplink_bandwidth
-                caps[("rack-down", rack)] = rack_uplink_bandwidth
-        self.links = links
-        self.caps = caps
-
-
-#: Process-wide FabricLinkTable cache, keyed by the class-defining
-#: fields. Tables are tiny (O(hosts^2) small tuples) and immutable, so
-#: the cache is unbounded like the matrix cache.
-_LINK_TABLE_CACHE: Dict[tuple, FabricLinkTable] = {}
-
-
-def link_table_for(
-    interconnect: InterconnectSpec,
-    loopback_bandwidth: float,
-    rack_uplink_bandwidth: Optional[float],
-    hosts: Tuple[Tuple[str, int], ...],
-) -> FabricLinkTable:
-    """The shared frozen link table of one fabric class (cached).
-
-    Every simulation of the same (interconnect, bandwidths, host
-    layout) class receives the *same* table object, so link tuples are
-    interned process-wide and the per-job topology walk happens once
-    per class instead of once per flow per job.
-    """
-    key = (interconnect.name, loopback_bandwidth, rack_uplink_bandwidth,
-           tuple(hosts))
-    table = _LINK_TABLE_CACHE.get(key)
-    if table is None:
-        table = FabricLinkTable(interconnect, loopback_bandwidth,
-                                rack_uplink_bandwidth, tuple(hosts))
-        _LINK_TABLE_CACHE[key] = table
-    return table
-
-
 def clear_link_table_cache() -> None:
-    """Drop all cached fabric link tables (mainly for tests)."""
-    _LINK_TABLE_CACHE.clear()
+    """No-op kept for the repository benchmark, which calls it between
+    passes: each fabric interns its own links, so nothing is cached."""
 
 
 class NetworkFabric:
@@ -280,34 +185,20 @@ class NetworkFabric:
         loopback_bandwidth: float = DEFAULT_LOOPBACK_BANDWIDTH,
         rack_uplink_bandwidth: Optional[float] = None,
         solver: str = "incremental",
-        link_table: Optional[FabricLinkTable] = None,
     ):
         """``rack_uplink_bandwidth`` caps each rack's aggregate traffic
         to/from the core switch (bytes/s, each direction). ``None``
         models the paper's single non-blocking switch. ``solver`` picks
         ``"incremental"`` (grouped fast solver + change-point skipping)
         or ``"reference"`` (the plain water-filling recompute); both
-        produce bit-identical timings. ``link_table`` supplies a shared
-        precomputed :class:`FabricLinkTable` for this fabric's class
-        (see :func:`link_table_for`); it must describe the same
-        interconnect and bandwidths, and unknown (src, dst) pairs or
-        fault-scaled capacities fall back to computing locally."""
+        produce bit-identical timings."""
         if solver not in ("incremental", "reference"):
             raise ValueError(f"unknown solver {solver!r}")
-        if link_table is not None and (
-                link_table.interconnect_name != interconnect.name
-                or link_table.loopback_bandwidth != loopback_bandwidth
-                or link_table.rack_uplink_bandwidth != rack_uplink_bandwidth):
-            raise ValueError(
-                "link_table was built for a different fabric class "
-                f"({link_table.interconnect_name!r}) than this fabric "
-                f"({interconnect.name!r})")
         self.sim = sim
         self.interconnect = interconnect
         self.loopback_bandwidth = loopback_bandwidth
         self.rack_uplink_bandwidth = rack_uplink_bandwidth
         self.solver = solver
-        self._link_table = link_table
         self.nodes: Dict[str, FabricNode] = {}
         self._active: List[Flow] = []
         self._last = sim.now
@@ -323,8 +214,9 @@ class NetworkFabric:
         self._caps: List[float] = []
         #: link id -> number of active flows traversing it.
         self._link_counts: List[int] = []
-        #: link tuple -> class id (the solver's equivalence classes).
-        self._class_ids: Dict[Tuple[Hashable, ...], int] = {}
+        #: (src, dst) -> (link tuple, class id) of that pair's flows.
+        self._routes: Dict[Tuple[str, str], Tuple[Tuple[Hashable, ...],
+                                                  int]] = {}
         #: class id -> the class's link ids, in link-tuple order.
         self._class_links: List[Tuple[int, ...]] = []
         #: link -> capacity multiplier from fault injection (absent
@@ -443,11 +335,6 @@ class NetworkFabric:
     # -- rate bookkeeping ---------------------------------------------------
 
     def _links_of(self, flow: Flow) -> Tuple[Hashable, ...]:
-        table = self._link_table
-        if table is not None:
-            links = table.links.get((flow.src, flow.dst))
-            if links is not None:
-                return links
         if flow.src == flow.dst:
             return (("loop", flow.src),)
         links: Tuple[Hashable, ...] = (("out", flow.src), ("in", flow.dst))
@@ -455,19 +342,20 @@ class NetworkFabric:
             src_rack = self.nodes[flow.src].rack
             dst_rack = self.nodes[flow.dst].rack
             if src_rack != dst_rack:
-                links = links + (
-                    ("rack-up", src_rack), ("rack-down", dst_rack)
-                )
+                links += (("rack-up", src_rack), ("rack-down", dst_rack))
         return links
 
-    def _class_of(self, links: Tuple[Hashable, ...]) -> int:
-        """The class id of a link tuple, interning it on first sight.
+    def _route_of(self, flow: Flow) -> Tuple[Tuple[Hashable, ...], int]:
+        """A flow's link tuple and class id, interned per (src, dst).
 
-        A new class also interns its links, taking each new link's
-        capacity from :meth:`_cap_of`.
+        Distinct pairs traverse distinct link tuples, so the first flow
+        of a pair opens a new class, and each link new to the fabric
+        gets the next link id and its capacity from :meth:`_cap_of`.
         """
-        class_id = self._class_ids.get(links)
-        if class_id is None:
+        pair = (flow.src, flow.dst)
+        route = self._routes.get(pair)
+        if route is None:
+            links = self._links_of(flow)
             link_ids = self._link_ids
             ids = []
             for link in links:
@@ -477,15 +365,11 @@ class NetworkFabric:
                     self._caps.append(self._cap_of(link))
                     self._link_counts.append(0)
                 ids.append(link_id)
-            class_id = self._class_ids[links] = len(self._class_links)
+            route = self._routes[pair] = (links, len(self._class_links))
             self._class_links.append(tuple(ids))
-        return class_id
+        return route
 
     def _cap_of(self, link: Hashable) -> float:
-        if self._link_table is not None and not self._link_factors:
-            cap = self._link_table.caps.get(link)
-            if cap is not None:
-                return cap
         kind = link[0]
         if kind == "loop":
             cap = self.loopback_bandwidth

@@ -56,36 +56,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
-__all__ = ["LinkClassTable", "compute_max_min", "solve_max_min_grouped"]
-
-
-class LinkClassTable:
-    """Interning table for flow link tuples (the fabric's class keys).
-
-    A fabric maps each flow's traversed-link tuple to the integer class
-    id :func:`solve_max_min_grouped` works on. Those tuples are
-    structurally identical across every flow of one (src, dst) pair —
-    and, in a batched campaign, across every fabric of one equivalence
-    class — so interning them makes equal keys *pointer-equal*: the
-    per-flow class-id lookup short-circuits on identity instead of
-    comparing tuples element by element. This is purely an
-    allocation/identity optimization; the tuples' values (and hence
-    every solver result) are untouched.
-    """
-
-    __slots__ = ("_classes",)
-
-    def __init__(self) -> None:
-        """Start with no interned link tuples."""
-        self._classes: Dict[Tuple[Hashable, ...], Tuple[Hashable, ...]] = {}
-
-    def intern(self, links: Tuple[Hashable, ...]) -> Tuple[Hashable, ...]:
-        """Return the canonical instance of ``links`` (first one wins)."""
-        return self._classes.setdefault(links, links)
-
-    def __len__(self) -> int:
-        """Number of distinct link tuples interned so far."""
-        return len(self._classes)
+__all__ = ["compute_max_min", "solve_max_min_grouped"]
 
 
 def compute_max_min(

@@ -251,7 +251,7 @@ class BenchmarkService:
             raise ValueError(
                 f"wait must be a boolean or seconds, got {wait!r}"
             ) from None
-        if seconds <= 0:
+        if not seconds > 0:  # NaN included
             raise ValueError(f"wait seconds must be > 0, got {seconds:g}")
         return min(seconds, MAX_WAIT_SECONDS)
 

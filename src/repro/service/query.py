@@ -104,7 +104,7 @@ def parse_point_query(body: object) -> PointQuery:
         raise ValueError(f"point query needs {sorted(missing)}")
     try:
         shuffle_gb = float(body["shuffle_gb"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"shuffle_gb must be a number, got "
             f"{body['shuffle_gb']!r}") from None

@@ -39,7 +39,6 @@ from repro.campaign.executor import (
     CampaignExecutor,
     RetryPolicy,
 )
-from repro.core.suite import MicroBenchmarkSuite
 from repro.service.singleflight import (
     CANCELLED,
     DONE,
@@ -203,15 +202,8 @@ class ColdScheduler:
 
     def _execute(self, tickets: List[Ticket]) -> None:
         """Run one signature group through the campaign executor."""
-        spec = tickets[0].query.campaign
-        suite = MicroBenchmarkSuite(
-            cluster=spec.cluster_spec(),
-            jobconf=spec.jobconf(),
-            fault_plan=spec.fault_plan,
-            store=self.store,
-        )
         executor = CampaignExecutor(
-            suite,
+            tickets[0].query.campaign.suite(self.store),
             policy=self.policy,
             jobs=self.jobs,
             campaign="",            # no checkpoint churn per drain pass

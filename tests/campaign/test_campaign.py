@@ -68,6 +68,51 @@ class TestSpec:
         assert t0.config.seed == BenchmarkConfig.seed
         assert t1.config.seed == BenchmarkConfig.seed + TRIAL_SEED_STRIDE
 
+    def test_one_suite_for_runner_service_and_resume(self, tmp_path):
+        """The runner, the service and ``campaign resume`` each take the
+        campaign's suite from ``Campaign.suite``, so they all address a
+        point's record under one key."""
+        from repro.core.cli import _campaign_keys
+        from repro.service import parse_point_query
+
+        campaign = Campaign(**dict(
+            TINY, runtime="yarn", trials=2,
+            fault_plan=FaultPlan(task_failure_probability=0.05)))
+        store = ResultStore(tmp_path / "s")
+        suite = campaign.suite(store)
+        assert suite.store is store
+        assert suite.cluster is campaign.cluster_spec()
+        assert suite.jobconf is campaign.jobconf()
+        assert suite.fault_plan is campaign.fault_plan
+        assert campaign.suite().store is None
+
+        keys = [suite.store_key(p.config) for p in campaign.points()]
+        assert _campaign_keys(campaign, store) == keys
+        outcome = run_campaign(campaign, store=store)
+        assert [o.key for o in outcome.outcomes] == keys
+        query = parse_point_query({
+            "shuffle_gb": 0.04, "network": "ipoib-qdr", "trial": 1,
+            "slaves": 2, "runtime": "yarn", "params": dict(TINY["params"]),
+            "fault_plan": campaign.fault_plan.to_dict()})
+        assert query.key == keys[-1]
+
+    def test_trial_seed_rule_is_shared_with_run_trials(self, monkeypatch):
+        """``run_trials`` defaults to the config's seed and strides like
+        a campaign, so its trials are the campaign's trials."""
+        from repro.core.suite import MicroBenchmarkSuite
+
+        seen = []
+
+        def capture(_suite, configs, _jobs, _labels):
+            seen.extend(configs)
+            return []
+
+        monkeypatch.setattr(MicroBenchmarkSuite, "_run_points", capture)
+        campaign = Campaign(**dict(TINY, trials=3))
+        campaign.suite().run_trials("MR-AVG", 3, shuffle_gb=0.02,
+                                    network="1GigE", **TINY["params"])
+        assert seen == [p.config for p in campaign.points()[:3]]
+
     def test_variants_overlay_params(self):
         campaign = Campaign(**dict(
             TINY, variants=({"label": "small", "key_size": 50},

@@ -57,6 +57,17 @@ def test_unknown_network_fails_cleanly(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size_args", [
+    ["--shuffle-gb", "1e300"],
+    ["--shuffle-gb", "inf"],
+    ["--sweep", "1,1e300"],
+], ids=["1e300", "inf", "sweep"])
+def test_non_finite_shuffle_size_fails_cleanly(size_args, capsys):
+    rc = main(size_args + ["--no-store", "--maps", "4", "--reduces", "2"])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_mutually_exclusive_size_options():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--shuffle-gb", "1", "--num-pairs", "10"])

@@ -88,6 +88,16 @@ def test_from_shuffle_size_minimum_one_pair():
     assert cfg.num_pairs == 1
 
 
+@pytest.mark.parametrize("shuffle_bytes", [
+    float("inf"), float("-inf"), float("nan"), 1e300 * 1e9,
+])
+def test_from_shuffle_size_rejects_non_finite_sizes(shuffle_bytes):
+    """A size no pair count can reach is a ValueError naming it, which
+    every caller reports as bad input (not an OverflowError)."""
+    with pytest.raises(ValueError, match="finite.*got (inf|-inf|nan)"):
+        BenchmarkConfig.from_shuffle_size(shuffle_bytes)
+
+
 def test_describe_contains_all_parameters():
     desc = BenchmarkConfig().describe()
     for key in ("pattern", "key_size", "value_size", "num_pairs",

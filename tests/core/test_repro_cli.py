@@ -111,6 +111,21 @@ class TestReproCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size, fragment", [
+        ("1e300", "finite"), ("1e999", "finite"), ("1" + "0" * 400, "numbers"),
+    ], ids=["1e300", "1e999", "giant-int"])
+    def test_out_of_range_shuffle_size_fails_cleanly(self, tmp_path, capsys,
+                                                     size, fragment):
+        """A size that overflows a float (or the byte count) is bad
+        input: exit 2 with an error line, not a traceback."""
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps(TINY_SPEC).replace(
+            '"shuffle_gbs": [0.02, 0.04]', f'"shuffle_gbs": [0.02, {size}]'))
+        rc = repro_main(["campaign", "run", str(spec),
+                         "--store", str(tmp_path / "store")])
+        assert rc == 2
+        assert fragment in capsys.readouterr().err
+
     def test_bad_spec_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ nope")

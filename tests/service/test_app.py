@@ -141,6 +141,24 @@ class TestRoutes:
             assert status == 200
         assert [r for r in caplog.records if r.name == "asyncio"] == []
 
+    @pytest.mark.parametrize("body, fragment", [
+        (b'{"shuffle_gb": 1e300, "network": "1GigE"}', "finite"),
+        (b'{"shuffle_gb": 1e999, "network": "1GigE"}', "finite"),
+        (b'{"shuffle_gb": 0.02, "network": "1GigE", "wait": NaN}', "> 0"),
+    ], ids=["1e300", "1e999", "wait-nan"])
+    def test_out_of_range_query_400(self, client, body, fragment):
+        """The connection is answered 400 and stays usable, and the
+        request counts as a bad one."""
+        client.request("POST", "/v1/points", body=body)
+        response = client.getresponse()
+        doc = json.loads(response.read())
+        assert response.status == 400
+        assert fragment in doc["error"]
+        status, _, stats = request(client, "GET", "/v1/stats")
+        assert status == 200
+        assert stats["service"]["bad_requests"] == 1
+        assert stats["service"]["cold_misses"] == 0
+
     def test_bad_query_400(self, client):
         status, _, doc = request(client, "POST", "/v1/points",
                                  {"network": "1GigE"})

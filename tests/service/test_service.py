@@ -276,6 +276,23 @@ class TestFailures:
         assert fragment in response.payload["error"]
         assert service._counters["bad_requests"] == 1
 
+    @pytest.mark.parametrize("body, fragment", [
+        (tiny_query(shuffle_gb=1e300), "finite"),
+        (tiny_query(shuffle_gb=float("inf")), "finite"),
+        (tiny_query(shuffle_gb=10**400), "must be a number"),
+        (tiny_query(wait=float("nan")), "> 0"),
+    ], ids=["1e300", "inf", "giant-int", "wait-nan"])
+    def test_out_of_range_size_or_wait_answers_400(self, service, body,
+                                                   fragment):
+        """An infinite size, a size that overflows a float and a NaN
+        wait are bad requests, not a raised OverflowError or an
+        immediate 202."""
+        response = service.query_point(body)
+        assert response.status == 400
+        assert fragment in response.payload["error"]
+        assert service._counters["bad_requests"] == 1
+        assert service._counters["cold_misses"] == 0
+
     def test_unknown_key_lookup_is_404(self, service):
         response = service.lookup("deadbeef" * 8)
         assert response.status == 404

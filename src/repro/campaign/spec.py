@@ -45,8 +45,7 @@ from repro.core.config import TRIAL_SEED_STRIDE, BenchmarkConfig
 from repro.core.suite import MicroBenchmarkSuite
 from repro.faults import FaultPlan
 from repro.hadoop.cluster import ClusterSpec, cluster_a, cluster_b
-from repro.hadoop.job import JobConf
-from repro.hadoop.runtime import available_runtimes
+from repro.hadoop.job import VERSIONS, JobConf
 from repro.store import StoreLike
 
 #: Most distinct (cluster, slaves) specs and runtimes
@@ -108,7 +107,7 @@ class Campaign:
     cluster: str = "a"
     #: Slave count; ``None`` keeps the testbed default.
     slaves: Optional[int] = None
-    #: Runtime generation (``mrv1``/``yarn``), from the registry.
+    #: Runtime generation, one of ``JobConf``'s ``VERSIONS``.
     runtime: str = "mrv1"
     #: Extra :class:`BenchmarkConfig` kwargs applied to every point.
     params: Dict[str, object] = field(default_factory=dict, hash=False)
@@ -137,9 +136,9 @@ class Campaign:
             raise ValueError(
                 f"cluster must be 'a' or 'b', got {self.cluster!r}"
             )
-        if self.runtime not in available_runtimes():
+        if self.runtime not in VERSIONS:
             raise ValueError(
-                f"runtime must be one of {available_runtimes()}, "
+                f"runtime must be one of {list(VERSIONS)}, "
                 f"got {self.runtime!r}"
             )
         get_benchmark(self.benchmark)  # raises KeyError on unknown names

@@ -28,14 +28,13 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.benchmarks import EXTENDED_BENCHMARKS
+from repro.core.benchmarks import EXTENDED_BENCHMARKS, get_benchmark
 from repro.core.config import SUPPORTED_DATA_TYPES, BenchmarkConfig
 from repro.core.report import (render_phase_table, render_report,
                                render_stored_report)
 from repro.core.suite import MicroBenchmarkSuite
 from repro.hadoop.cluster import cluster_a, cluster_b
-from repro.hadoop.job import JobConf
-from repro.hadoop.runtime import available_runtimes
+from repro.hadoop.job import VERSIONS, JobConf
 from repro.net.interconnect import INTERCONNECTS
 
 
@@ -84,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--slaves", type=int, default=None,
                         help="number of slave nodes (default: paper setup)")
     parser.add_argument("--framework", default="mrv1",
-                        choices=available_runtimes(),
+                        choices=VERSIONS,
                         help="Hadoop runtime generation (1.x slots or "
-                             "2.x YARN), from the runtime registry")
+                             "2.x YARN)")
     parser.add_argument("--monitor", type=float, default=None, metavar="SEC",
                         help="sample CPU/network utilization every SEC "
                              "simulated seconds")
@@ -221,9 +220,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     suite = MicroBenchmarkSuite(cluster=cluster, jobconf=jobconf,
                                 fault_plan=fault_plan, store=store)
 
-    pattern = args.benchmark.split("-")[1].lower()
     common = dict(
-        pattern=pattern,
+        pattern=get_benchmark(args.benchmark).pattern,
         key_size=args.key_size,
         value_size=args.value_size,
         num_maps=args.maps,

@@ -160,13 +160,16 @@ class BenchmarkConfig:
         This is how the paper's sweeps are expressed ("we vary the
         number of intermediate key/value pairs generated" for a target
         shuffle data size). The pair count is rounded to keep per-map
-        counts integral. Raises :class:`ValueError` for an infinite or
-        NaN size.
+        counts integral. Raises :class:`ValueError` for an infinite, NaN,
+        zero or negative size.
         """
         if not math.isfinite(shuffle_bytes):
             raise ValueError(
                 f"shuffle size must be a finite number of bytes, got "
                 f"{shuffle_bytes!r}")
+        if shuffle_bytes <= 0:
+            raise ValueError(
+                f"shuffle size must be > 0 bytes, got {shuffle_bytes:g}")
         probe = cls(num_pairs=1, **kwargs)  # type: ignore[arg-type]
         pairs = max(1, round(shuffle_bytes / probe.record_size))
         return replace(probe, num_pairs=pairs)

@@ -26,7 +26,6 @@ from typing import List
 import numpy as np
 
 from repro.core.config import BenchmarkConfig, PATTERN_AVG
-from repro.core.datagen import KeyValueGenerator
 from repro.core.partitioners import (
     make_partitioner,
     seat_generator,
@@ -84,17 +83,10 @@ def _exact_counts(config: BenchmarkConfig, map_id: int) -> np.ndarray:
     partitioner = make_partitioner(
         config.pattern, config.num_reduces, seed=config.seed + map_id
     )
-    if not partitioner.uses_keys:
-        # The pattern partitioners are index/PRNG driven, so the counts
-        # come from exact_counts' bit-identical replay of the draw
-        # sequence — no key/value objects are materialized.
-        return partitioner.exact_counts(config.pairs_for_map(map_id))
-    gen = KeyValueGenerator(config, map_id)
-    counts = np.zeros(config.num_reduces, dtype=np.int64)
-    value = None
-    for key, value in gen:
-        counts[partitioner.get_partition(key, value)] += 1
-    return counts
+    # The pattern partitioners are index/PRNG driven, so the counts
+    # come from exact_counts' bit-identical replay of the draw
+    # sequence — no key/value objects are materialized.
+    return partitioner.exact_counts(config.pairs_for_map(map_id))
 
 
 def _sampled_counts(config: BenchmarkConfig, map_id: int) -> np.ndarray:
@@ -146,8 +138,6 @@ def _pattern_matrix(config: BenchmarkConfig, exact_limit: int) -> np.ndarray:
         pairs = config.pairs_for_map(map_id)
         if pairs > exact_limit:
             rows.append(_sampled_counts(config, map_id))
-        elif partitioner.uses_keys:
-            rows.append(_exact_counts(config, map_id))
         else:
             seat_generator(mt, random.Random(config.seed + map_id).getstate())
             rows.append(partitioner.row_counts(mt, pairs)[0])

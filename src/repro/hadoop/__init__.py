@@ -7,12 +7,12 @@ substitutes a discrete-event model of those systems:
 * :mod:`repro.hadoop.cluster` — testbed hardware specs (Cluster A/B).
 * :mod:`repro.hadoop.costmodel` — calibrated per-record/byte CPU costs.
 * :mod:`repro.hadoop.job` — JobConf (io.sort.mb, slowstart, copies...).
-* :mod:`repro.hadoop.node` — slave runtime: CPU tracking, page-cache
+* :mod:`repro.hadoop.node` — slave runtime: busy cores, page-cache
   aware storage.
 * :mod:`repro.hadoop.maptask` / :mod:`repro.hadoop.shuffle` /
   :mod:`repro.hadoop.reducetask` — the task pipeline.
 * :mod:`repro.hadoop.runtime` — the shared :class:`Runtime` protocol
-  (task lifecycle, waves, speculation) and the runtime registry.
+  (task lifecycle, waves, speculation) and :func:`create_runtime`.
 * :mod:`repro.hadoop.jobtracker` / :mod:`repro.hadoop.yarn` — MRv1
   slots vs YARN containers, as thin :class:`Runtime` policies.
 * :mod:`repro.hadoop.rdma` — the MRoIB case-study transport + ablations.
@@ -49,13 +49,7 @@ from repro.hadoop.multijob import (
     JobRequest,
     run_concurrent_jobs,
 )
-from repro.hadoop.runtime import (
-    JobExecution,
-    Runtime,
-    available_runtimes,
-    create_runtime,
-    register_runtime,
-)
+from repro.hadoop.runtime import JobExecution, Runtime, create_runtime
 from repro.hadoop.jobtracker import JobTrackerScheduler
 from repro.hadoop.yarn import YarnScheduler
 
@@ -92,7 +86,6 @@ __all__ = [
     "WESTMERE_NODE",
     "YARN",
     "YarnScheduler",
-    "available_runtimes",
     "cluster_a",
     "cluster_b",
     "counters_dict",
@@ -104,7 +97,6 @@ __all__ = [
     "job_history",
     "mroib_transport",
     "overlap_only_transport",
-    "register_runtime",
     "render_timeline",
     "run_concurrent_jobs",
     "run_simulated_job",

@@ -17,11 +17,10 @@ from typing import Dict
 
 from repro.hadoop.job import MRV1
 from repro.hadoop.node import SimNode
-from repro.hadoop.runtime import Runtime, register_runtime
+from repro.hadoop.runtime import Runtime
 from repro.sim.resources import SlotResource
 
 
-@register_runtime
 class JobTrackerScheduler(Runtime):
     """Slot-based task placement, round-robin across TaskTrackers."""
 

@@ -10,7 +10,7 @@ A micro-benchmark map task (Sect. 4.1):
    streams at a time) into the single map-output file the shuffle
    servlet serves.
 
-All CPU segments occupy one core on the node's tracker; all I/O goes
+All CPU segments occupy one of the node's busy cores; all I/O goes
 through the page-cache-aware :class:`~repro.hadoop.node.StorageService`.
 """
 

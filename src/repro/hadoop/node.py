@@ -2,8 +2,8 @@
 
 Each slave node owns:
 
-* a CPU utilization tracker (busy cores over time — combined with the
-  fabric's protocol-CPU tracker it yields the Fig. 7(a) trace);
+* a busy-core count (task CPU bursts in progress — added to the
+  fabric node's protocol CPU it yields the Fig. 7(a) trace);
 * a :class:`StorageService` modeling its local disks *behind the OS
   page cache*: writes are absorbed at memory speed while the dirty-page
   budget lasts and are flushed to disk in the background; reads of
@@ -21,7 +21,6 @@ from repro.hadoop.cluster import NodeSpec
 from repro.net.fabric import FabricNode, NetworkFabric
 from repro.sim.events import AllOf, Event
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import UtilizationTracker
 from repro.sim.resources import FairShareResource
 
 
@@ -121,7 +120,7 @@ class StorageService:
 
 
 class SimNode:
-    """One slave: CPU tracker, storage, and its NIC on the fabric."""
+    """One slave: busy cores, storage, and its NIC on the fabric."""
 
     def __init__(self, sim: Simulator, name: str, spec: NodeSpec,
                  fabric: NetworkFabric, rack: int = 0):
@@ -129,7 +128,8 @@ class SimNode:
         self.name = name
         self.spec = spec
         self.storage = StorageService(sim, spec, name)
-        self.cpu = UtilizationTracker(sim, capacity=spec.cores)
+        #: Cores occupied by :meth:`cpu_burst` right now.
+        self.busy_cores = 0
         self.fabric_node: FabricNode = fabric.add_node(
             name, cores=spec.cores, rack=rack
         )
@@ -146,17 +146,17 @@ class SimNode:
             return
         if self.cpu_slowdown != 1.0:
             duration = duration * self.cpu_slowdown
-        self.cpu.adjust(+1)
+        self.busy_cores += 1
         try:
             yield self.sim.timeout(duration)
         finally:
-            self.cpu.adjust(-1)
+            self.busy_cores -= 1
 
     def total_cpu_level(self) -> float:
         """Busy cores right now: task work + protocol processing."""
         return min(
             float(self.spec.cores),
-            self.cpu.level + self.fabric_node.protocol_cpu.level,
+            self.busy_cores + self.fabric_node.protocol_cpu,
         )
 
     def __repr__(self) -> str:

@@ -14,8 +14,9 @@ This module factors that split:
   release, wave accounting, and lifecycle hooks. Concrete runtimes
   (:class:`~repro.hadoop.jobtracker.JobTrackerScheduler`,
   :class:`~repro.hadoop.yarn.YarnScheduler`) override only the pool
-  construction and framework-specific hooks, and register themselves by
-  name so drivers select a runtime with a string instead of branching.
+  construction and framework-specific hooks; :func:`create_runtime`
+  selects one by its ``JobConf.version`` string instead of branching
+  on classes.
 * :class:`JobExecution` — the task-lifecycle engine extracted from the
   single-job and multi-job drivers: wave scheduling over the runtime's
   grants, seeded failure injection, speculative backup attempts,
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Type
 
 from repro.hadoop.costmodel import CostModel
 from repro.hadoop.events_log import JobEventLog
-from repro.hadoop.job import JobConf
+from repro.hadoop.job import MRV1, YARN, JobConf
 from repro.hadoop.maptask import MapTask
 from repro.hadoop.node import SimNode
 from repro.hadoop.reducetask import ReduceTask
@@ -71,7 +72,7 @@ class Runtime:
     implemented here once.
     """
 
-    #: Registry key (also the ``JobConf.version`` value it serves).
+    #: The ``JobConf.version`` value this runtime serves.
     name: str = ""
 
     def __init__(
@@ -114,11 +115,6 @@ class Runtime:
 
     # -- shared implementation --------------------------------------------
 
-    @property
-    def version(self) -> str:
-        """Alias of :attr:`name` (the historical scheduler attribute)."""
-        return self.name
-
     def map_node(self, map_id: int) -> SimNode:
         """Round-robin map placement (no data locality: no HDFS)."""
         return self.nodes[map_id % len(self.nodes)]
@@ -144,33 +140,6 @@ class Runtime:
         return -(-num_maps // total)
 
 
-#: name -> Runtime subclass. Populated by :func:`register_runtime`.
-RUNTIMES: Dict[str, Type[Runtime]] = {}
-
-
-def register_runtime(cls: Type[Runtime]) -> Type[Runtime]:
-    """Class decorator: publish a :class:`Runtime` under its ``name``."""
-    if not cls.name:
-        raise ValueError(f"{cls.__name__} must set a non-empty name")
-    RUNTIMES[cls.name] = cls
-    return cls
-
-
-def _ensure_builtin_runtimes() -> None:
-    # The built-in runtimes live in sibling modules that import this
-    # one; importing them lazily here avoids the cycle while letting
-    # create_runtime() work without repro.hadoop being fully imported.
-    if "mrv1" not in RUNTIMES or "yarn" not in RUNTIMES:
-        import repro.hadoop.jobtracker  # noqa: F401
-        import repro.hadoop.yarn  # noqa: F401
-
-
-def available_runtimes() -> List[str]:
-    """Registered runtime names (sorted)."""
-    _ensure_builtin_runtimes()
-    return sorted(RUNTIMES)
-
-
 def create_runtime(
     name: str,
     sim: Simulator,
@@ -178,17 +147,22 @@ def create_runtime(
     jobconf: JobConf,
     costs: CostModel,
 ) -> Runtime:
-    """Instantiate the runtime registered under ``name``.
+    """Instantiate the runtime serving ``JobConf.version`` ``name``.
 
     This is how the drivers select a framework generation — by the
-    ``JobConf.version`` string, not by branching on classes.
+    version string, not by branching on classes.
     """
-    _ensure_builtin_runtimes()
+    # The runtimes live in sibling modules that import this one.
+    from repro.hadoop.jobtracker import JobTrackerScheduler
+    from repro.hadoop.yarn import YarnScheduler
+
+    classes: Dict[str, Type[Runtime]] = {
+        MRV1: JobTrackerScheduler, YARN: YarnScheduler}
     try:
-        cls = RUNTIMES[name]
+        cls = classes[name]
     except KeyError:
         raise ValueError(
-            f"unknown runtime {name!r}; known: {sorted(RUNTIMES)}"
+            f"unknown runtime {name!r}; known: {sorted(classes)}"
         ) from None
     return cls(sim, nodes, jobconf, costs)
 

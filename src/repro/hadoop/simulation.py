@@ -10,8 +10,8 @@ job's task lifecycle through a
 the paper's reported metric.
 
 The framework generation (MRv1 slots vs YARN containers) is selected
-*by name* from the :mod:`repro.hadoop.runtime` registry — the driver
-never branches on scheduler classes. The lifecycle itself (waves,
+*by name* through :func:`~repro.hadoop.runtime.create_runtime` — this
+module never branches on scheduler classes. The lifecycle itself (waves,
 failure injection, speculative execution, slowstart) lives in
 :class:`~repro.hadoop.runtime.JobExecution`.
 

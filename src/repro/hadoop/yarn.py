@@ -20,11 +20,10 @@ from typing import Dict, Optional
 
 from repro.hadoop.job import YARN
 from repro.hadoop.node import SimNode
-from repro.hadoop.runtime import Runtime, register_runtime
+from repro.hadoop.runtime import Runtime
 from repro.sim.resources import SlotResource
 
 
-@register_runtime
 class YarnScheduler(Runtime):
     """Container-based task placement with an AppMaster container."""
 

@@ -47,13 +47,13 @@ identical workloads under both modes and assert bit-equal timings.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.net.interconnect import InterconnectSpec
 from repro.net.solver import compute_max_min, solve_max_min_grouped
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import ByteCounter, UtilizationTracker
+from repro.sim.monitor import ByteCounter
 from repro.sim.trace import CAT_NET
 
 __all__ = [
@@ -143,16 +143,15 @@ class FabricNode:
     """A host attached to the fabric.
 
     Exposes live receive/send byte counters (``rx``/``tx``) for
-    throughput monitoring (Fig. 7(b)) and a ``protocol_cpu`` tracker
-    whose level is the cores currently burned by protocol processing
-    (``(in_rate + out_rate) * cpu_per_byte``) — part of the CPU trace in
-    Fig. 7(a). ``rack`` places the host in a multi-rack topology; hosts
-    in different racks contend for the rack uplinks when those are
-    capacity-limited.
+    throughput monitoring (Fig. 7(b)) and :attr:`protocol_cpu`, the
+    cores currently burned by protocol processing — part of the CPU
+    trace in Fig. 7(a). ``rack`` places the host in a multi-rack
+    topology; hosts in different racks contend for the rack uplinks when
+    those are capacity-limited.
     """
 
     __slots__ = ("fabric", "name", "cores", "rack", "in_rate", "out_rate",
-                 "rx", "tx", "protocol_cpu")
+                 "rx", "tx")
 
     def __init__(self, fabric: "NetworkFabric", name: str, cores: int = 8,
                  rack: int = 0):
@@ -164,7 +163,15 @@ class FabricNode:
         self.out_rate = 0.0
         self.rx: ByteCounter = _LiveDirectionalCounter(self, "rx")
         self.tx: ByteCounter = _LiveDirectionalCounter(self, "tx")
-        self.protocol_cpu = UtilizationTracker(fabric.sim, capacity=cores)
+
+    @property
+    def protocol_cpu(self) -> float:
+        """Cores burned by protocol processing at the current rates:
+        ``(in_rate + out_rate) * cpu_per_byte``, capped at ``cores``."""
+        level = ((self.in_rate + self.out_rate)
+                 * self.fabric.interconnect.cpu_per_byte)
+        cores = float(self.cores)
+        return level if level < cores else cores  # NaN reads as cores
 
     def __repr__(self) -> str:
         return f"<FabricNode {self.name} rack={self.rack}>"
@@ -565,53 +572,26 @@ class NetworkFabric:
         the next flow completes, or None when no flow is moving.
         """
         nodes = self.nodes
-        touched: Dict[str, FabricNode] = {}
         for flow in departed:
             if flow.wire:
-                src, dst = nodes[flow.src], nodes[flow.dst]
-                src.out_rate = 0.0
-                dst.in_rate = 0.0
-                touched[flow.src] = src
-                touched[flow.dst] = dst
+                nodes[flow.src].out_rate = 0.0
+                nodes[flow.dst].in_rate = 0.0
         if new_flow is not None:
             caps = self._caps
             rate = min(caps[link]
                        for link in self._class_links[new_flow.class_id])
             new_flow.rate = rate
             if new_flow.wire:
-                src, dst = nodes[new_flow.src], nodes[new_flow.dst]
-                src.out_rate = rate
-                dst.in_rate = rate
-                touched[new_flow.src] = src
-                touched[new_flow.dst] = dst
-        if touched:
-            self._refresh_cpu(touched.values())
+                nodes[new_flow.src].out_rate = rate
+                nodes[new_flow.dst].in_rate = rate
         return self._next_done(active)
 
     def _set_node_rates(self, in_rate: Dict[str, float],
                         out_rate: Dict[str, float]) -> None:
-        """Store every node's summed directional rates, refresh its CPU."""
-        nodes = self.nodes.values()
-        for node in nodes:
+        """Store every node's summed directional rates."""
+        for node in self.nodes.values():
             node.in_rate = in_rate[node.name]
             node.out_rate = out_rate[node.name]
-        self._refresh_cpu(nodes)
-
-    def _refresh_cpu(self, nodes: Iterable[FabricNode]) -> None:
-        """Set each node's protocol-CPU level from its directional rates.
-
-        A node whose level would not change is left alone: setting a
-        tracker to its current level is a no-op on the level.
-        """
-        cpu_per_byte = self.interconnect.cpu_per_byte
-        for node in nodes:
-            level = (node.in_rate + node.out_rate) * cpu_per_byte
-            cores = float(node.cores)
-            if not level < cores:  # min(cores, level), NaN included
-                level = cores
-            tracker = node.protocol_cpu
-            if level != tracker.level:
-                tracker.set_level(level)
 
     @staticmethod
     def _next_done(active: List[Flow]) -> Optional[float]:

@@ -108,8 +108,6 @@ def parse_point_query(body: object) -> PointQuery:
         raise ValueError(
             f"shuffle_gb must be a number, got "
             f"{body['shuffle_gb']!r}") from None
-    if shuffle_gb <= 0:
-        raise ValueError(f"shuffle_gb must be > 0, got {shuffle_gb:g}")
     trial = _parse_trial(body)
     params = body.get("params") or {}
     if not isinstance(params, dict):

@@ -19,7 +19,8 @@ Public API
 :class:`~repro.sim.resources.FairShareResource`
     Processor-sharing byte server (disks).
 :class:`~repro.sim.monitor.ResourceMonitor`
-    Periodic sampling of utilization counters (Figure 7 traces).
+    Periodic sampling of busy-level gauges and byte-rate counters
+    (Figure 7 traces).
 """
 
 from repro.sim.events import (
@@ -33,7 +34,7 @@ from repro.sim.events import (
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.resources import FairShareResource, SlotResource
-from repro.sim.monitor import ByteCounter, ResourceMonitor, UtilizationTracker
+from repro.sim.monitor import ByteCounter, ResourceMonitor
 from repro.sim.trace import (
     NULL_TRACER,
     NullTracer,
@@ -60,5 +61,4 @@ __all__ = [
     "Timeout",
     "TraceEvent",
     "Tracer",
-    "UtilizationTracker",
 ]

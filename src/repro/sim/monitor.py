@@ -2,72 +2,15 @@
 
 The paper's micro-benchmark suite reports per-node CPU utilization and
 network throughput traces during the job (Figure 7). In the simulated
-substrate these traces are produced by integrating resource occupancy
-over simulated time (:class:`UtilizationTracker`), accumulating bytes
-moved (:class:`ByteCounter`) and sampling both on a fixed interval
+substrate these traces are produced by reading the busy level of a
+resource when a sample is due (a gauge), accumulating bytes moved
+(:class:`ByteCounter`) and sampling both on a fixed interval
 (:class:`ResourceMonitor`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
-
-
-class UtilizationTracker:
-    """Integrates an occupancy level (e.g. busy cores) over simulated time.
-
-    ``adjust(+1)`` when a unit becomes busy, ``adjust(-1)`` when it goes
-    idle. ``integral()`` returns unit-seconds of occupancy, from which a
-    sampler derives average utilization between two samples.
-    """
-
-    __slots__ = ("sim", "capacity", "_level", "_integral", "_last")
-
-    def __init__(self, sim: "Simulator", capacity: float = 1.0):  # noqa: F821
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.sim = sim
-        self.capacity = float(capacity)
-        self._level = 0.0
-        self._integral = 0.0
-        self._last = sim.now
-
-    def _advance(self) -> None:
-        now = self.sim.now
-        if now > self._last:
-            self._integral += self._level * (now - self._last)
-            self._last = now
-
-    @property
-    def level(self) -> float:
-        """Current occupancy level (units in use)."""
-        return self._level
-
-    def adjust(self, delta: float) -> None:
-        """Change the occupancy level by ``delta`` at the current instant."""
-        self._advance()
-        new_level = self._level + delta
-        if new_level < -1e-9:
-            raise ValueError(
-                f"occupancy would go negative ({self._level} + {delta})"
-            )
-        self._level = max(0.0, new_level)
-
-    def set_level(self, level: float) -> None:
-        """Set the absolute occupancy level at the current instant."""
-        self.adjust(level - self._level)
-
-    def integral(self) -> float:
-        """Occupancy integral (unit-seconds) up to the current instant."""
-        self._advance()
-        return self._integral
-
-    def mean_utilization(self, since: float = 0.0) -> float:
-        """Average fraction of capacity in use since time ``since``."""
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return self.integral() / (elapsed * self.capacity)
 
 
 class ByteCounter:
@@ -93,9 +36,8 @@ class ResourceMonitor:
 
     Two metric flavors:
 
-    * *utilization* — backed by a :class:`UtilizationTracker`; each sample
-      is the mean percent-of-capacity over the elapsed interval,
-      equivalent to what ``sar``/``dstat`` report on the paper's slaves.
+    * *gauge* — a function read at each sample instant, e.g. a node's
+      busy cores as a percent of its cores (the Fig. 7(a) CPU trace).
     * *rate* — backed by a :class:`ByteCounter`; each sample is the byte
       delta divided by the interval (optionally scaled, e.g. to MB/s).
 
@@ -116,25 +58,6 @@ class ResourceMonitor:
         self._stopped = False
 
     # -- metric registration -------------------------------------------
-
-    def register_utilization(
-        self, name: str, tracker: UtilizationTracker, percent: bool = True
-    ) -> None:
-        """Sample mean utilization of ``tracker`` per interval."""
-        state = {"integral": tracker.integral(), "time": self.sim.now}
-
-        def sample(now: float) -> float:
-            integral = tracker.integral()
-            elapsed = now - state["time"]
-            delta = integral - state["integral"]
-            state["integral"] = integral
-            state["time"] = now
-            if elapsed <= 0:
-                return 0.0
-            frac = delta / (elapsed * tracker.capacity)
-            return 100.0 * frac if percent else frac
-
-        self._add(name, sample)
 
     def register_rate(
         self, name: str, counter: ByteCounter, scale: float = 1.0

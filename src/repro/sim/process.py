@@ -51,8 +51,8 @@ class Process(Event):
         """Terminate the process at the current instant.
 
         The generator is closed (``GeneratorExit`` raised at its current
-        ``yield``), so its ``finally`` blocks — resource releases, CPU
-        tracker decrements — run deterministically *now*. The process
+        ``yield``), so its ``finally`` blocks — resource releases, busy-core
+        decrements — run deterministically *now*. The process
         event succeeds with ``None``. Used for losing speculative task
         attempts.
         """

@@ -18,7 +18,7 @@ from typing import Deque, List
 from collections import deque
 
 from repro.sim.events import Event, SimulationError
-from repro.sim.monitor import ByteCounter, UtilizationTracker
+from repro.sim.monitor import ByteCounter
 
 #: Float-comparison slack for "work finished" checks (bytes).
 _EPS = 1e-6
@@ -28,8 +28,7 @@ class SlotResource:
     """FIFO counting semaphore.
 
     Processes acquire with ``yield resource.request()`` and must call
-    :meth:`release` exactly once per granted request. Occupancy over time
-    is exposed through :attr:`tracker` for utilization monitoring.
+    :meth:`release` exactly once per granted request.
     """
 
     def __init__(self, sim: "Simulator", capacity: int, name: str = "slots"):  # noqa: F821
@@ -40,7 +39,6 @@ class SlotResource:
         self.name = name
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-        self.tracker = UtilizationTracker(sim, capacity=capacity)
 
     @property
     def in_use(self) -> int:
@@ -66,7 +64,6 @@ class SlotResource:
 
     def _grant(self, ev: Event) -> None:
         self._in_use += 1
-        self.tracker.adjust(+1)
         ev.succeed()
 
     def cancel(self, ev: Event) -> bool:
@@ -87,7 +84,6 @@ class SlotResource:
         if self._in_use <= 0:
             raise SimulationError(f"{self.name}: release without request")
         self._in_use -= 1
-        self.tracker.adjust(-1)
         if self._waiters:
             self._grant(self._waiters.popleft())
 
@@ -145,7 +141,6 @@ class FairShareResource:
         self._jobs: List[_FairJob] = []
         self._last = sim.now
         self._timer_id = 0
-        self.tracker = UtilizationTracker(sim, capacity=1.0)
         self.bytes_served: ByteCounter = _LiveServedCounter(self)
 
     @property
@@ -164,8 +159,6 @@ class FairShareResource:
             ev.succeed()
             return ev
         self._advance()
-        if not self._jobs:
-            self.tracker.set_level(1.0)
         self._jobs.append(_FairJob(amount, ev))
         self._reschedule()
         return ev
@@ -197,7 +190,6 @@ class FairShareResource:
                 for job in finished:
                     job.event.succeed(job.amount)
             if not self._jobs:
-                self.tracker.set_level(0.0)
                 self._timer_id += 1  # invalidate outstanding timers
                 return
             rate = self._rate()

@@ -1,7 +1,10 @@
 """Tests for the mr-microbench CLI."""
 
+import re
+
 import pytest
 
+import repro.core.suite as suite_mod
 from repro.core.cli import build_parser, main
 
 
@@ -66,6 +69,32 @@ def test_non_finite_shuffle_size_fails_cleanly(size_args, capsys):
     rc = main(size_args + ["--no-store", "--maps", "4", "--reduces", "2"])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size_args", [
+    ["--shuffle-gb", "0"],
+    ["--shuffle-gb", "-1"],
+    ["--sweep", "0,4"],
+], ids=["zero", "negative", "sweep"])
+def test_non_positive_shuffle_size_fails_before_simulating(
+        size_args, capsys, monkeypatch):
+    def no_simulation(*_args, **_kwargs):
+        raise AssertionError("a job was simulated")
+
+    monkeypatch.setattr(suite_mod, "run_simulated_job", no_simulation)
+    rc = main(size_args + ["--no-store", "--maps", "4", "--reduces", "2"])
+    assert rc == 2
+    assert "> 0" in capsys.readouterr().err
+
+
+def test_skew_split_benchmark_runs_its_own_pattern(capsys):
+    """The benchmark name picks the pattern, hyphens and all."""
+    rc = main(["--benchmark", "MR-SKEW-SPLIT", "--num-pairs", "20000",
+               "--maps", "4", "--reduces", "4", "--slaves", "2",
+               "--no-store"])
+    assert rc == 0
+    assert re.search(r"Benchmark\s*: MR-SKEW-SPLIT\n",
+                     capsys.readouterr().out)
 
 
 def test_mutually_exclusive_size_options():

@@ -98,6 +98,13 @@ def test_from_shuffle_size_rejects_non_finite_sizes(shuffle_bytes):
         BenchmarkConfig.from_shuffle_size(shuffle_bytes)
 
 
+@pytest.mark.parametrize("shuffle_bytes", [0.0, -0.0, -1e9])
+def test_from_shuffle_size_rejects_non_positive_sizes(shuffle_bytes):
+    """A size of no bytes is bad input, not a one-pair job."""
+    with pytest.raises(ValueError, match="> 0"):
+        BenchmarkConfig.from_shuffle_size(shuffle_bytes)
+
+
 def test_describe_contains_all_parameters():
     desc = BenchmarkConfig().describe()
     for key in ("pattern", "key_size", "value_size", "num_pairs",

@@ -126,6 +126,20 @@ class TestReproCli:
         assert rc == 2
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["0", "-1"], ids=["zero", "negative"])
+    def test_non_positive_shuffle_size_fails_before_simulating(
+            self, tmp_path, capsys, size):
+        """A size of no bytes is refused as the service refuses it:
+        exit 2, and the campaign's valid point is not simulated either."""
+        spec = tmp_path / "empty.json"
+        spec.write_text(json.dumps(TINY_SPEC).replace(
+            '"shuffle_gbs": [0.02, 0.04]', f'"shuffle_gbs": [0.02, {size}]'))
+        store = tmp_path / "store"
+        rc = repro_main(["campaign", "run", str(spec), "--store", str(store)])
+        assert rc == 2
+        assert "> 0" in capsys.readouterr().err
+        assert list(ResultStore(store).keys()) == []
+
     def test_bad_spec_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{ nope")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.hadoop import DEFAULT_COST_MODEL, JobConf, MapTask, SimNode, WESTMERE_NODE
 from repro.net import NetworkFabric, ONE_GIGE
-from repro.sim import Simulator
+from repro.sim import ResourceMonitor, Simulator
 
 
 def make_task(nbytes=200e6, records=200_000, reduces=4, jobconf=None,
@@ -72,8 +72,12 @@ def test_duration_grows_with_record_count_at_fixed_bytes():
 
 def test_cpu_time_is_tracked():
     sim, node, task = make_task()
+    monitor = ResourceMonitor(sim, interval=0.01)
+    monitor.register_gauge("busy", lambda: node.busy_cores)
+    monitor.install()
     sim.run_until_event(sim.process(task.run()))
-    assert node.cpu.integral() > 0
+    assert monitor.peak("busy") == 1
+    assert node.busy_cores == 0
 
 
 def test_faster_clock_runs_faster():

@@ -91,34 +91,56 @@ class TestStorage:
 class TestSimNodeCpu:
     def test_cpu_burst_tracks_busy_time(self):
         sim, node = make_node()
+        seen = []
 
         def work():
             yield from node.cpu_burst(5.0)
 
+        def probe():
+            yield sim.timeout(2.5)
+            seen.append(node.busy_cores)
+
         sim.process(work())
+        sim.process(probe())
         sim.run()
         assert sim.now == pytest.approx(5.0)
-        assert node.cpu.integral() == pytest.approx(5.0)
+        assert seen == [1]
+        assert node.busy_cores == 0
 
     def test_zero_burst_is_noop(self):
         sim, node = make_node()
+        seen = []
 
         def work():
             yield from node.cpu_burst(0.0)
+            seen.append(node.busy_cores)
             yield sim.timeout(1.0)
 
         sim.process(work())
         sim.run()
-        assert node.cpu.integral() == pytest.approx(0.0)
+        assert seen == [0]
+        assert node.busy_cores == 0
+
+    def test_killed_burst_frees_its_core(self):
+        sim, node = make_node()
+        burst = sim.process(node.cpu_burst(5.0))
+        sim.run(until=1.0)
+        assert node.busy_cores == 1
+        burst.kill()
+        assert node.busy_cores == 0
 
     def test_total_cpu_level_includes_protocol(self):
         sim, node = make_node(WESTMERE_NODE)
-        node.cpu.adjust(+2)
-        node.fabric_node.protocol_cpu.set_level(1.5)
+        node.busy_cores = 2
+        # 1GigE burns 3 ns of protocol CPU per byte moved.
+        node.fabric_node.in_rate = 0.3e9
+        node.fabric_node.out_rate = 0.2e9
+        assert node.fabric_node.protocol_cpu == pytest.approx(1.5)
         assert node.total_cpu_level() == pytest.approx(3.5)
 
     def test_total_cpu_level_capped_at_cores(self):
         _sim, node = make_node()
-        node.cpu.adjust(+4)
-        node.fabric_node.protocol_cpu.set_level(3.0)
-        assert node.total_cpu_level() == pytest.approx(4.0)
+        node.busy_cores = 1
+        node.fabric_node.in_rate = 2e9  # 6 cores of protocol CPU
+        assert node.fabric_node.protocol_cpu == 4.0
+        assert node.total_cpu_level() == 4.0

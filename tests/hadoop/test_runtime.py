@@ -1,4 +1,4 @@
-"""Tests for the Runtime protocol, registry, and JobExecution engine."""
+"""Tests for the Runtime protocol, runtime selection, and JobExecution engine."""
 
 import pytest
 
@@ -6,15 +6,14 @@ from repro.core.config import BenchmarkConfig
 from repro.hadoop import (
     JobConf,
     Runtime,
-    available_runtimes,
     cluster_a,
     create_runtime,
     run_simulated_job,
 )
 from repro.hadoop.costmodel import DEFAULT_COST_MODEL
+from repro.hadoop.job import VERSIONS
 from repro.hadoop.jobtracker import JobTrackerScheduler
 from repro.hadoop.node import SimNode
-from repro.hadoop.runtime import RUNTIMES, register_runtime
 from repro.hadoop.yarn import YarnScheduler
 from repro.net.fabric import NetworkFabric
 from repro.net.interconnect import get_interconnect
@@ -42,7 +41,12 @@ def cfg(**kw):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_runtimes() == ["mrv1", "yarn"]
+        sim, nodes = make_world()
+        costs = DEFAULT_COST_MODEL.scaled(nodes[0].spec.clock_ghz)
+        for version in VERSIONS:
+            rt = create_runtime(version, sim, nodes,
+                                JobConf(version=version), costs)
+            assert rt.name == version
 
     def test_create_by_name(self):
         sim, nodes = make_world()
@@ -59,34 +63,8 @@ class TestRegistry:
             create_runtime("spark", sim, nodes, JobConf(),
                            DEFAULT_COST_MODEL)
 
-    def test_register_requires_name(self):
-        with pytest.raises(ValueError, match="non-empty name"):
-            @register_runtime
-            class Anonymous(Runtime):
-                pass
-
-    def test_register_custom_runtime(self):
-        @register_runtime
-        class Custom(JobTrackerScheduler):
-            name = "custom-mrv1"
-
-        try:
-            sim, nodes = make_world()
-            rt = create_runtime(
-                "custom-mrv1", sim, nodes, JobConf(),
-                DEFAULT_COST_MODEL.scaled(nodes[0].spec.clock_ghz))
-            assert rt.version == "custom-mrv1"
-            assert "custom-mrv1" in available_runtimes()
-        finally:
-            del RUNTIMES["custom-mrv1"]
-
 
 class TestRuntimeProtocol:
-    def test_version_aliases_name(self):
-        sim, nodes = make_world()
-        costs = DEFAULT_COST_MODEL.scaled(nodes[0].spec.clock_ghz)
-        assert create_runtime("mrv1", sim, nodes, JobConf(), costs).version == "mrv1"
-
     def test_mrv1_separate_pools_yarn_shared(self):
         sim, nodes = make_world()
         costs = DEFAULT_COST_MODEL.scaled(nodes[0].spec.clock_ghz)

@@ -206,9 +206,9 @@ class TestNetworkFabric:
         fabric.start_flow("n0", "n1", 1000.0)
         sim.run(until=1.0)
         # n0 sends at 100 B/s -> 1.0 cores of protocol CPU
-        assert fabric.node("n0").protocol_cpu.level == pytest.approx(1.0)
+        assert fabric.node("n0").protocol_cpu == pytest.approx(1.0)
         sim.run()
-        assert fabric.node("n0").protocol_cpu.level == pytest.approx(0.0)
+        assert fabric.node("n0").protocol_cpu == pytest.approx(0.0)
 
     def test_all_to_all_shuffle_pattern(self):
         """4 nodes, each sending to all others: symmetric completion."""

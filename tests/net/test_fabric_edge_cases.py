@@ -78,7 +78,7 @@ def test_protocol_cpu_zero_for_rdma():
     fabric.start_flow("a", "b", 1e9)
     sim.run(until=0.05)
     # 0.05e-9 s/B at ~5.5 GB/s: well under a tenth of a core.
-    assert fabric.node("a").protocol_cpu.level < 0.3
+    assert fabric.node("a").protocol_cpu < 0.3
 
 
 def test_protocol_cpu_significant_for_sockets():
@@ -89,7 +89,7 @@ def test_protocol_cpu_significant_for_sockets():
     fabric.start_flow("a", "b", 1e9)
     sim.run(until=1.0)
     # 3 ns/B at 112 MB/s ~ 0.34 cores.
-    assert fabric.node("a").protocol_cpu.level == pytest.approx(0.336, rel=0.05)
+    assert fabric.node("a").protocol_cpu == pytest.approx(0.336, rel=0.05)
 
 
 def test_sequential_flows_reuse_capacity():

@@ -1,4 +1,4 @@
-"""Tests for utilization trackers, byte counters and the monitor."""
+"""Tests for byte counters and the monitor."""
 
 import pytest
 
@@ -7,51 +7,8 @@ from repro.sim import (
     FairShareResource,
     ResourceMonitor,
     Simulator,
-    UtilizationTracker,
+    SlotResource,
 )
-
-
-class TestUtilizationTracker:
-    def test_capacity_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            UtilizationTracker(sim, capacity=0)
-
-    def test_integral_accumulates(self):
-        sim = Simulator()
-        tr = UtilizationTracker(sim, capacity=4)
-        tr.adjust(+2)
-        sim.timeout(10.0)
-        sim.run()
-        assert tr.integral() == pytest.approx(20.0)
-        assert tr.mean_utilization() == pytest.approx(0.5)
-
-    def test_level_changes_mid_run(self):
-        sim = Simulator()
-        tr = UtilizationTracker(sim, capacity=1)
-
-        def scenario():
-            tr.adjust(+1)
-            yield sim.timeout(3.0)
-            tr.adjust(-1)
-            yield sim.timeout(7.0)
-
-        sim.process(scenario())
-        sim.run()
-        assert tr.integral() == pytest.approx(3.0)
-        assert tr.mean_utilization() == pytest.approx(0.3)
-
-    def test_negative_level_raises(self):
-        sim = Simulator()
-        tr = UtilizationTracker(sim)
-        with pytest.raises(ValueError):
-            tr.adjust(-1)
-
-    def test_set_level(self):
-        sim = Simulator()
-        tr = UtilizationTracker(sim, capacity=8)
-        tr.set_level(6)
-        assert tr.level == 6
 
 
 class TestByteCounter:
@@ -93,26 +50,27 @@ class TestResourceMonitor:
             assert v == pytest.approx(10.0)
 
     def test_utilization_sampling(self):
+        """Busy slots read as a percent of capacity when a sample is due."""
         sim = Simulator()
         monitor = ResourceMonitor(sim, interval=1.0)
-        tracker = UtilizationTracker(sim, capacity=2)
-        monitor.register_utilization("cpu", tracker)
+        slots = SlotResource(sim, 2)
+        monitor.register_gauge(
+            "cpu", lambda: 100.0 * slots.in_use / slots.capacity)
         monitor.install()
 
         def load():
-            tracker.adjust(+2)  # 100% for 2s
+            yield sim.timeout(0.5)
+            slots.request()
+            slots.request()  # 100% from 0.5s
             yield sim.timeout(2.0)
-            tracker.adjust(-1)  # 50% for 2s
-            yield sim.timeout(2.0)
-            tracker.adjust(-1)
+            slots.release()  # 50% from 2.5s
+            yield sim.timeout(1.0)
+            slots.release()  # idle from 3.5s
 
         sim.process(load())
         sim.run(until=4.0)
         _times, values = monitor.series("cpu")
-        assert values[0] == pytest.approx(100.0)
-        assert values[1] == pytest.approx(100.0)
-        assert values[2] == pytest.approx(50.0)
-        assert values[3] == pytest.approx(50.0)
+        assert values == [100.0, 100.0, 50.0, 0.0]
 
     def test_gauge_sampling(self):
         sim = Simulator()

@@ -57,20 +57,6 @@ class TestSlotResource:
         slots.request()
         assert slots.queued == 2
 
-    def test_utilization_tracking(self):
-        sim = Simulator()
-        slots = SlotResource(sim, 2)
-
-        def worker():
-            yield slots.request()
-            yield sim.timeout(10.0)
-            slots.release()
-
-        sim.process(worker())
-        sim.run()
-        # one of two slots busy for 10s => 50% utilization
-        assert slots.tracker.mean_utilization(since=0.0) == pytest.approx(0.5)
-
 
 class TestFairShareResource:
     def test_capacity_validation(self):
@@ -84,6 +70,9 @@ class TestFairShareResource:
         done = disk.submit(500.0)
         sim.run_until_event(done)
         assert sim.now == pytest.approx(5.0)
+        sim.run()  # no timer outlives the last job
+        assert sim.now == pytest.approx(5.0)
+        assert disk.active_jobs == 0
 
     def test_zero_work_completes_instantly(self):
         sim = Simulator()
@@ -152,15 +141,6 @@ class TestFairShareResource:
         sim.process(run())
         sim.run()
         assert disk.bytes_served.total == pytest.approx(sum(amounts))
-
-    def test_busy_tracker(self):
-        sim = Simulator()
-        disk = FairShareResource(sim, capacity=100.0)
-        disk.submit(200.0)
-        sim.run()
-        assert sim.now == pytest.approx(2.0)
-        assert disk.tracker.integral() == pytest.approx(2.0)
-        assert disk.active_jobs == 0
 
     def test_many_jobs_total_time(self):
         """n equal jobs under PS finish at n * (single-job time)."""

@@ -70,9 +70,6 @@ class TestFairShareResource:
         done = disk.submit(500.0)
         sim.run_until_event(done)
         assert sim.now == pytest.approx(5.0)
-        sim.run()  # no timer outlives the last job
-        assert sim.now == pytest.approx(5.0)
-        assert disk.active_jobs == 0
 
     def test_zero_work_completes_instantly(self):
         sim = Simulator()
@@ -141,6 +138,25 @@ class TestFairShareResource:
         sim.process(run())
         sim.run()
         assert disk.bytes_served.total == pytest.approx(sum(amounts))
+
+    def test_busy_tracker(self):
+        """The disk stays busy at full rate until its work drains, then idles."""
+        sim = Simulator()
+        disk = FairShareResource(sim, capacity=100.0)
+        disk.submit(200.0)
+        seen = []
+
+        def probe():
+            yield sim.timeout(1.0)
+            seen.append((disk.active_jobs, disk.bytes_served.total))
+
+        sim.process(probe())
+        sim.run()  # no timer outlives the last job
+        assert sim.now == pytest.approx(2.0)
+        assert seen == [(1, pytest.approx(100.0))]
+        # busy time = work served / capacity
+        assert disk.bytes_served.total / disk.capacity == pytest.approx(2.0)
+        assert disk.active_jobs == 0
 
     def test_many_jobs_total_time(self):
         """n equal jobs under PS finish at n * (single-job time)."""

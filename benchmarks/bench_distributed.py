@@ -1,8 +1,9 @@
 """Distributed-pool benchmark: parity, failover, and (multi-core) speed.
 
 The ``PoolBackend`` fans a campaign's cold units over socket-connected
-``repro worker`` processes with heartbeat leases. This module guards
-the contract that makes that worth having:
+worker processes with heartbeat leases; ``workers=2`` forks two local
+ones from the coordinator. This module guards the contract that makes
+that worth having:
 
 * **Parity, always.** Every run executes the same campaign through the
   default ``LocalBackend`` and through a two-worker pool into fresh
@@ -39,8 +40,8 @@ BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_distributed.json"
 
 #: Minimum pool(2)-over-local speedup, asserted only when the host has
 #: at least 2 cores (see module docstring) and PERF_SMOKE=1. The units
-#: are coarse (~0.5 s each), so 2 workers should approach 2x; 1.2
-#: keeps loaded CI hosts green.
+#: take about 7 ms each, too short for two workers to beat the local
+#: loop by this much, so on such a host this floor fails.
 POOL_SPEEDUP_FLOOR = 1.2
 
 PARAMS = {"num_maps": 8, "num_reduces": 4,

@@ -15,7 +15,8 @@ installs at a layer boundary, so a rename or a call that goes around
 one reads 0 without any error. Exact counts catch more: figures-cold's
 event, flow and solve counts pin the simulation's schedule, so a fabric
 change that moves the solve schedule fails here even when every
-simulated time stays equal.
+simulated time stays equal, and pool-fig3a's twelve dispatches with no
+lost worker, reassignment or expired lease pin a clean pool pass.
 """
 
 import json
@@ -37,6 +38,14 @@ EXACT = {
         "hadoop.jobs": 25,
     },
     "service-mix": {},
+    "pool-fig3a": {
+        "pool.dispatched": 12,
+        "store.writes": 12,
+        "campaign.simulated": 12,
+        "pool.workers_lost": 0,
+        "pool.reassignments": 0,
+        "pool.leases_expired": 0,
+    },
 }
 
 #: Workload -> metrics a traced run must report as nonzero.
@@ -46,6 +55,8 @@ NONZERO = {
     "service-mix": ("service.warm_hits", "service.cold_misses",
                     "store.reads", "service.query_p50_ms",
                     "service.http_p50_ms"),
+    "pool-fig3a": ("pool.join_s", "pool.busy_frac", "wire.frames",
+                   "wire.bytes"),
 }
 
 

@@ -1,19 +1,23 @@
 """Distributed campaign execution: the socket worker-pool coordinator.
 
 :class:`PoolBackend` fans a campaign's cold point-units over a pool of
-``repro worker`` processes — launched as local subprocesses
-(``workers=N``), by hand, or over SSH on remote hosts (``workers=0``
-plus the printed address; see ``docs/DISTRIBUTED.md``). Everything is
-stdlib: a non-blocking listener, a :mod:`selectors` event loop, and
-the length-prefixed pickle framing of :mod:`repro.campaign.wire`.
+workers. Local ones (``workers=N``) are forked from the coordinator,
+so they start with the package already imported and say hello within
+milliseconds; others run ``repro worker`` by hand or over SSH on
+remote hosts (``workers=0`` plus the printed address; see
+``docs/DISTRIBUTED.md``). Both serve units through the same
+:func:`~repro.campaign.worker.run_worker` loop. Everything is stdlib:
+a non-blocking listener, a :mod:`selectors` event loop, and the
+length-prefixed pickle framing of :mod:`repro.campaign.wire`.
 
 Fault tolerance is the point. Every dispatched unit is held under a
 **lease** that the worker renews with heartbeats while it simulates:
 
-* a worker that *dies* (SIGKILL, OOM, network partition → EOF) or
-  goes *silent* past its lease is declared lost and its unit is
-  **reassigned** to a live worker — an infrastructure failure is not
-  the simulation's fault, so reassignment does not consume the unit's
+* a worker that *dies* (SIGKILL, OOM, network partition → EOF), goes
+  *silent* past its lease or sends a frame outside the wire protocol
+  is declared lost and its unit is **reassigned** to a live worker —
+  an infrastructure failure is not the simulation's fault, so
+  reassignment does not consume the unit's
   :class:`~repro.campaign.executor.RetryPolicy` budget (a
   :data:`REASSIGN_LIMIT` stops pathological crash loops);
 * a unit whose simulation *raises* on the worker fails through the
@@ -21,8 +25,8 @@ Fault tolerance is the point. Every dispatched unit is held under a
 * a unit that exceeds ``policy.timeout`` while its worker heartbeats
   on (a hung simulation, not a hung host) counts as a retryable
   attempt failure, and the stuck worker is dropped;
-* a lost or dropped worker that this pool spawned is replaced: its
-  process is killed if still alive and one successor starts, unless
+* a lost or dropped worker that this pool started is replaced: its
+  process is killed if still alive and one successor is forked, unless
   the pass is draining — even when it held the pass's last unit;
 * SIGINT drains: no new dispatches, in-flight units get
   ``drain_timeout`` seconds to finish (their results are recorded),
@@ -41,14 +45,15 @@ their lease.
 
 from __future__ import annotations
 
-import os
+import gc
+import multiprocessing
 import selectors
+import signal
 import socket
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
+from multiprocessing.process import BaseProcess
 from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.backend import (
@@ -67,6 +72,8 @@ from repro.campaign.wire import (
     FrameError,
     send_message,
 )
+from repro.campaign.worker import serve_units
+from repro.hadoop.result import SimJobResult
 
 #: Default lease duration (seconds without a heartbeat before a
 #: worker's unit is reassigned).
@@ -108,7 +115,7 @@ class _PoolWorker:
     ident: str
     decoder: FrameDecoder = field(default_factory=FrameDecoder)
     greeted: bool = False
-    #: Process id from the hello; matches the workers this pool spawned.
+    #: Process id from the hello; matches the workers this pool started.
     pid: Optional[int] = None
     unit: Optional[_Assignment] = None
 
@@ -138,9 +145,9 @@ class PoolBackend(ExecutionBackend):
     ):
         """Configure (but don't yet bind) the coordinator.
 
-        ``workers=N`` spawns N local ``repro worker`` subprocesses on
-        first use; ``workers=0`` expects external workers to connect
-        to :attr:`address` (print it with :meth:`ensure_started`).
+        ``workers=N`` forks N local workers from this process on first
+        use; ``workers=0`` expects external workers to connect to
+        :attr:`address` (print it with :meth:`ensure_started`).
         """
         if lease <= 0:
             raise ValueError(f"lease must be > 0, got {lease}")
@@ -158,14 +165,14 @@ class PoolBackend(ExecutionBackend):
         self._listener: Optional[socket.socket] = None
         self._sel: Optional[selectors.BaseSelector] = None
         self._conns: Dict[socket.socket, _PoolWorker] = {}
-        self._procs: List[subprocess.Popen] = []
+        self._procs: List[BaseProcess] = []
         self._losses: Dict[int, int] = {}
         self._epoch = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     def ensure_started(self) -> None:
-        """Bind the listener and spawn local workers (idempotent)."""
+        """Bind the listener and fork local workers (idempotent)."""
         if self._listener is not None:
             return
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -187,7 +194,7 @@ class PoolBackend(ExecutionBackend):
         return host, port
 
     def close(self) -> None:
-        """Shut the pool down: ask workers to exit, reap subprocesses."""
+        """Shut the pool down: ask workers to exit, reap local ones."""
         for worker in list(self._conns.values()):
             try:
                 send_message(worker.sock, (MSG_SHUTDOWN,))
@@ -205,17 +212,13 @@ class PoolBackend(ExecutionBackend):
             self._sel.close()
             self._sel = None
         for proc in self._procs:
-            if proc.poll() is None:
+            if proc.exitcode is None:
                 proc.terminate()
         for proc in self._procs:
-            try:
-                proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stubborn
+            proc.join(timeout=2.0)
+            if proc.exitcode is None:  # pragma: no cover - stubborn
                 proc.kill()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    pass
+                proc.join(timeout=2.0)
         self._procs = []
 
     # -- main loop ---------------------------------------------------------
@@ -345,10 +348,12 @@ class PoolBackend(ExecutionBackend):
     def _handle_message(self, ctx: ExecutionContext, worker: _PoolWorker,
                         message, pending: List[_PendingUnit],
                         active: Dict[int, _PoolWorker]) -> None:
+        """Act on one message; a result of the wrong type raises
+        :class:`FrameError` before anything is recorded."""
         tag = message[0]
         now = time.monotonic()
         if tag == MSG_HELLO:
-            info = message[1] if len(message) > 1 else {}
+            info = message[1]
             if isinstance(info, dict):
                 worker.ident = str(info.get("worker") or worker.ident)
                 worker.pid = info.get("pid")
@@ -363,6 +368,9 @@ class PoolBackend(ExecutionBackend):
             return
         if tag == MSG_OK:
             _tag, token, result = message
+            if not isinstance(result, SimJobResult):
+                raise FrameError(f"result is a {type(result).__name__}, "
+                                 f"not a SimJobResult")
             assignment = self._claim(worker, token)
             if assignment is None:
                 return  # stale (abandoned epoch); store stays correct
@@ -375,6 +383,9 @@ class PoolBackend(ExecutionBackend):
             return
         if tag == MSG_ERROR:
             _tag, token, error, tb = message
+            if not (isinstance(error, str)
+                    and (tb is None or isinstance(tb, str))):
+                raise FrameError("error message or traceback is not text")
             assignment = self._claim(worker, token)
             if assignment is None:
                 return
@@ -542,10 +553,10 @@ class PoolBackend(ExecutionBackend):
         except OSError:  # pragma: no cover - degraded store
             pass
 
-    # -- local worker subprocesses -----------------------------------------
+    # -- local workers -----------------------------------------------------
 
     def _respawn(self, ctx: ExecutionContext, worker: _PoolWorker) -> None:
-        """Kill a lost worker this pool spawned and start a successor.
+        """Kill a lost worker this pool started and fork a successor.
 
         Unless the pass is draining — also when the lost worker held the
         pass's last unit, so the next pass finds a live worker. Crash
@@ -556,22 +567,46 @@ class PoolBackend(ExecutionBackend):
             return
         self._procs.remove(proc)
         proc.kill()
-        proc.wait()
+        proc.join()
         self._spawn_worker()
 
     def _spawn_worker(self) -> None:
-        """Launch one local ``repro worker`` subprocess."""
-        import repro
+        """Start one local worker as a child of this process.
 
+        The default :mod:`multiprocessing` context forks it on Linux,
+        as it does the local backend's children, so the worker needs no
+        interpreter start or imports of its own. It is a daemon: an
+        interpreter that exits without :meth:`close` terminates it
+        instead of waiting for it. It closes the coordinator's sockets
+        it inherited (see :func:`_local_worker`).
+        """
         host, port = self.address
         if host in ("0.0.0.0", "::"):
             host = "127.0.0.1"
-        package_root = str(Path(repro.__file__).resolve().parents[1])
-        env = os.environ.copy()
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (package_root if not existing
-                             else package_root + os.pathsep + existing)
-        self._procs.append(subprocess.Popen(
-            [sys.executable, "-m", "repro.campaign.worker",
-             "--connect", f"{host}:{port}"],
-            env=env, stdout=subprocess.DEVNULL))
+        proc = multiprocessing.get_context().Process(
+            target=_local_worker,
+            args=(host, port, [self._listener, *self._conns]),
+            name="repro-pool-worker", daemon=True)
+        proc.start()
+        self._procs.append(proc)
+
+
+def _local_worker(host: str, port: int,
+                  inherited: List[socket.socket]) -> None:
+    """Body of a local worker: serve units like ``repro worker``.
+
+    First it closes the coordinator's listener and the other workers'
+    connections it inherited. Otherwise :meth:`PoolBackend.close` would
+    leave the port held while this worker lives, and a connection the
+    coordinator drops would not end while this worker holds a copy. It
+    also drops the signal wakeup fd it may have inherited from an
+    asyncio loop (``repro serve`` forks replacements while serving), so
+    a signal to this worker is not delivered to the coordinator too.
+    The inherited heap is frozen out of this worker's garbage
+    collections, which then walk only what its simulations allocate.
+    """
+    gc.freeze()
+    signal.set_wakeup_fd(-1)
+    for sock in inherited:
+        sock.close()
+    sys.exit(serve_units(host, port))

@@ -22,6 +22,13 @@ Message vocabulary (first tuple element is the type tag):
   — worker → coordinator: the unit's outcome.
 * ``("shutdown",)`` — coordinator → worker: drain and exit.
 
+The coordinator's decoder refuses any other frame: one that does not
+unpickle (say, a result whose class the coordinator cannot import),
+or that is not a tuple whose tag is above with that tag's length. The
+coordinator drops the worker that sent it, as it drops a dead one, and
+does the same for an ``ok`` result that is not a ``SimJobResult`` or
+an ``error`` whose message is not text.
+
 Trust model: the protocol uses :mod:`pickle`, so a worker endpoint
 must only be exposed on trusted networks (localhost, an SSH tunnel, or
 a private cluster fabric) — the same trust the paper's Hadoop clusters
@@ -31,6 +38,7 @@ place in their interconnect. ``docs/DISTRIBUTED.md`` spells this out.
 from __future__ import annotations
 
 import pickle
+import reprlib
 import struct
 from typing import Iterator, List
 
@@ -47,13 +55,17 @@ MSG_OK = "ok"
 MSG_ERROR = "error"
 MSG_SHUTDOWN = "shutdown"
 
+#: Every message tag and the length of its tuple.
+ARITY = {MSG_HELLO: 2, MSG_UNIT: 6, MSG_HEARTBEAT: 2, MSG_OK: 3,
+         MSG_ERROR: 4, MSG_SHUTDOWN: 1}
+
 
 class ConnectionClosed(ConnectionError):
     """The peer closed the connection (EOF mid-protocol)."""
 
 
 class FrameError(ValueError):
-    """A frame violated the protocol (bad length, bad pickle)."""
+    """A frame violated the protocol (bad length, pickle or message)."""
 
 
 def encode_message(message: object) -> bytes:
@@ -101,7 +113,8 @@ class FrameDecoder:
     The coordinator feeds whatever ``recv`` returned; :meth:`drain`
     yields every complete message and buffers the tail of a partial
     frame — so a slow or silent peer can never block the event loop
-    mid-frame.
+    mid-frame. A frame that is not a message of the vocabulary raises
+    :class:`FrameError`.
     """
 
     def __init__(self) -> None:
@@ -111,7 +124,7 @@ class FrameDecoder:
         """Append raw bytes from the socket."""
         self._buffer.extend(data)
 
-    def drain(self) -> Iterator[object]:
+    def drain(self) -> Iterator[tuple]:
         """Yield every complete message currently buffered."""
         while True:
             if len(self._buffer) < HEADER.size:
@@ -126,6 +139,13 @@ class FrameDecoder:
             payload = bytes(self._buffer[HEADER.size:end])
             del self._buffer[:end]
             try:
-                yield pickle.loads(payload)
-            except pickle.UnpicklingError as exc:  # pragma: no cover
-                raise FrameError(f"undecodable frame: {exc}") from exc
+                message = pickle.loads(payload)
+            except Exception as exc:  # noqa: BLE001 - any decode failure
+                raise FrameError(f"undecodable frame: "
+                                 f"{type(exc).__name__}: {exc}") from exc
+            if not (isinstance(message, tuple) and message
+                    and isinstance(message[0], str)
+                    and ARITY.get(message[0]) == len(message)):
+                raise FrameError(
+                    f"not a protocol message: {reprlib.repr(message)}")
+            yield message

@@ -1,10 +1,10 @@
 """The ``repro worker`` process: one member of a distributed pool.
 
 A worker dials a :class:`~repro.campaign.pool.PoolBackend` coordinator
-(``repro worker --connect HOST:PORT`` or ``python -m
-repro.campaign.worker``), introduces itself, then loops: receive a
-point-unit, simulate it through the same
-:func:`~repro.core.suite._run_point` entry the local
+(``repro worker --connect HOST:PORT``, ``python -m
+repro.campaign.worker``, or a child the pool forked for ``workers=N``),
+introduces itself, then loops: receive a point-unit, simulate it
+through the same :func:`~repro.core.suite._run_point` entry the local
 ``multiprocessing`` path uses, ship the result (or the exception)
 back. While a unit simulates, a daemon thread heartbeats every
 ``heartbeat_secs`` so the coordinator keeps the unit's lease alive;
@@ -31,7 +31,6 @@ gymnastics.
 
 from __future__ import annotations
 
-import argparse
 import os
 import signal
 import socket
@@ -169,6 +168,20 @@ def run_worker(host: str, port: int,
             pass
 
 
+def serve_units(host: str, port: int,
+                connect_timeout: float = 30.0) -> int:
+    """:func:`run_worker`, reporting a lost coordinator (exit code 1).
+
+    The exit code of ``repro worker`` and of a pool's local workers.
+    """
+    try:
+        return run_worker(host, port, connect_timeout=connect_timeout)
+    except (OSError, ConnectionClosed) as exc:
+        print(f"error: worker lost the coordinator: {exc}",
+              file=sys.stderr)
+        return 1
+
+
 def _parse_endpoint(text: str) -> tuple:
     """Split HOST:PORT (host may be omitted → localhost)."""
     host, sep, port = text.rpartition(":")
@@ -180,6 +193,8 @@ def _parse_endpoint(text: str) -> tuple:
 
 def main(argv: Optional[list] = None) -> int:
     """CLI entry: ``repro worker`` / ``python -m repro.campaign.worker``."""
+    import argparse  # deferred: the pool imports this module
+
     parser = argparse.ArgumentParser(
         prog="repro worker",
         description="Join a distributed campaign worker pool.")
@@ -196,12 +211,7 @@ def main(argv: Optional[list] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return run_worker(host, port, connect_timeout=args.connect_timeout)
-    except (OSError, ConnectionClosed) as exc:
-        print(f"error: worker lost the coordinator: {exc}",
-              file=sys.stderr)
-        return 1
+    return serve_units(host, port, connect_timeout=args.connect_timeout)
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry

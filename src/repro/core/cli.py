@@ -424,8 +424,8 @@ def build_repro_parser() -> argparse.ArgumentParser:
                             "socket-connected `repro worker` processes "
                             "with lease-based failover")
         p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="[pool] spawn N local workers (default: "
-                            "--jobs); 0 spawns none - print the listen "
+                       help="[pool] fork N local workers (default: "
+                            "--jobs); 0 forks none - print the listen "
                             "address and wait for external `repro "
                             "worker --connect` processes")
         p.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT",
@@ -480,7 +480,7 @@ def build_repro_parser() -> argparse.ArgumentParser:
                        help="execution backend for cold points "
                             "(default: local)")
     serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="[pool] spawn N local workers "
+                       help="[pool] fork N local workers "
                             "(default: --jobs)")
 
     worker = sub.add_parser(

@@ -32,6 +32,7 @@ from repro.sim.trace import CAT_HARNESS, Tracer
 from repro.store import ResultStore
 
 from tests.store.conftest import store_root
+from tests.subproc import REPO, child_env
 
 #: Three tiny points (~2 ms of simulation each), one network.
 TINY3 = dict(
@@ -209,15 +210,13 @@ class TestGracefulInterrupt:
         spec = tmp_path / "chaos3.json"
         spec.write_text(json.dumps(campaign.to_dict()))
         root = store_root(tmp_path, root_kind)
-        env = dict(__import__("os").environ,
-                   PYTHONPATH="src",
-                   REPRO_CHAOS_HANG="2",         # third point hangs...
-                   REPRO_CHAOS_HANG_SECS="60")   # ...for a minute
+        env = child_env(REPRO_CHAOS_HANG="2",         # third point hangs...
+                        REPRO_CHAOS_HANG_SECS="60")   # ...for a minute
         proc = subprocess.Popen(
             [sys.executable, "-u", "-c", SIGINT_CHILD,
              str(spec), root],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env, cwd="/root/repo")
+            text=True, env=env, cwd=REPO)
         try:
             # Wait until the first two points have been reported done.
             lines = []

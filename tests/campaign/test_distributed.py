@@ -13,6 +13,7 @@ dispatch counter, so the replayed dispatch recovers).
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -20,7 +21,7 @@ import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
+import types
 
 import pytest
 
@@ -41,6 +42,7 @@ from repro.campaign.chaos import (
     ENV_CHAOS_MUTE,
 )
 from repro.campaign.wire import (
+    MSG_ERROR,
     MSG_HEARTBEAT,
     MSG_HELLO,
     MSG_OK,
@@ -56,6 +58,7 @@ from repro.core.suite import clear_result_cache
 from repro.store import ResultStore
 
 from tests.store.conftest import store_root
+from tests.subproc import REPO, child_env
 from tests.campaign.test_batch import GOLDEN, POINTS, _golden_config, \
     _golden_suite
 
@@ -192,8 +195,7 @@ class TestPoolParity:
              "import sys; from repro.core.cli import repro_main; "
              "sys.exit(repro_main(sys.argv[1:]))",
              "worker", "--connect", f"{host}:{port}"],
-            env=dict(__import__("os").environ, PYTHONPATH="src"),
-            cwd="/root/repo")
+            env=child_env(), cwd=REPO)
         try:
             result = run_campaign(
                 campaign, store=ResultStore(tmp_path / "store"),
@@ -259,7 +261,8 @@ class TestFailover:
         try:
             result = run_campaign(campaign, store=store, backend=backend)
             # The muted worker's process was stopped, not left asleep.
-            exited = [proc for proc in spawned if proc.poll() is not None]
+            exited = [proc for proc in spawned
+                      if proc.exitcode is not None]
         finally:
             counters = dict(backend.counters)
             backend.close()
@@ -352,13 +355,218 @@ class TestFailover:
             second = run_campaign(
                 Campaign(**dict(TINY3, shuffle_gbs=(0.03, 0.04))),
                 store=store, backend=backend, policy=policy)
-            hung_exited = hung.poll() is not None
+            hung_exited = hung.exitcode is not None
         finally:
             backend.close()
         assert first.failed == 1
         assert second.completed
         assert second.executed == 1 and second.from_store == 1
         assert hung_exited
+
+
+def join_all(backend, count):
+    """Run tiny store-less passes until ``count`` workers said hello."""
+    probe = Campaign(**dict(TINY3, name="join", shuffle_gbs=(0.02,)))
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        if backend.counters["workers_joined"] >= count:
+            return
+        clear_result_cache()
+        run_campaign(probe, store=None, backend=backend)
+    pytest.fail(f"only {backend.counters['workers_joined']} of {count} "
+                f"workers joined")
+
+
+def foreign_module():
+    """A module holding a class, as on a worker of another release."""
+    module = types.ModuleType("repro_other_release")
+    module.Result = type("Result", (), {"__module__": module.__name__})
+    return module
+
+
+def foreign_result(token):
+    """An ok frame whose result unpickles only where the module exists."""
+    module = foreign_module()
+    sys.modules[module.__name__] = module
+    try:
+        return encode_message((MSG_OK, token, module.Result()))
+    finally:
+        del sys.modules[module.__name__]
+
+
+class TestMalformedFrames:
+    """A frame outside the wire vocabulary drops its worker, like a
+    dead one: the unit is reassigned, and the campaign completes."""
+
+    @pytest.mark.parametrize("reply", [
+        lambda token: encode_message(5),
+        lambda token: encode_message((MSG_OK, token)),
+        foreign_result,
+        lambda token: encode_message((MSG_OK, token, 5)),
+        lambda token: encode_message((MSG_ERROR, token, b"boom", None)),
+    ], ids=["not-a-tuple", "short-ok", "unknown-module", "ok-not-a-result",
+            "error-not-text"])
+    def test_malformed_reply_reassigns_the_unit(
+            self, campaign, tmp_path, reply):
+        backend = PoolBackend(workers=1, lease=5.0)
+        backend.ensure_started()
+        # Greeted before the pass starts, so it is dispatched a unit.
+        fake = socket.create_connection(backend.address, timeout=30)
+        send_message(fake, (MSG_HELLO, {"worker": "fake", "pid": -1}))
+
+        def answer_once():
+            unit = recv_message(fake)
+            fake.sendall(reply(unit[1]))
+            while fake.recv(1 << 16):  # until the coordinator drops it
+                pass
+
+        thread = threading.Thread(target=answer_once, daemon=True)
+        thread.start()
+        try:
+            result = run_campaign(campaign,
+                                  store=ResultStore(tmp_path / "store"),
+                                  backend=backend)
+        finally:
+            counters = dict(backend.counters)
+            backend.close()
+            thread.join(timeout=10)
+            fake.close()
+        assert result.completed and result.failed == 0
+        assert result.executed == 3
+        assert counters["workers_lost"] == 1
+        assert counters["reassignments"] == 1
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patch reaches workers only by fork")
+    def test_started_worker_sending_one_is_replaced(
+            self, campaign, tmp_path, monkeypatch):
+        """The pool's only worker answers with a result the coordinator
+        cannot unpickle; its successor (forked after the module is gone)
+        finishes the campaign."""
+        module = foreign_module()
+        real_run_point = worker._run_point
+
+        def run_point(payload):
+            if module.__name__ in sys.modules:
+                return module.Result()
+            return real_run_point(payload)
+
+        monkeypatch.setattr(worker, "_run_point", run_point)
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        backend = PoolBackend(workers=1, lease=5.0, connect_timeout=5.0)
+        try:
+            backend.ensure_started()
+            monkeypatch.delitem(sys.modules, module.__name__)
+            result = run_campaign(campaign,
+                                  store=ResultStore(tmp_path / "store"),
+                                  backend=backend)
+        finally:
+            counters = dict(backend.counters)
+            backend.close()
+        assert result.completed and result.failed == 0
+        assert result.executed == 3
+        assert counters["workers_lost"] == 1
+        assert counters["workers_joined"] == 2
+
+
+#: Child body for the unclosed-pool test: a campaign on a two-worker
+#: pool that the interpreter leaves open at exit.
+UNCLOSED_CHILD = """\
+from repro.campaign import Campaign, PoolBackend, run_campaign
+campaign = Campaign(name="unclosed", shuffle_gbs=(0.02, 0.03),
+                    networks=("1GigE",), slaves=2,
+                    params={"num_maps": 4, "num_reduces": 2,
+                            "key_size": 256, "value_size": 256})
+assert run_campaign(campaign, store=None,
+                    backend=PoolBackend(workers=2)).completed
+"""
+
+
+def socket_inodes(pid):
+    """Inodes of the sockets process ``pid`` holds (from ``/proc``)."""
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            link = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:  # closed meanwhile
+            continue
+        if link.startswith("socket:["):
+            inodes.add(int(link[len("socket:["):-1]))
+    return inodes
+
+
+class TestLocalWorkers:
+    """Local workers are forked children of the coordinator."""
+
+    def test_unclosed_pool_lets_the_interpreter_exit(self):
+        """Daemon children: an exit without close() terminates them."""
+        proc = subprocess.run(
+            [sys.executable, "-c", UNCLOSED_CHILD], capture_output=True,
+            text=True, env=child_env(), cwd=REPO, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc")
+    def test_workers_hold_no_coordinator_socket(
+            self, campaign, tmp_path, monkeypatch, pool2):
+        """Neither the listener nor another worker's connection: a
+        successor forks while the surviving worker is connected."""
+        monkeypatch.setenv(ENV_CHAOS_CRASH, "2")  # not the probe's point
+        join_all(pool2, 2)
+        result = run_campaign(campaign,
+                              store=ResultStore(tmp_path / "store"),
+                              backend=pool2)
+        assert result.completed and pool2.counters["workers_lost"] == 1
+        join_all(pool2, 3)   # every worker has closed what it inherited
+        held = {os.fstat(sock.fileno()).st_ino
+                for sock in [pool2._listener, *pool2._conns]}
+        assert len(held) == 3 and len(pool2._procs) == 2
+        for proc in pool2._procs:
+            assert not held & socket_inodes(proc.pid)
+
+    def test_a_signal_to_a_worker_stays_in_the_worker(self):
+        """A worker forked while an event loop holds the signal wakeup
+        fd (``repro serve`` forks replacements while serving) must not
+        write its signals there, or the loop would act on them."""
+        wakeup, loop_end = socket.socketpair()
+        for sock in (wakeup, loop_end):
+            sock.setblocking(False)
+        backend = PoolBackend(workers=1, lease=5.0)
+        old = signal.set_wakeup_fd(wakeup.fileno())
+        try:
+            backend.ensure_started()
+            signal.set_wakeup_fd(old)
+            join_all(backend, 1)   # its drain handler is installed
+            proc = backend._procs[0]
+            os.kill(proc.pid, signal.SIGTERM)
+            proc.join(timeout=10)
+            assert proc.exitcode == worker.EXIT_INTERRUPTED
+            with pytest.raises(BlockingIOError):
+                loop_end.recv(1)
+        finally:
+            signal.set_wakeup_fd(old)
+            backend.close()
+            wakeup.close()
+            loop_end.close()
+
+    def test_workers_start_without_a_new_interpreter(
+            self, campaign, tmp_path, monkeypatch):
+        def no_popen(*args, **kwargs):
+            raise AssertionError(f"started a process: {args!r}")
+
+        monkeypatch.setattr(subprocess, "Popen", no_popen)
+        backend = PoolBackend(workers=2, lease=5.0)
+        try:
+            result = run_campaign(campaign,
+                                  store=ResultStore(tmp_path / "store"),
+                                  backend=backend)
+            join_all(backend, 2)
+            counters = dict(backend.counters)
+        finally:
+            backend.close()
+        assert result.completed and result.failed == 0
+        assert result.executed == 3
+        assert counters["workers_joined"] == 2
 
 
 #: Child body for the pool SIGINT test: the real CLI, pool backend.
@@ -378,15 +586,13 @@ class TestGracefulDrain:
         spec = tmp_path / "dist3.json"
         spec.write_text(json.dumps(campaign.to_dict()))
         root = str(tmp_path / "store")
-        env = dict(__import__("os").environ,
-                   PYTHONPATH="src",
-                   REPRO_CHAOS_HANG="2",         # third point hangs...
-                   REPRO_CHAOS_HANG_SECS="60",   # ...for a minute
-                   REPRO_CHAOS_ATTEMPTS="99")
+        env = child_env(REPRO_CHAOS_HANG="2",        # third point hangs...
+                        REPRO_CHAOS_HANG_SECS="60",  # ...for a minute
+                        REPRO_CHAOS_ATTEMPTS="99")
         proc = subprocess.Popen(
             [sys.executable, "-u", "-c", SIGINT_CHILD, str(spec), root],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env, cwd="/root/repo")
+            text=True, env=env, cwd=REPO)
         try:
             lines = []
             deadline = time.monotonic() + 60
@@ -519,19 +725,14 @@ class TestWorkerShutdown:
     def test_clean_pool_campaigns_write_nothing_to_stderr(
             self, campaign, tmp_path):
         """Repeated clean 3-point pool campaigns: exit 0, empty stderr."""
-        import repro
-
         spec = tmp_path / "dist3.json"
         spec.write_text(json.dumps(campaign.to_dict()))
-        src_dir = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src_dir, env.get("PYTHONPATH")]))
         for run in range(5):
             proc = subprocess.run(
                 [sys.executable, "-c", CLEAN_CHILD, str(spec),
                  str(tmp_path / f"store{run}")],
-                capture_output=True, text=True, env=env, timeout=120)
+                capture_output=True, text=True, env=child_env(),
+                timeout=120)
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr == "", f"run {run}: {proc.stderr}"
 

@@ -23,6 +23,10 @@ TRIALS = {"store.keys": 2000, "store.reads": 2000, "store.writes": 1000,
 SERVICE = {"service.warm_hits": 900, "service.cold_misses": 90,
            "store.reads": 990, "service.query_p50_ms": 0.4,
            "service.http_p50_ms": 1.1}
+POOL = {"pool.dispatched": 12, "store.writes": 12, "campaign.simulated": 12,
+        "pool.workers_lost": 0, "pool.reassignments": 0,
+        "pool.leases_expired": 0, "pool.join_s": 0.03, "pool.busy_frac": 0.8,
+        "wire.frames": 40, "wire.bytes": 60000}
 
 
 def gate(tmp_path, workload, values, correct=True):
@@ -39,7 +43,7 @@ def gate(tmp_path, workload, values, correct=True):
 
 @pytest.mark.parametrize("workload, values", [
     ("figures-cold", FIGURES), ("trials-1000", TRIALS),
-    ("service-mix", SERVICE),
+    ("service-mix", SERVICE), ("pool-fig3a", POOL),
 ])
 def test_expected_counts_pass(tmp_path, workload, values):
     assert gate(tmp_path, workload, values) == (0, "")
@@ -56,6 +60,18 @@ def test_figures_count_off_by_any_amount_fails(tmp_path, name, value,
     code, out = gate(tmp_path, "figures-cold", dict(FIGURES, **{name: value}))
     assert code == 1
     assert out == f"traced figures-cold pass: {message}\n"
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("pool.dispatched", 13, "pool.dispatched is 13, not 12"),
+    ("pool.reassignments", 1, "pool.reassignments is 1, not 0"),
+    ("pool.join_s", 0.0, "pool.join_s is 0.0"),
+    ("wire.frames", 0, "wire.frames is 0"),
+])
+def test_pool_pass_with_a_miss_fails(tmp_path, name, value, message):
+    code, out = gate(tmp_path, "pool-fig3a", dict(POOL, **{name: value}))
+    assert code == 1
+    assert out == f"traced pool-fig3a pass: {message}\n"
 
 
 def test_missing_metric_and_failed_checks_fail(tmp_path):

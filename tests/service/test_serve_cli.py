@@ -20,6 +20,7 @@ from repro.store import ResultStore
 
 from tests.service.conftest import tiny_query
 from tests.store.conftest import store_root
+from tests.subproc import REPO, child_env
 
 #: Child body: run the real CLI on an ephemeral port.
 SERVE_CHILD = """\
@@ -31,11 +32,10 @@ sys.exit(repro_main(["serve", "--store", sys.argv[1], "--port", "0"]))
 
 def start_server(root):
     """Spawn `repro serve` and return (process, port) once it's ready."""
-    env = dict(__import__("os").environ, PYTHONPATH="src")
     proc = subprocess.Popen(
         [sys.executable, "-u", "-c", SERVE_CHILD, root],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, env=env, cwd="/root/repo")
+        text=True, env=child_env(), cwd=REPO)
     line = proc.stdout.readline()
     match = re.search(r"http://[^:]+:(\d+)", line)
     if not match:  # pragma: no cover - diagnostics only

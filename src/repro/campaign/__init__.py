@@ -14,10 +14,10 @@ several trials each. This package turns those sweeps into data:
   simulation, and the result is replicated onto the siblings
   byte-identically.
 * :mod:`repro.campaign.executor` — :class:`CampaignExecutor` and
-  :class:`RetryPolicy`, the hardened per-point engine: supervised
-  worker processes, retries with exponential backoff, wall-clock
-  timeouts, quarantine-instead-of-abort, graceful SIGINT/SIGTERM
-  checkpointing (see ``docs/ROBUSTNESS.md``).
+  :class:`RetryPolicy`, the hardened per-point engine: forked worker
+  processes, retries with exponential backoff, wall-clock timeouts,
+  quarantine-instead-of-abort, graceful SIGINT/SIGTERM checkpointing
+  (see ``docs/ROBUSTNESS.md``).
 * :mod:`repro.campaign.runner` — :func:`run_campaign`: skip-on-hit
   execution through a :class:`~repro.store.ResultStore`, supervised
   parallelism for the misses, structured per-point progress, and
@@ -25,10 +25,10 @@ several trials each. This package turns those sweeps into data:
   figure from store contents alone.
 * :mod:`repro.campaign.backend` / :mod:`repro.campaign.pool` —
   :class:`ExecutionBackend`, the pluggable "where do cold units run"
-  seam: :class:`LocalBackend` (the default in-process supervised
-  path) and :class:`PoolBackend`, a socket coordinator for
-  ``repro worker`` processes with heartbeat leases and dead-worker
-  failover (see ``docs/DISTRIBUTED.md``).
+  seam: :class:`LocalBackend` (the default: inline, or a pool of
+  workers forked for each pass) and :class:`PoolBackend`, a socket
+  coordinator for ``repro worker`` processes with heartbeat leases and
+  dead-worker failover (see ``docs/DISTRIBUTED.md``).
 
 The ``benchmarks/campaigns/*.json`` specs shipped with the repo are
 the paper figures expressed this way; ``repro campaign run SPEC``
@@ -50,7 +50,6 @@ from repro.campaign.batch import (
 from repro.campaign.backend import (
     ExecutionBackend,
     ExecutionBackendError,
-    LocalBackend,
 )
 from repro.campaign.executor import (
     CampaignExecutor,
@@ -58,7 +57,7 @@ from repro.campaign.executor import (
     PointOutcome,
     RetryPolicy,
 )
-from repro.campaign.pool import PoolBackend
+from repro.campaign.pool import LocalBackend, PoolBackend
 from repro.campaign.runner import (
     CampaignPointResult,
     CampaignResult,

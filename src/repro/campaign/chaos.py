@@ -1,25 +1,28 @@
 """Env-gated sabotage hooks for worker processes (tests and CI only).
 
 Failure paths are exercised by real process faults instead of patches
-to production code. The local backend's supervised children call
-:func:`sabotage` once per unit; pool workers call :func:`mute` and then
-:func:`sabotage` once per unit. The inline path calls neither, so a
-hook fires only when units run in worker processes: ``jobs >= 2``, a
-per-point timeout, or the pool. This is the only module that reads the
-variables:
+to production code. Worker processes — the ones the local backend
+forks for a pass and the pool's — call :func:`mute` and then
+:func:`sabotage` once per unit, in
+:func:`~repro.campaign.worker.run_worker`'s unit loop. The inline path
+calls neither, so a hook fires only when units run in worker
+processes: ``jobs >= 2``, a per-point timeout, or the pool. This is
+the only module that reads the variables:
 
 * ``REPRO_CHAOS_CRASH=<point-index>`` — the worker SIGKILLs itself;
 * ``REPRO_CHAOS_HANG=<point-index>`` — the worker sleeps
   ``$REPRO_CHAOS_HANG_SECS`` seconds (default 3600), still heartbeating
   in the pool;
-* ``REPRO_CHAOS_MUTE=<point-index>`` — a pool worker goes silent (no
+* ``REPRO_CHAOS_MUTE=<point-index>`` — the worker goes silent (no
   heartbeats, no result) for as long, so its lease expires;
 * ``REPRO_CHAOS_ATTEMPTS=<n>`` — only the first *n* dispatches of the
   targeted point misbehave (default 1, so a retry or a reassigned
   dispatch demonstrably recovers).
 
-Dispatches count from zero: local children pass their attempt, pool
-workers the unit's dispatch counter, which reassignments advance too.
+Dispatches count from zero: workers pass the unit's dispatch counter,
+which retries and the pool's free reassignments advance. The local
+backend grants no free reassignment, so there it is the attempt
+minus one.
 """
 
 from __future__ import annotations

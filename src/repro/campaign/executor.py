@@ -14,10 +14,10 @@ supervised unit of work:
 * **Per-point wall-clock timeouts** — with
   :attr:`RetryPolicy.timeout` set, a worker that exceeds it is
   terminated and the attempt counts as a failure (retryable).
-* **Worker-crash isolation** — with ``jobs > 1`` or a timeout, each
-  point attempt runs in its own worker process; a SIGKILL'd/dying
-  worker kills only its point, and the pool is replenished for the
-  next attempt or point.
+* **Worker-crash isolation** — with ``jobs > 1`` or a timeout, the
+  pass runs on worker processes forked for it; a SIGKILL'd/dying
+  worker costs only its point an attempt, and a successor is forked
+  for the next attempt or point.
 * **Quarantine instead of abort** — a point that exhausts its retries
   is recorded in the store's ``quarantine.json`` ledger (exception,
   traceback, attempts, and the full per-attempt history: failure
@@ -34,11 +34,11 @@ supervised unit of work:
 
 *Where* units execute is pluggable: the executor drives an
 :class:`~repro.campaign.backend.ExecutionBackend` — by default the
-:class:`~repro.campaign.backend.LocalBackend` (inline or supervised
-``multiprocessing`` workers on this host),
-optionally the :class:`~repro.campaign.pool.PoolBackend` socket worker
-pool for multi-process / multi-host fan-out with lease-based failover
-(see ``docs/DISTRIBUTED.md``).
+:class:`~repro.campaign.pool.LocalBackend` (inline, or workers forked
+on this host for the pass), optionally the
+:class:`~repro.campaign.pool.PoolBackend` socket worker pool for
+multi-process / multi-host fan-out with lease-based failover (see
+``docs/DISTRIBUTED.md``).
 
 Determinism is untouched: every point is a seeded, self-contained
 simulation, so a retried, resumed, reassigned or differently-scheduled
@@ -62,9 +62,9 @@ from repro.campaign.backend import (
     STATUS_SKIPPED,
     ExecutionBackend,
     ExecutionContext,
-    LocalBackend,
 )
 from repro.campaign.batch import plan_batches, replicate_result
+from repro.campaign.pool import LocalBackend
 from repro.core.config import BenchmarkConfig
 from repro.core.matrix import precompute_matrices
 from repro.core.suite import MicroBenchmarkSuite, ResultLike
@@ -194,7 +194,7 @@ class CampaignExecutor:
     :meth:`~repro.core.suite.MicroBenchmarkSuite.lookup_points` call, then
     drives the misses through an
     :class:`~repro.campaign.backend.ExecutionBackend` (by default the
-    local inline/supervised-process backend), applying the
+    local inline/forked-worker backend), applying the
     :class:`RetryPolicy` uniformly on every substrate.
     """
 
@@ -219,7 +219,7 @@ class CampaignExecutor:
         the host interrupts a pass via :meth:`request_stop` instead.
 
         ``backend`` plugs in an execution substrate; None builds the
-        default :class:`~repro.campaign.backend.LocalBackend` from
+        default :class:`~repro.campaign.pool.LocalBackend` from
         ``jobs``. A caller-supplied backend is *borrowed*: the executor
         never closes it.
         """

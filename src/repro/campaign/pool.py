@@ -1,4 +1,4 @@
-"""Distributed campaign execution: the socket worker-pool coordinator.
+"""Campaign execution on worker processes: the socket pool coordinator.
 
 :class:`PoolBackend` fans a campaign's cold point-units over a pool of
 workers. Local ones (``workers=N``) are forked from the coordinator,
@@ -10,6 +10,11 @@ remote hosts (``workers=0`` plus the printed address; see
 a non-blocking listener, a :mod:`selectors` event loop, and the
 length-prefixed pickle framing of :mod:`repro.campaign.wire`.
 
+:class:`LocalBackend`, the executor's default, is the same pool with a
+stricter failure policy, forked for one pass and closed after it (or
+no pool at all: ``jobs=1`` without a timeout runs inline). This module
+is the only one that starts processes.
+
 Fault tolerance is the point. Every dispatched unit is held under a
 **lease** that the worker renews with heartbeats while it simulates:
 
@@ -19,7 +24,9 @@ Fault tolerance is the point. Every dispatched unit is held under a
   an infrastructure failure is not the simulation's fault, so
   reassignment does not consume the unit's
   :class:`~repro.campaign.executor.RetryPolicy` budget (a
-  :data:`REASSIGN_LIMIT` stops pathological crash loops);
+  :data:`REASSIGN_LIMIT` stops pathological crash loops); a worker
+  this pool forked that dies is reaped, and its loss is reported as a
+  ``crash`` that names the signal or exit code;
 * a unit whose simulation *raises* on the worker fails through the
   exact same retry/backoff/quarantine path as the local backend;
 * a unit that exceeds ``policy.timeout`` while its worker heartbeats
@@ -30,7 +37,13 @@ Fault tolerance is the point. Every dispatched unit is held under a
   the pass is draining — even when it held the pass's last unit;
 * SIGINT drains: no new dispatches, in-flight units get
   ``drain_timeout`` seconds to finish (their results are recorded),
-  the rest checkpoint as skipped for ``repro campaign resume``.
+  the rest checkpoint as skipped for ``repro campaign resume``, and
+  the workers this pool forked for them are killed.
+
+The free reassignments (:attr:`PoolBackend.reassign_limit`) and the
+drain budget are the whole failure policy: :class:`LocalBackend` sets
+both to zero, so a lost local worker costs its unit an attempt and an
+interrupt abandons in-flight units at once.
 
 Replays are idempotent by construction: the content-addressed store
 writes the same bytes for the same point no matter which worker — or
@@ -47,11 +60,14 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 import selectors
 import signal
 import socket
+import stat
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from multiprocessing.process import BaseProcess
 from typing import Dict, List, Optional, Tuple
@@ -134,6 +150,9 @@ class PoolBackend(ExecutionBackend):
     """Lease-based execution over a TCP pool of ``repro worker``s."""
 
     name = "pool"
+    #: Worker losses a unit absorbs before each further loss costs it
+    #: an attempt.
+    reassign_limit = REASSIGN_LIMIT
 
     def __init__(
         self,
@@ -183,6 +202,12 @@ class PoolBackend(ExecutionBackend):
         self._listener = listener
         self._sel = selectors.DefaultSelector()
         self._sel.register(listener, selectors.EVENT_READ, "listener")
+        if self.workers:
+            # Workers dial through getaddrinfo, whose first call in a
+            # process loads the resolver (milliseconds): load it here
+            # once, so every worker forked from now on starts with it.
+            socket.getaddrinfo(*listener.getsockname()[:2], 0,
+                               socket.SOCK_STREAM)
         for _ in range(self.workers):
             self._spawn_worker()
 
@@ -240,12 +265,11 @@ class PoolBackend(ExecutionBackend):
                 # drain_timeout seconds to land, then are abandoned
                 # (checkpointed as skipped — resume re-runs them).
                 pending = []
-                if not active:
-                    break
                 if drain_deadline is None:
                     drain_deadline = now + self.drain_timeout
-                elif now >= drain_deadline:
+                if active and now >= drain_deadline:
                     self._abandon(ctx, active)
+                if not active:
                     break
             else:
                 self._dispatch(ctx, pending, active, now)
@@ -332,8 +356,20 @@ class PoolBackend(ExecutionBackend):
         except OSError:
             data = b""
         if not data:
+            proc = self._proc_of(worker)
+            if proc is None:
+                self._worker_lost(ctx, worker, pending, active,
+                                  "connection closed")
+                return
+            # A worker this pool forked closes its connection only on
+            # its way out: reap it and say how it ended.
+            proc.join(timeout=5.0)
+            if worker.unit is not None:
+                ctx.trace("crash", worker.unit.rep,
+                          attempt=worker.unit.attempt, worker=worker.ident,
+                          exitcode=proc.exitcode)
             self._worker_lost(ctx, worker, pending, active,
-                              "connection closed")
+                              _crash_reason(proc.exitcode), kind="crash")
             return
         worker.decoder.feed(data)
         try:
@@ -390,14 +426,7 @@ class PoolBackend(ExecutionBackend):
             if assignment is None:
                 return
             active.pop(assignment.rep, None)
-            delay = ctx.fail_attempt(
-                assignment.rep, assignment.attempt, error, tb=tb,
-                kind="error", worker=worker.ident,
-                wall=now - assignment.started)
-            if delay is not None:
-                pending.append(_PendingUnit(
-                    assignment.rep, assignment.attempt + 1,
-                    assignment.dispatches + 1, now + delay))
+            self._fail(ctx, assignment, pending, error, "error", worker, tb)
             self._lease_release(ctx, assignment.rep)
 
     @staticmethod
@@ -421,7 +450,7 @@ class PoolBackend(ExecutionBackend):
                 self._worker_lost(
                     ctx, worker, pending, active,
                     f"lease expired after {self.lease:g} s without a "
-                    f"heartbeat", expired=True)
+                    f"heartbeat", kind="lease-expired")
 
     def _check_timeouts(self, ctx: ExecutionContext,
                         pending: List[_PendingUnit],
@@ -434,65 +463,39 @@ class PoolBackend(ExecutionBackend):
             if (assignment is None or assignment.deadline is None
                     or now < assignment.deadline):
                 continue
-            worker.unit = None
-            active.pop(assignment.rep, None)
             self.counters["timeouts"] += 1
-            if worker.greeted:
-                self.counters["workers_lost"] += 1
-            ident = worker.ident
-            self._close_worker(worker)
+            self._drop(ctx, worker, active)
             ctx.trace("timeout", assignment.rep, attempt=assignment.attempt,
                       timeout=ctx.policy.timeout)
-            delay = ctx.fail_attempt(
-                assignment.rep, assignment.attempt,
-                f"point timed out after {ctx.policy.timeout:g} s "
-                f"(attempt {assignment.attempt})", kind="timeout",
-                worker=ident, wall=now - assignment.started)
-            if delay is not None:
-                pending.append(_PendingUnit(
-                    assignment.rep, assignment.attempt + 1,
-                    assignment.dispatches + 1, now + delay))
-            self._lease_release(ctx, assignment.rep)
-            self._respawn(ctx, worker)
+            self._fail(ctx, assignment, pending,
+                       f"point timed out after {ctx.policy.timeout:g} s "
+                       f"(attempt {assignment.attempt})", "timeout", worker)
 
     def _worker_lost(self, ctx: ExecutionContext, worker: _PoolWorker,
                      pending: List[_PendingUnit],
                      active: Dict[int, _PoolWorker], reason: str,
-                     expired: bool = False) -> None:
+                     kind: str = "worker-lost") -> None:
         """Drop a dead/silent worker; reassign its unit to the pool.
 
         Reassignment is free with respect to the retry policy — the
         simulation never got to fail — until the unit has burned
-        through :data:`REASSIGN_LIMIT` workers, after which further losses
-        count as attempt failures (retry/backoff/quarantine as usual).
+        through :attr:`reassign_limit` workers, after which further
+        losses count as attempt failures (retry/backoff/quarantine as
+        usual). ``kind`` (``worker-lost``, ``lease-expired`` or
+        ``crash``) labels the loss in the unit's attempt history.
         """
-        assignment = worker.unit
-        worker.unit = None
-        if worker.greeted:
-            self.counters["workers_lost"] += 1
-        self._close_worker(worker)
-        self._respawn(ctx, worker)
-        if assignment is None:
-            return
-        active.pop(assignment.rep, None)
-        self._lease_release(ctx, assignment.rep)
-        if ctx.should_stop():
-            return  # draining: the unit checkpoints as skipped
-        now = time.monotonic()
-        kind = "lease-expired" if expired else "worker-lost"
+        assignment = self._drop(ctx, worker, active)
+        if assignment is None or ctx.should_stop():
+            return  # when draining, the unit checkpoints as skipped
         losses = self._losses.get(assignment.rep, 0) + 1
         self._losses[assignment.rep] = losses
-        if losses > REASSIGN_LIMIT:
-            delay = ctx.fail_attempt(
-                assignment.rep, assignment.attempt,
-                f"unit lost its worker {losses} times (last: {reason})",
-                kind=kind, worker=worker.ident,
-                wall=now - assignment.started)
-            if delay is not None:
-                pending.append(_PendingUnit(
-                    assignment.rep, assignment.attempt + 1,
-                    assignment.dispatches + 1, now + delay))
+        if losses > self.reassign_limit:
+            # Without free reassignments, a loss is one failed attempt.
+            self._fail(ctx, assignment, pending,
+                       f"unit lost its worker {losses} times (last: {reason})"
+                       if self.reassign_limit else reason, kind, worker)
             return
+        now = time.monotonic()
         ctx.note(assignment.rep, assignment.attempt, kind, reason,
                  worker=worker.ident, wall=now - assignment.started)
         self.counters["reassignments"] += 1
@@ -502,14 +505,51 @@ class PoolBackend(ExecutionBackend):
             assignment.rep, assignment.attempt,
             assignment.dispatches + 1, now))
 
+    def _drop(self, ctx: ExecutionContext, worker: _PoolWorker,
+              active: Dict[int, _PoolWorker]) -> Optional[_Assignment]:
+        """Disconnect a worker, replace it if this pool forked it, and
+        release the unit it held, which is returned."""
+        assignment, worker.unit = worker.unit, None
+        if worker.greeted:
+            self.counters["workers_lost"] += 1
+        self._close_worker(worker)
+        self._respawn(ctx, worker)
+        if assignment is not None:
+            active.pop(assignment.rep, None)
+            self._lease_release(ctx, assignment.rep)
+        return assignment
+
+    @staticmethod
+    def _fail(ctx: ExecutionContext, assignment: _Assignment,
+              pending: List[_PendingUnit], error: str, kind: str,
+              worker: _PoolWorker, tb: Optional[str] = None) -> None:
+        """Charge a unit one failed attempt; requeue it after its backoff
+        unless it is quarantined."""
+        now = time.monotonic()
+        delay = ctx.fail_attempt(
+            assignment.rep, assignment.attempt, error, tb=tb, kind=kind,
+            worker=worker.ident, wall=now - assignment.started)
+        if delay is not None:
+            pending.append(_PendingUnit(
+                assignment.rep, assignment.attempt + 1,
+                assignment.dispatches + 1, now + delay))
+
     def _abandon(self, ctx: ExecutionContext,
                  active: Dict[int, _PoolWorker]) -> None:
-        """Give up on in-flight units at the drain deadline."""
+        """Give up on in-flight units at the drain deadline.
+
+        A worker this pool forked for one of them is dropped and killed
+        now, not left to finish a unit nobody waits for.
+        """
         for rep, worker in list(active.items()):
             worker.unit = None  # a late result is dropped as stale
             ctx.trace("abandon", rep, worker=worker.ident,
                       reason="drain timeout")
             self._lease_release(ctx, rep)
+            proc = self._proc_of(worker)
+            if proc is not None:
+                self._close_worker(worker)
+                self._kill(proc)
         active.clear()
 
     def _close_worker(self, worker: _PoolWorker) -> None:
@@ -555,58 +595,175 @@ class PoolBackend(ExecutionBackend):
 
     # -- local workers -----------------------------------------------------
 
+    def _proc_of(self, worker: _PoolWorker) -> Optional[BaseProcess]:
+        """The process of a worker this pool forked (None: not ours)."""
+        return next((p for p in self._procs if p.pid == worker.pid), None)
+
+    def _kill(self, proc: BaseProcess) -> None:
+        """Kill and reap one forked worker, and forget it."""
+        self._procs.remove(proc)
+        proc.kill()
+        proc.join()
+
     def _respawn(self, ctx: ExecutionContext, worker: _PoolWorker) -> None:
         """Kill a lost worker this pool started and fork a successor.
 
         Unless the pass is draining — also when the lost worker held the
         pass's last unit, so the next pass finds a live worker. Crash
-        loops stay bounded by :data:`REASSIGN_LIMIT` and the retry policy.
+        loops stay bounded by :attr:`reassign_limit` and the retry policy.
         """
-        proc = next((p for p in self._procs if p.pid == worker.pid), None)
+        proc = self._proc_of(worker)
         if proc is None or ctx.should_stop():
             return
-        self._procs.remove(proc)
-        proc.kill()
-        proc.join()
+        self._kill(proc)
         self._spawn_worker()
 
     def _spawn_worker(self) -> None:
         """Start one local worker as a child of this process.
 
         The default :mod:`multiprocessing` context forks it on Linux,
-        as it does the local backend's children, so the worker needs no
-        interpreter start or imports of its own. It is a daemon: an
-        interpreter that exits without :meth:`close` terminates it
-        instead of waiting for it. It closes the coordinator's sockets
-        it inherited (see :func:`_local_worker`).
+        so the worker needs no interpreter start or imports of its own.
+        It is a daemon: an interpreter that exits without :meth:`close`
+        terminates it instead of waiting for it. It lets go of the
+        sockets it inherited (see :func:`_local_worker`).
         """
         host, port = self.address
         if host in ("0.0.0.0", "::"):
             host = "127.0.0.1"
         proc = multiprocessing.get_context().Process(
-            target=_local_worker,
-            args=(host, port, [self._listener, *self._conns]),
+            target=_local_worker, args=(host, port),
             name="repro-pool-worker", daemon=True)
         proc.start()
         self._procs.append(proc)
 
 
-def _local_worker(host: str, port: int,
-                  inherited: List[socket.socket]) -> None:
+class LocalBackend(PoolBackend):
+    """Single-host execution: inline, or on workers forked for the pass.
+
+    ``jobs=1`` with no timeout runs units inline (fast path). Otherwise
+    the pass runs on ``min(jobs, units)`` workers forked for it and
+    closed when it ends, under the local failure policy: a lost worker
+    costs its unit an attempt (no free reassignment), and an interrupt
+    abandons in-flight units and kills their workers at once (no
+    drain). A worker that dies is reported as a ``crash`` naming the
+    signal, a hung one as a ``timeout``.
+    """
+
+    name = "local"
+    reassign_limit = 0
+
+    def __init__(self, jobs: int = 1):
+        """Run passes on up to ``jobs`` worker processes."""
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        super().__init__(drain_timeout=0.0)
+        self.jobs = jobs
+
+    def run(self, ctx: ExecutionContext) -> None:
+        """Run one pass inline, or on a pool forked for it alone."""
+        if self.jobs == 1 and ctx.policy.timeout is None:
+            self._run_inline(ctx)
+            return
+        self.workers = min(self.jobs, len(ctx.units))
+        try:
+            super().run(ctx)
+        finally:
+            self.close()
+
+    def _run_inline(self, ctx: ExecutionContext) -> None:
+        """Run miss units in-process (no timeout enforcement possible).
+
+        Each unit is one equivalence class: its first member simulates
+        (through :meth:`~repro.core.suite.MicroBenchmarkSuite.\
+simulate_point`, so test wrappers around the suite still intercept),
+        the rest are replicated from that result. Per-point mode passes
+        all-singleton units, making this byte-for-byte the legacy loop.
+        """
+        worker_id = f"inline:{os.getpid()}"
+        for unit in ctx.units:
+            if ctx.should_stop():
+                return
+            rep = unit[0]
+            attempt = 0
+            started = time.monotonic()
+            while True:
+                attempt += 1
+                attempt_started = time.monotonic()
+                try:
+                    result = ctx.simulate(rep)
+                except KeyboardInterrupt:
+                    ctx.interrupt(signal.SIGINT)
+                    return
+                except Exception as exc:
+                    attempt_wall = time.monotonic() - attempt_started
+                    ctx.add_profile("simulate", attempt_wall)
+                    delay = ctx.fail_attempt(
+                        rep, attempt, f"{type(exc).__name__}: {exc}",
+                        tb=traceback.format_exc(), worker=worker_id,
+                        wall=attempt_wall,
+                        total_wall=time.monotonic() - started)
+                    if delay is None:
+                        break
+                    if delay > 0:
+                        time.sleep(delay)
+                else:
+                    ctx.add_profile("simulate",
+                                    time.monotonic() - attempt_started)
+                    wall = time.monotonic() - started
+                    ctx.complete(rep, result, attempt, wall)
+                    break
+
+
+def _crash_reason(exitcode: Optional[int]) -> str:
+    """How a forked worker that closed its connection ended."""
+    if exitcode is not None and exitcode < 0:
+        try:
+            how = f"killed by signal {signal.Signals(-exitcode).name}"
+        except ValueError:
+            how = f"killed by signal {-exitcode}"
+    else:
+        how = f"exit code {exitcode}"
+    return f"worker crashed ({how}) before returning a result"
+
+
+def _local_worker(host: str, port: int) -> None:
     """Body of a local worker: serve units like ``repro worker``.
 
-    First it closes the coordinator's listener and the other workers'
-    connections it inherited. Otherwise :meth:`PoolBackend.close` would
-    leave the port held while this worker lives, and a connection the
-    coordinator drops would not end while this worker holds a copy. It
-    also drops the signal wakeup fd it may have inherited from an
-    asyncio loop (``repro serve`` forks replacements while serving), so
-    a signal to this worker is not delivered to the coordinator too.
-    The inherited heap is frozen out of this worker's garbage
-    collections, which then walk only what its simulations allocate.
+    First it lets go of every socket it inherited (see
+    :func:`_drop_inherited_sockets`), and drops the signal wakeup fd it
+    may have inherited from an asyncio loop (``repro serve`` forks
+    workers while serving), so a signal to this worker is not
+    delivered to the coordinator too. The inherited heap is frozen out
+    of this worker's garbage collections, which then walk only what its
+    simulations allocate.
     """
     gc.freeze()
     signal.set_wakeup_fd(-1)
-    for sock in inherited:
-        sock.close()
+    _drop_inherited_sockets()
     sys.exit(serve_units(host, port))
+
+
+def _drop_inherited_sockets() -> None:
+    """Point every socket fd a forked worker inherited at ``/dev/null``.
+
+    A fork copies all of the coordinator's sockets: the pool's listener
+    and worker connections, and under ``repro serve`` the HTTP listener
+    and its open client connections. While a worker held a copy, a
+    closed listener's port would stay bound and a connection the
+    coordinator closes would send no FIN. Each fd number stays taken,
+    so a stale socket object that closes its fd later cannot close a
+    socket this worker opens under the same number. The standard
+    streams are left alone, as they may be a log socket.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/dev/fd")]
+    except OSError:  # pragma: no cover - no fd directory to list
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in fds:
+        try:
+            if fd > 2 and fd != null and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+        except OSError:  # the listing's own fd, closed since
+            pass
+    os.close(null)

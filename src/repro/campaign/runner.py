@@ -165,7 +165,8 @@ def run_campaign(
     With a ``store``, previously-computed points are served from disk
     (no simulation) and fresh points are recorded and tagged; without
     one the campaign still runs, just uncached. ``jobs > 1`` fans the
-    misses over supervised worker processes with bit-identical results.
+    misses over worker processes forked for the pass, with bit-identical
+    results.
 
     ``policy`` configures per-point retries, exponential backoff and
     wall-clock timeouts; a point that exhausts its retries is recorded
@@ -183,7 +184,7 @@ def run_campaign(
     own unit, the oracle the batch path is benchmarked against.
 
     ``backend`` swaps the execution engine the misses run on: ``None``
-    keeps the default in-process :class:`LocalBackend`; a
+    keeps the default :class:`LocalBackend`; a
     :class:`~repro.campaign.pool.PoolBackend` fans them over a
     socket-connected worker pool with lease-based failover. A supplied
     backend is borrowed — the caller owns its lifecycle (``close()``).

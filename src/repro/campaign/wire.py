@@ -3,9 +3,9 @@
 The coordinator (:class:`~repro.campaign.pool.PoolBackend`) and its
 ``repro worker`` processes speak pickled Python tuples over TCP, each
 frame prefixed with a 4-byte big-endian length. Everything is stdlib:
-no external wire dependencies, and the payloads are exactly the
-picklable point payloads the local ``multiprocessing`` path already
-ships through its pipes.
+no external wire dependencies, and the payloads are the picklable
+point payloads of :meth:`~repro.core.suite.MicroBenchmarkSuite.\
+point_payload`. The local backend's forked workers speak it too.
 
 Message vocabulary (first tuple element is the type tag):
 

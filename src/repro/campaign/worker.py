@@ -2,11 +2,11 @@
 
 A worker dials a :class:`~repro.campaign.pool.PoolBackend` coordinator
 (``repro worker --connect HOST:PORT``, ``python -m
-repro.campaign.worker``, or a child the pool forked for ``workers=N``),
+repro.campaign.worker``, or a child the pool forked for ``workers=N``
+or a :class:`~repro.campaign.pool.LocalBackend` forked for a pass),
 introduces itself, then loops: receive a point-unit, simulate it
-through the same :func:`~repro.core.suite._run_point` entry the local
-``multiprocessing`` path uses, ship the result (or the exception)
-back. While a unit simulates, a daemon thread heartbeats every
+through :func:`~repro.core.suite._run_point`, ship the result (or the
+exception) back. While a unit simulates, a daemon thread heartbeats every
 ``heartbeat_secs`` so the coordinator keeps the unit's lease alive;
 simulation is deterministic, so whichever worker ends up computing a
 point produces the same bytes.

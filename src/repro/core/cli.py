@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="networks for --sweep (default: the single "
                              "--network)")
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                        help="run sweep points on N worker processes "
-                             "(results are identical to -j 1)")
+                        help="run sweep points on up to N forked worker "
+                             "processes (results are identical to -j 1)")
     parser.add_argument("--csv", default=None, metavar="PATH",
                         help="also write the sweep as CSV to PATH")
     parser.add_argument("--timeline", action="store_true",
@@ -391,7 +391,9 @@ def build_repro_parser() -> argparse.ArgumentParser:
                        help="campaign to run when SPEC holds several")
         add_store_arg(p)
         p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                       help="simulate cache misses on N worker processes")
+                       help="simulate cache misses on up to N worker "
+                            "processes forked for the run (default: 1, "
+                            "in-process)")
         p.add_argument("--quiet", "-q", action="store_true",
                        help="suppress per-point progress lines")
         p.add_argument("--retries", type=int, default=0, metavar="N",
@@ -419,10 +421,14 @@ def build_repro_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", choices=("local", "pool"),
                        default="local",
                        help="execution backend for cache misses: "
-                            "'local' supervises worker processes "
-                            "in-process (default); 'pool' coordinates "
-                            "socket-connected `repro worker` processes "
-                            "with lease-based failover")
+                            "'local' (default) runs them in-process, or "
+                            "with --jobs > 1 or --timeout on workers "
+                            "forked for the run, where a lost worker "
+                            "costs its point an attempt and SIGINT "
+                            "stops at once; 'pool' coordinates "
+                            "socket-connected `repro worker` processes, "
+                            "reassigns a lost worker's point free and "
+                            "drains on SIGINT")
         p.add_argument("--workers", type=int, default=None, metavar="N",
                        help="[pool] fork N local workers (default: "
                             "--jobs); 0 forks none - print the listen "
@@ -462,7 +468,9 @@ def build_repro_parser() -> argparse.ArgumentParser:
                        help="TCP port to bind; 0 picks a free one "
                             "(default: 8713)")
     serve.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                       help="simulate cold points on N worker processes")
+                       help="simulate cold points on up to N worker "
+                            "processes forked for each pass (default: "
+                            "1, in-process)")
     serve.add_argument("--retries", type=int, default=0, metavar="N",
                        help="retry each failing point up to N times "
                             "before quarantining it (default: 0)")
@@ -477,8 +485,10 @@ def build_repro_parser() -> argparse.ArgumentParser:
                             "a 503 (default: 256)")
     serve.add_argument("--backend", choices=("local", "pool"),
                        default="local",
-                       help="execution backend for cold points "
-                            "(default: local)")
+                       help="execution backend for cold points: "
+                            "'local' (default) forks --jobs workers "
+                            "for each pass; 'pool' keeps --workers "
+                            "workers for the server's life")
     serve.add_argument("--workers", type=int, default=None, metavar="N",
                        help="[pool] fork N local workers "
                             "(default: --jobs)")

@@ -40,8 +40,8 @@ Determinism
 All failure coins are pure functions of ``(plan.seed, kind, task id,
 attempt, salt)`` — independent of wall clock, process, scheduling
 order, and ``PYTHONHASHSEED`` — so the same plan reproduces the same
-job times and resilience metrics across runs and across
-``sweep(jobs=N)`` worker processes. Crashes and link windows fire at
+job times and resilience metrics across runs and on the forked
+worker processes of ``sweep(jobs=N)``. Crashes and link windows fire at
 exact simulated times through the kernel's deterministic event queue.
 """
 

@@ -12,6 +12,7 @@ The hooks fire only in worker processes, so crash tests run at
 """
 
 import json
+import multiprocessing
 import signal
 import subprocess
 import sys
@@ -19,12 +20,19 @@ import time
 
 import pytest
 
-from repro.campaign import Campaign, RetryPolicy, run_campaign
+from repro.campaign import (
+    Campaign,
+    CampaignExecutor,
+    LocalBackend,
+    RetryPolicy,
+    run_campaign,
+)
 from repro.campaign.chaos import (
     ENV_CHAOS_ATTEMPTS,
     ENV_CHAOS_CRASH,
     ENV_CHAOS_HANG,
     ENV_CHAOS_HANG_SECS,
+    ENV_CHAOS_MUTE,
 )
 from repro.campaign.executor import STATUS_FAILED
 from repro.core.suite import MicroBenchmarkSuite, clear_result_cache
@@ -45,7 +53,11 @@ TINY3 = dict(
 )
 
 CHAOS_ENV = (ENV_CHAOS_CRASH, ENV_CHAOS_HANG, ENV_CHAOS_HANG_SECS,
-             ENV_CHAOS_ATTEMPTS)
+             ENV_CHAOS_ATTEMPTS, ENV_CHAOS_MUTE)
+
+#: How a dead local worker is reported, in the ledger and the history.
+CRASH_SIGKILL = ("worker crashed (killed by signal SIGKILL) before "
+                 "returning a result")
 
 
 @pytest.fixture(autouse=True)
@@ -152,6 +164,51 @@ class TestWorkerCrash:
         assert store.stats()["puts"] == 2
         assert store.verify().clean
 
+    def test_crash_on_every_attempt_is_reported_as_a_crash(
+            self, campaign, tmp_path, monkeypatch):
+        """The ledger entry and each attempt name the signal."""
+        store = ResultStore(tmp_path / "store")
+        monkeypatch.setenv(ENV_CHAOS_CRASH, "1")
+        monkeypatch.setenv(ENV_CHAOS_ATTEMPTS, "99")
+        result = run_campaign(campaign, store=store, jobs=2,
+                              policy=RetryPolicy(retries=1, backoff=0.0))
+        entry = store.quarantine()[result.outcomes[1].key]
+        assert entry["error"] == CRASH_SIGKILL
+        assert [(h["attempt"], h["kind"], h["error"])
+                for h in entry["history"]] == [
+            (1, "crash", CRASH_SIGKILL), (2, "crash", CRASH_SIGKILL)]
+        assert all(h["worker"] for h in entry["history"])
+
+    def test_first_attempt_crash_traces_crash_then_retry(
+            self, campaign, tmp_path, monkeypatch):
+        monkeypatch.setenv(ENV_CHAOS_CRASH, "0")  # attempt 1 only
+        tracer = Tracer()
+        result = run_campaign(campaign, store=ResultStore(tmp_path / "s"),
+                              tracer=tracer, jobs=2,
+                              policy=RetryPolicy(retries=1, backoff=0.0))
+        assert result.completed and result.outcomes[0].attempts == 2
+        label0 = result.outcomes[0].label
+        assert [ev.name for ev in tracer.events
+                if ev.cat == CAT_HARNESS and ev.lane == label0
+                and ev.name != "dispatch"] == ["crash", "retry"]
+
+    def test_muted_worker_costs_its_point_an_attempt(
+            self, campaign, tmp_path, monkeypatch):
+        """A lease expiry is a failed attempt locally, not a free
+        reassignment."""
+        monkeypatch.setenv(ENV_CHAOS_MUTE, "0")   # first dispatch mutes
+        monkeypatch.setenv(ENV_CHAOS_HANG_SECS, "60")
+        store = ResultStore(tmp_path / "store")
+        backend = LocalBackend(jobs=2)
+        backend.lease = 1.0
+        result = run_campaign(campaign, store=store, backend=backend,
+                              policy=RetryPolicy(retries=1, backoff=0.0))
+        assert result.completed and result.backend == "local"
+        assert result.outcomes[0].attempts == 2
+        assert backend.counters["leases_expired"] == 1
+        assert backend.counters["reassignments"] == 0
+        assert multiprocessing.active_children() == []
+
     def test_hooks_never_fire_in_process(self, campaign, tmp_path,
                                          monkeypatch):
         """jobs=1 without a timeout runs inline, where no hook runs."""
@@ -187,6 +244,95 @@ class TestTimeout:
         assert result.completed and result.executed == 3
         assert result.outcomes[0].attempts == 2
         assert times_of(result) == baseline_times
+
+
+def spy_on_forks(backend, monkeypatch):
+    """The pool listener as of each worker fork of ``backend``."""
+    listeners = []
+    spawn = backend._spawn_worker
+
+    def spy():
+        spawn()
+        listeners.append(backend._listener)
+
+    monkeypatch.setattr(backend, "_spawn_worker", spy)
+    return listeners
+
+
+class StopOnDispatch(Tracer):
+    """A tracer that interrupts its executor when a point dispatches."""
+
+    def __init__(self, point):
+        super().__init__()
+        self.point = point
+        self.executor = None
+
+    def complete(self, name, cat, track, lane, start, end, **args):
+        super().complete(name, cat, track, lane, start, end, **args)
+        if name == "dispatch" and args.get("point") == self.point:
+            self.executor.request_stop()
+
+
+class TestPassPool:
+    """At ``jobs > 1`` each pass forks its own workers and reaps them."""
+
+    def run_pass(self, campaign, tmp_path, monkeypatch, jobs=2,
+                 policy=None, tracer=None):
+        backend = LocalBackend(jobs=jobs)
+        listeners = spy_on_forks(backend, monkeypatch)
+        executor = CampaignExecutor(
+            campaign.suite(ResultStore(tmp_path / "store")),
+            policy=policy, handle_signals=False, tracer=tracer,
+            backend=backend)
+        if tracer is not None:
+            tracer.executor = executor
+        started = time.monotonic()
+        report = executor.execute([p.config for p in campaign.points()])
+        return report, listeners, time.monotonic() - started
+
+    @staticmethod
+    def assert_reaped(listeners):
+        assert listeners
+        assert all(listener.fileno() == -1 for listener in listeners)
+        assert multiprocessing.active_children() == []
+
+    def test_clean_pass(self, campaign, tmp_path, monkeypatch):
+        report, listeners, _ = self.run_pass(campaign, tmp_path,
+                                             monkeypatch)
+        assert report.executed == 3 and report.backend == "local"
+        assert len(listeners) == 2
+        self.assert_reaped(listeners)
+
+    def test_interrupted_pass_kills_its_workers_at_once(
+            self, campaign, tmp_path, monkeypatch):
+        """No drain: the hung unit is abandoned and its worker killed,
+        without waiting out the pool's 2 s join at close."""
+        monkeypatch.setenv(ENV_CHAOS_HANG, "0")
+        monkeypatch.setenv(ENV_CHAOS_HANG_SECS, "60")
+        report, listeners, elapsed = self.run_pass(
+            campaign, tmp_path, monkeypatch, tracer=StopOnDispatch(0))
+        assert report.interrupted and report.skipped >= 1
+        assert elapsed < 1.5
+        self.assert_reaped(listeners)
+
+    def test_pass_with_a_timed_out_unit(self, campaign, tmp_path,
+                                        monkeypatch):
+        monkeypatch.setenv(ENV_CHAOS_HANG, "0")
+        monkeypatch.setenv(ENV_CHAOS_HANG_SECS, "60")
+        report, listeners, _ = self.run_pass(
+            campaign, tmp_path, monkeypatch,
+            policy=RetryPolicy(timeout=0.8))
+        assert report.failed == 1 and report.executed == 2
+        assert "timed out" in report.outcomes[0].error
+        self.assert_reaped(listeners)
+
+    def test_forks_no_more_workers_than_units(self, tmp_path, monkeypatch):
+        campaign = Campaign(**dict(TINY3, shuffle_gbs=(0.02, 0.03)))
+        report, listeners, _ = self.run_pass(campaign, tmp_path,
+                                             monkeypatch, jobs=4)
+        assert report.executed == 2
+        assert len(listeners) == 2
+        self.assert_reaped(listeners)
 
 
 #: Child body for the SIGINT test: run the real CLI against a spec.

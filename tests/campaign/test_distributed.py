@@ -55,6 +55,7 @@ from repro.campaign.wire import (
     send_message,
 )
 from repro.core.suite import clear_result_cache
+from repro.sim.trace import CAT_HARNESS, Tracer
 from repro.store import ResultStore
 
 from tests.store.conftest import store_root
@@ -364,6 +365,93 @@ class TestFailover:
         assert hung_exited
 
 
+def harness_markers(tracer, label):
+    """(name, args) of the harness markers on one point's lane."""
+    return [(ev.name, ev.args or {}) for ev in tracer.events
+            if ev.cat == CAT_HARNESS and ev.lane == label]
+
+
+class TestCrashReports:
+    """A forked worker that dies is reported as a crash naming the
+    signal; one the pool drops itself is not."""
+
+    def test_crash_is_traced_before_its_reassignment(
+            self, campaign, tmp_path, monkeypatch, pool2):
+        monkeypatch.setenv(ENV_CHAOS_CRASH, "0")  # first dispatch only
+        tracer = Tracer()
+        result = run_campaign(campaign, store=ResultStore(tmp_path / "s"),
+                              backend=pool2, tracer=tracer)
+        assert result.completed and result.failed == 0
+        markers = [(name, args) for name, args in
+                   harness_markers(tracer, result.outcomes[0].label)
+                   if name != "dispatch"]
+        assert [name for name, _ in markers] == ["crash", "reassign"]
+        assert markers[1][1]["reason"] == (
+            "worker crashed (killed by signal SIGKILL) before returning "
+            "a result")
+
+    def test_lease_expiry_is_not_a_crash(self, campaign, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setenv(ENV_CHAOS_MUTE, "0")
+        backend = PoolBackend(workers=2, lease=1.0)
+        tracer = Tracer()
+        try:
+            result = run_campaign(campaign,
+                                  store=ResultStore(tmp_path / "s"),
+                                  backend=backend, tracer=tracer)
+        finally:
+            backend.close()
+        markers = harness_markers(tracer, result.outcomes[0].label)
+        assert "crash" not in [name for name, _ in markers]
+        assert [args["reason"].split(" after")[0] for name, args in markers
+                if name == "reassign"] == ["lease expired"]
+
+    def test_timeout_is_not_a_crash(self, campaign, tmp_path, monkeypatch,
+                                    pool2):
+        monkeypatch.setenv(ENV_CHAOS_HANG, "0")
+        monkeypatch.setenv(ENV_CHAOS_HANG_SECS, "60")
+        tracer = Tracer()
+        result = run_campaign(
+            campaign, store=ResultStore(tmp_path / "s"), backend=pool2,
+            tracer=tracer,
+            policy=RetryPolicy(retries=1, backoff=0.0, timeout=1.0))
+        assert result.completed
+        names = [name for name, _ in
+                 harness_markers(tracer, result.outcomes[0].label)]
+        assert "timeout" in names and "crash" not in names
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patch reaches workers only by fork")
+    def test_protocol_error_is_not_a_crash(self, campaign, tmp_path,
+                                           monkeypatch):
+        module = foreign_module()
+        real_run_point = worker._run_point
+
+        def run_point(payload):
+            if module.__name__ in sys.modules:
+                return module.Result()
+            return real_run_point(payload)
+
+        monkeypatch.setattr(worker, "_run_point", run_point)
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        backend = PoolBackend(workers=1, lease=5.0, connect_timeout=5.0)
+        tracer = Tracer()
+        try:
+            backend.ensure_started()
+            monkeypatch.delitem(sys.modules, module.__name__)
+            result = run_campaign(campaign,
+                                  store=ResultStore(tmp_path / "s"),
+                                  backend=backend, tracer=tracer)
+        finally:
+            backend.close()
+        assert result.completed
+        markers = [marker for point in result.outcomes
+                   for marker in harness_markers(tracer, point.label)]
+        assert "crash" not in [name for name, _ in markers]
+        assert [args["reason"].split(":")[0] for name, args in markers
+                if name == "reassign"] == ["protocol error"]
+
+
 def join_all(backend, count):
     """Run tiny store-less passes until ``count`` workers said hello."""
     probe = Campaign(**dict(TINY3, name="join", shuffle_gbs=(0.02,)))
@@ -523,6 +611,27 @@ class TestLocalWorkers:
         assert len(held) == 3 and len(pool2._procs) == 2
         for proc in pool2._procs:
             assert not held & socket_inodes(proc.pid)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc")
+    def test_workers_hold_no_socket_of_the_forking_process(self):
+        """A listener and a connected pair opened before the pool (as
+        ``repro serve`` holds its HTTP listener and client connections)
+        are not held by the worker forked after them."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        client = socket.create_connection(listener.getsockname()[:2])
+        served, _ = listener.accept()
+        opened = (listener, client, served)
+        backend = PoolBackend(workers=1, lease=5.0)
+        try:
+            backend.ensure_started()
+            join_all(backend, 1)   # the worker is past its start-up
+            held = {os.fstat(sock.fileno()).st_ino for sock in opened}
+            assert not held & socket_inodes(backend._procs[0].pid)
+        finally:
+            backend.close()
+            for sock in opened:
+                sock.close()
 
     def test_a_signal_to_a_worker_stays_in_the_worker(self):
         """A worker forked while an event loop holds the signal wakeup

@@ -9,11 +9,13 @@ edges.
 """
 
 import json
+import multiprocessing
 import threading
 
 import pytest
 
 import repro.core.suite as suite_mod
+from repro.campaign import LocalBackend
 from repro.campaign.executor import RetryPolicy
 from repro.service import (
     CANCELLED,
@@ -297,6 +299,45 @@ class TestFailures:
         response = service.lookup("deadbeef" * 8)
         assert response.status == 404
         assert service._counters["not_found"] == 1
+
+
+class TestForkedWorkers:
+    def test_jobs_2_serves_concurrent_cold_waits_and_reaps_its_workers(
+            self, tmp_path, monkeypatch):
+        """Each pass forks its workers from the scheduler thread; none
+        is left behind after stop()."""
+        forked_from = []
+        spawn = LocalBackend._spawn_worker
+
+        def spy(backend):
+            forked_from.append(threading.current_thread().name)
+            spawn(backend)
+
+        monkeypatch.setattr(LocalBackend, "_spawn_worker", spy)
+        service = BenchmarkService(tmp_path / "store", jobs=2)
+        service.start()
+        sizes = (0.02, 0.03, 0.04)
+        responses = {}
+        barrier = threading.Barrier(len(sizes))
+
+        def client(gb):
+            barrier.wait()
+            responses[gb] = service.query_point(
+                tiny_query(shuffle_gb=gb, wait=True))
+
+        threads = [threading.Thread(target=client, args=(gb,))
+                   for gb in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        service.stop()
+        assert sorted(responses) == list(sizes)
+        assert all(r.status == 200 for r in responses.values())
+        assert forked_from
+        assert set(forked_from) == {"repro-service-scheduler"}
+        assert multiprocessing.active_children() == []
+        assert ResultStore(tmp_path / "store").stats()["puts"] == 3
 
 
 class TestShutdown:

@@ -131,8 +131,6 @@ class _PoolWorker:
     ident: str
     decoder: FrameDecoder = field(default_factory=FrameDecoder)
     greeted: bool = False
-    #: Process id from the hello; matches the workers this pool started.
-    pid: Optional[int] = None
     unit: Optional[_Assignment] = None
 
 
@@ -392,7 +390,6 @@ class PoolBackend(ExecutionBackend):
             info = message[1]
             if isinstance(info, dict):
                 worker.ident = str(info.get("worker") or worker.ident)
-                worker.pid = info.get("pid")
             if not worker.greeted:
                 worker.greeted = True
                 self.counters["workers_joined"] += 1
@@ -596,8 +593,14 @@ class PoolBackend(ExecutionBackend):
     # -- local workers -----------------------------------------------------
 
     def _proc_of(self, worker: _PoolWorker) -> Optional[BaseProcess]:
-        """The process of a worker this pool forked (None: not ours)."""
-        return next((p for p in self._procs if p.pid == worker.pid), None)
+        """The process of a worker this pool forked (None: not ours).
+
+        A worker's hello names it ``<host>:<pid>``; the pid alone could
+        also be that of a worker on another host.
+        """
+        host = socket.gethostname()
+        return next((p for p in self._procs
+                     if worker.ident == f"{host}:{p.pid}"), None)
 
     def _kill(self, proc: BaseProcess) -> None:
         """Kill and reap one forked worker, and forget it."""

@@ -633,6 +633,31 @@ class TestLocalWorkers:
             for sock in opened:
                 sock.close()
 
+    def test_a_remote_worker_with_a_forked_worker_pid_is_not_it(self):
+        """Pids repeat across hosts (a container's start near 1): the
+        loss of a worker from elsewhere that shares a forked worker's
+        pid neither reaps nor replaces the forked one."""
+        backend = PoolBackend(workers=1, lease=5.0)
+        probe = Campaign(**dict(TINY3, name="probe", shuffle_gbs=(0.02,)))
+        try:
+            join_all(backend, 1)
+            forked = backend._procs[0]
+            fake = socket.create_connection(backend.address, timeout=30)
+            send_message(fake, (MSG_HELLO, {"worker": f"elsewhere:"
+                                            f"{forked.pid}",
+                                            "pid": forked.pid}))
+            fake.close()
+            deadline = time.monotonic() + 30
+            while (backend.counters["workers_lost"] < 1
+                   and time.monotonic() < deadline):
+                clear_result_cache()
+                run_campaign(probe, store=None, backend=backend)
+            assert backend.counters["workers_lost"] == 1
+            assert backend._procs == [forked]
+            assert forked.exitcode is None
+        finally:
+            backend.close()
+
     def test_a_signal_to_a_worker_stays_in_the_worker(self):
         """A worker forked while an event loop holds the signal wakeup
         fd (``repro serve`` forks replacements while serving) must not

@@ -671,6 +671,11 @@ class LocalBackend(PoolBackend):
         try:
             super().run(ctx)
         finally:
+            # Workers hold nothing to flush, and close() would wait
+            # seconds for one still simulating (an interrupt raised as
+            # KeyboardInterrupt), so they are killed, not asked to exit.
+            for proc in self._procs:
+                proc.kill()
             self.close()
 
     def _run_inline(self, ctx: ExecutionContext) -> None:

@@ -277,31 +277,29 @@ class TestPassPool:
     """At ``jobs > 1`` each pass forks its own workers and reaps them."""
 
     def run_pass(self, campaign, tmp_path, monkeypatch, jobs=2,
-                 policy=None, tracer=None):
+                 policy=None, tracer=None, progress=None):
         backend = LocalBackend(jobs=jobs)
-        listeners = spy_on_forks(backend, monkeypatch)
+        self.listeners = spy_on_forks(backend, monkeypatch)
         executor = CampaignExecutor(
             campaign.suite(ResultStore(tmp_path / "store")),
             policy=policy, handle_signals=False, tracer=tracer,
-            backend=backend)
+            progress=progress, backend=backend)
         if tracer is not None:
             tracer.executor = executor
         started = time.monotonic()
         report = executor.execute([p.config for p in campaign.points()])
-        return report, listeners, time.monotonic() - started
+        return report, time.monotonic() - started
 
-    @staticmethod
-    def assert_reaped(listeners):
-        assert listeners
-        assert all(listener.fileno() == -1 for listener in listeners)
+    def assert_reaped(self):
+        assert self.listeners
+        assert all(listener.fileno() == -1 for listener in self.listeners)
         assert multiprocessing.active_children() == []
 
     def test_clean_pass(self, campaign, tmp_path, monkeypatch):
-        report, listeners, _ = self.run_pass(campaign, tmp_path,
-                                             monkeypatch)
+        report, _ = self.run_pass(campaign, tmp_path, monkeypatch)
         assert report.executed == 3 and report.backend == "local"
-        assert len(listeners) == 2
-        self.assert_reaped(listeners)
+        assert len(self.listeners) == 2
+        self.assert_reaped()
 
     def test_interrupted_pass_kills_its_workers_at_once(
             self, campaign, tmp_path, monkeypatch):
@@ -309,30 +307,47 @@ class TestPassPool:
         without waiting out the pool's 2 s join at close."""
         monkeypatch.setenv(ENV_CHAOS_HANG, "0")
         monkeypatch.setenv(ENV_CHAOS_HANG_SECS, "60")
-        report, listeners, elapsed = self.run_pass(
+        report, elapsed = self.run_pass(
             campaign, tmp_path, monkeypatch, tracer=StopOnDispatch(0))
         assert report.interrupted and report.skipped >= 1
         assert elapsed < 1.5
-        self.assert_reaped(listeners)
+        self.assert_reaped()
+
+    def test_keyboard_interrupt_kills_its_workers_at_once(
+            self, campaign, tmp_path, monkeypatch):
+        """An interrupt raised as ``KeyboardInterrupt`` (a sweep leaves
+        signal handling alone) waits for no worker still simulating."""
+        monkeypatch.setenv(ENV_CHAOS_HANG, "0")
+        monkeypatch.setenv(ENV_CHAOS_HANG_SECS, "60")
+        raised = []
+
+        def interrupt(outcome):
+            time.sleep(0.2)   # point 0's worker is asleep in it by now
+            raised.append(time.monotonic())
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            self.run_pass(campaign, tmp_path, monkeypatch,
+                          progress=interrupt)
+        assert time.monotonic() - raised[0] < 1.5
+        self.assert_reaped()
 
     def test_pass_with_a_timed_out_unit(self, campaign, tmp_path,
                                         monkeypatch):
         monkeypatch.setenv(ENV_CHAOS_HANG, "0")
         monkeypatch.setenv(ENV_CHAOS_HANG_SECS, "60")
-        report, listeners, _ = self.run_pass(
-            campaign, tmp_path, monkeypatch,
-            policy=RetryPolicy(timeout=0.8))
+        report, _ = self.run_pass(campaign, tmp_path, monkeypatch,
+                                  policy=RetryPolicy(timeout=0.8))
         assert report.failed == 1 and report.executed == 2
         assert "timed out" in report.outcomes[0].error
-        self.assert_reaped(listeners)
+        self.assert_reaped()
 
     def test_forks_no_more_workers_than_units(self, tmp_path, monkeypatch):
         campaign = Campaign(**dict(TINY3, shuffle_gbs=(0.02, 0.03)))
-        report, listeners, _ = self.run_pass(campaign, tmp_path,
-                                             monkeypatch, jobs=4)
+        report, _ = self.run_pass(campaign, tmp_path, monkeypatch, jobs=4)
         assert report.executed == 2
-        assert len(listeners) == 2
-        self.assert_reaped(listeners)
+        assert len(self.listeners) == 2
+        self.assert_reaped()
 
 
 #: Child body for the SIGINT test: run the real CLI against a spec.

@@ -3,9 +3,9 @@
 Failure paths are exercised by real process faults instead of patches
 to production code. Worker processes — the ones the local backend
 forks for a pass and the pool's — call :func:`mute` and then
-:func:`sabotage` once per unit, in
-:func:`~repro.campaign.worker.run_worker`'s unit loop. The inline path
-calls neither, so a hook fires only when units run in worker
+:func:`sabotage` once per unit, in the unit loop of
+:func:`~repro.campaign.worker.serve_connection`. The inline path calls
+neither, so a hook fires only when units run in worker
 processes: ``jobs >= 2``, a per-point timeout, or the pool. This is
 the only module that reads the variables:
 

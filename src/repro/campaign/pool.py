@@ -2,18 +2,20 @@
 
 :class:`PoolBackend` fans a campaign's cold point-units over a pool of
 workers. Local ones (``workers=N``) are forked from the coordinator,
-so they start with the package already imported and say hello within
-milliseconds; others run ``repro worker`` by hand or over SSH on
-remote hosts (``workers=0`` plus the printed address; see
+each holding one end of a socket pair, so they start with the package
+already imported and say hello within milliseconds; others run
+``repro worker`` by hand or over SSH on remote hosts and connect to the
+pool's listener (``workers=0`` plus the printed address; see
 ``docs/DISTRIBUTED.md``). Both serve units through the same
-:func:`~repro.campaign.worker.run_worker` loop. Everything is stdlib:
-a non-blocking listener, a :mod:`selectors` event loop, and the
-length-prefixed pickle framing of :mod:`repro.campaign.wire`.
+:func:`~repro.campaign.worker.serve_connection` loop. Everything is
+stdlib: a non-blocking listener, a :mod:`selectors` event loop, and
+the length-prefixed pickle framing of :mod:`repro.campaign.wire`.
 
 :class:`LocalBackend`, the executor's default, is the same pool with a
-stricter failure policy, forked for one pass and closed after it (or
-no pool at all: ``jobs=1`` without a timeout runs inline). This module
-is the only one that starts processes.
+stricter failure policy and no listener, forked for one pass and
+closed after it (or no pool at all: ``jobs=1`` without a timeout runs
+inline): only the workers it forked can reach it. This module is the
+only one that starts processes.
 
 Fault tolerance is the point. Every dispatched unit is held under a
 **lease** that the worker renews with heartbeats while it simulates:
@@ -37,8 +39,7 @@ Fault tolerance is the point. Every dispatched unit is held under a
   the pass is draining — even when it held the pass's last unit;
 * SIGINT drains: no new dispatches, in-flight units get
   ``drain_timeout`` seconds to finish (their results are recorded),
-  the rest checkpoint as skipped for ``repro campaign resume``, and
-  the workers this pool forked for them are killed.
+  the rest checkpoint as skipped for ``repro campaign resume``.
 
 The free reassignments (:attr:`PoolBackend.reassign_limit`) and the
 drain budget are the whole failure policy: :class:`LocalBackend` sets
@@ -88,7 +89,7 @@ from repro.campaign.wire import (
     FrameError,
     send_message,
 )
-from repro.campaign.worker import serve_units
+from repro.campaign.worker import serve_connection
 from repro.hadoop.result import SimJobResult
 
 #: Default lease duration (seconds without a heartbeat before a
@@ -132,6 +133,8 @@ class _PoolWorker:
     decoder: FrameDecoder = field(default_factory=FrameDecoder)
     greeted: bool = False
     unit: Optional[_Assignment] = None
+    #: The process, for a worker this pool forked.
+    proc: Optional[BaseProcess] = None
 
 
 @dataclass
@@ -154,7 +157,7 @@ class PoolBackend(ExecutionBackend):
 
     def __init__(
         self,
-        bind: Tuple[str, int] = ("127.0.0.1", 0),
+        bind: Optional[Tuple[str, int]] = ("127.0.0.1", 0),
         workers: int = 0,
         lease: float = DEFAULT_LEASE_SECONDS,
         drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
@@ -165,6 +168,7 @@ class PoolBackend(ExecutionBackend):
         ``workers=N`` forks N local workers from this process on first
         use; ``workers=0`` expects external workers to connect to
         :attr:`address` (print it with :meth:`ensure_started`).
+        ``bind=None`` opens no listener, so only forked workers join.
         """
         if lease <= 0:
             raise ValueError(f"lease must be > 0, got {lease}")
@@ -189,30 +193,29 @@ class PoolBackend(ExecutionBackend):
     # -- lifecycle ---------------------------------------------------------
 
     def ensure_started(self) -> None:
-        """Bind the listener and fork local workers (idempotent)."""
-        if self._listener is not None:
+        """Bind the listener (unless ``bind`` is None) and fork local
+        workers (idempotent)."""
+        if self._sel is not None:
             return
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self.bind)
-        listener.listen(64)
-        listener.setblocking(False)
-        self._listener = listener
         self._sel = selectors.DefaultSelector()
-        self._sel.register(listener, selectors.EVENT_READ, "listener")
-        if self.workers:
-            # Workers dial through getaddrinfo, whose first call in a
-            # process loads the resolver (milliseconds): load it here
-            # once, so every worker forked from now on starts with it.
-            socket.getaddrinfo(*listener.getsockname()[:2], 0,
-                               socket.SOCK_STREAM)
+        if self.bind is not None:
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(self.bind)
+            listener.listen(64)
+            listener.setblocking(False)
+            self._listener = listener
+            self._sel.register(listener, selectors.EVENT_READ, "listener")
         for _ in range(self.workers):
             self._spawn_worker()
 
     @property
     def address(self) -> Tuple[str, int]:
-        """The (host, port) workers connect to (binds on first call)."""
+        """The (host, port) external workers connect to (binds on first
+        call)."""
         self.ensure_started()
+        if self._listener is None:
+            raise ExecutionBackendError("the pool has no listener")
         host, port = self._listener.getsockname()[:2]
         return host, port
 
@@ -283,10 +286,12 @@ class PoolBackend(ExecutionBackend):
                 no_worker_since = now
             elif ((pending or active)
                   and now - no_worker_since > self.connect_timeout):
+                where = ("" if self._listener is None else
+                         " (listening on {}:{})".format(*self.address))
                 raise ExecutionBackendError(
                     f"no live workers for {self.connect_timeout:g} s with "
-                    f"{len(pending) + len(active)} unit(s) outstanding "
-                    f"(listening on {self.address[0]}:{self.address[1]})")
+                    f"{len(pending) + len(active)} unit(s) outstanding"
+                    f"{where}")
 
     # -- dispatch ----------------------------------------------------------
 
@@ -339,10 +344,14 @@ class PoolBackend(ExecutionBackend):
                 return
             except OSError:  # pragma: no cover - listener torn down
                 return
-            conn.settimeout(_IO_TIMEOUT)
-            worker = _PoolWorker(sock=conn, ident=f"{addr[0]}:{addr[1]}")
-            self._conns[conn] = worker
-            self._sel.register(conn, selectors.EVENT_READ, worker)
+            self._add_worker(conn, f"{addr[0]}:{addr[1]}")
+
+    def _add_worker(self, sock: socket.socket, ident: str,
+                    proc: Optional[BaseProcess] = None) -> None:
+        sock.settimeout(_IO_TIMEOUT)
+        worker = _PoolWorker(sock=sock, ident=ident, proc=proc)
+        self._conns[sock] = worker
+        self._sel.register(sock, selectors.EVENT_READ, worker)
 
     def _read_worker(self, ctx: ExecutionContext, worker: _PoolWorker,
                      pending: List[_PendingUnit],
@@ -354,7 +363,7 @@ class PoolBackend(ExecutionBackend):
         except OSError:
             data = b""
         if not data:
-            proc = self._proc_of(worker)
+            proc = worker.proc
             if proc is None:
                 self._worker_lost(ctx, worker, pending, active,
                                   "connection closed")
@@ -428,11 +437,15 @@ class PoolBackend(ExecutionBackend):
 
     @staticmethod
     def _claim(worker: _PoolWorker, token) -> Optional[_Assignment]:
-        """Match a result to the worker's assignment; drop stale ones."""
+        """Match a result to the worker's assignment; drop stale ones.
+
+        A stale result (of a unit abandoned in an earlier pass) leaves
+        the worker's current assignment in place.
+        """
         assignment = worker.unit
-        worker.unit = None
         if assignment is None or assignment.token != token:
             return None
+        worker.unit = None
         return assignment
 
     # -- liveness ----------------------------------------------------------
@@ -533,20 +546,12 @@ class PoolBackend(ExecutionBackend):
 
     def _abandon(self, ctx: ExecutionContext,
                  active: Dict[int, _PoolWorker]) -> None:
-        """Give up on in-flight units at the drain deadline.
-
-        A worker this pool forked for one of them is dropped and killed
-        now, not left to finish a unit nobody waits for.
-        """
+        """Give up on in-flight units at the drain deadline."""
         for rep, worker in list(active.items()):
             worker.unit = None  # a late result is dropped as stale
             ctx.trace("abandon", rep, worker=worker.ident,
                       reason="drain timeout")
             self._lease_release(ctx, rep)
-            proc = self._proc_of(worker)
-            if proc is not None:
-                self._close_worker(worker)
-                self._kill(proc)
         active.clear()
 
     def _close_worker(self, worker: _PoolWorker) -> None:
@@ -592,16 +597,6 @@ class PoolBackend(ExecutionBackend):
 
     # -- local workers -----------------------------------------------------
 
-    def _proc_of(self, worker: _PoolWorker) -> Optional[BaseProcess]:
-        """The process of a worker this pool forked (None: not ours).
-
-        A worker's hello names it ``<host>:<pid>``; the pid alone could
-        also be that of a worker on another host.
-        """
-        host = socket.gethostname()
-        return next((p for p in self._procs
-                     if worker.ident == f"{host}:{p.pid}"), None)
-
     def _kill(self, proc: BaseProcess) -> None:
         """Kill and reap one forked worker, and forget it."""
         self._procs.remove(proc)
@@ -615,10 +610,9 @@ class PoolBackend(ExecutionBackend):
         pass's last unit, so the next pass finds a live worker. Crash
         loops stay bounded by :attr:`reassign_limit` and the retry policy.
         """
-        proc = self._proc_of(worker)
-        if proc is None or ctx.should_stop():
+        if worker.proc is None or ctx.should_stop():
             return
-        self._kill(proc)
+        self._kill(worker.proc)
         self._spawn_worker()
 
     def _spawn_worker(self) -> None:
@@ -627,17 +621,21 @@ class PoolBackend(ExecutionBackend):
         The default :mod:`multiprocessing` context forks it on Linux,
         so the worker needs no interpreter start or imports of its own.
         It is a daemon: an interpreter that exits without :meth:`close`
-        terminates it instead of waiting for it. It lets go of the
-        sockets it inherited (see :func:`_local_worker`).
+        terminates it instead of waiting for it. Its connection is one
+        end of a socket pair, so no listener is involved and no other
+        process can stand in for it. It lets go of the other sockets it
+        inherited (see :func:`_local_worker`).
         """
-        host, port = self.address
-        if host in ("0.0.0.0", "::"):
-            host = "127.0.0.1"
+        ours, theirs = socket.socketpair()
         proc = multiprocessing.get_context().Process(
-            target=_local_worker, args=(host, port),
+            target=_local_worker, args=(theirs,),
             name="repro-pool-worker", daemon=True)
-        proc.start()
+        try:
+            proc.start()
+        finally:
+            theirs.close()
         self._procs.append(proc)
+        self._add_worker(ours, f"{socket.gethostname()}:{proc.pid}", proc)
 
 
 class LocalBackend(PoolBackend):
@@ -649,7 +647,8 @@ class LocalBackend(PoolBackend):
     costs its unit an attempt (no free reassignment), and an interrupt
     abandons in-flight units and kills their workers at once (no
     drain). A worker that dies is reported as a ``crash`` naming the
-    signal, a hung one as a ``timeout``.
+    signal, a hung one as a ``timeout``. The pass opens no listener:
+    its workers reach it only through their socket pairs.
     """
 
     name = "local"
@@ -659,7 +658,7 @@ class LocalBackend(PoolBackend):
         """Run passes on up to ``jobs`` worker processes."""
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        super().__init__(drain_timeout=0.0)
+        super().__init__(bind=None, drain_timeout=0.0)
         self.jobs = jobs
 
     def run(self, ctx: ExecutionContext) -> None:
@@ -734,10 +733,10 @@ def _crash_reason(exitcode: Optional[int]) -> str:
     return f"worker crashed ({how}) before returning a result"
 
 
-def _local_worker(host: str, port: int) -> None:
-    """Body of a local worker: serve units like ``repro worker``.
+def _local_worker(sock: socket.socket) -> None:
+    """Body of a local worker: serve units over its end of the pair.
 
-    First it lets go of every socket it inherited (see
+    First it lets go of every other socket it inherited (see
     :func:`_drop_inherited_sockets`), and drops the signal wakeup fd it
     may have inherited from an asyncio loop (``repro serve`` forks
     workers while serving), so a signal to this worker is not
@@ -747,21 +746,23 @@ def _local_worker(host: str, port: int) -> None:
     """
     gc.freeze()
     signal.set_wakeup_fd(-1)
-    _drop_inherited_sockets()
-    sys.exit(serve_units(host, port))
+    _drop_inherited_sockets(keep=sock.fileno())
+    sys.exit(serve_connection(sock))
 
 
-def _drop_inherited_sockets() -> None:
-    """Point every socket fd a forked worker inherited at ``/dev/null``.
+def _drop_inherited_sockets(keep: int) -> None:
+    """Point every socket fd a forked worker inherited at ``/dev/null``,
+    but its own connection ``keep``.
 
-    A fork copies all of the coordinator's sockets: the pool's listener
-    and worker connections, and under ``repro serve`` the HTTP listener
-    and its open client connections. While a worker held a copy, a
-    closed listener's port would stay bound and a connection the
-    coordinator closes would send no FIN. Each fd number stays taken,
-    so a stale socket object that closes its fd later cannot close a
-    socket this worker opens under the same number. The standard
-    streams are left alone, as they may be a log socket.
+    A fork copies all of the coordinator's sockets: the pool's listener,
+    its end of every worker's pair (this worker's too), and under
+    ``repro serve`` the HTTP listener and its open client connections.
+    While a worker held a copy, a closed listener's port would stay
+    bound and a connection the coordinator closes would send no FIN or
+    EOF. Each fd number stays taken, so a stale socket object that
+    closes its fd later cannot close a socket this worker opens under
+    the same number. The standard streams are left alone, as they may
+    be a log socket.
     """
     try:
         fds = [int(name) for name in os.listdir("/dev/fd")]
@@ -770,7 +771,8 @@ def _drop_inherited_sockets() -> None:
     null = os.open(os.devnull, os.O_RDWR)
     for fd in fds:
         try:
-            if fd > 2 and fd != null and stat.S_ISSOCK(os.fstat(fd).st_mode):
+            if (fd > 2 and fd not in (null, keep)
+                    and stat.S_ISSOCK(os.fstat(fd).st_mode)):
                 os.dup2(null, fd)
         except OSError:  # the listing's own fd, closed since
             pass

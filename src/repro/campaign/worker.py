@@ -1,10 +1,11 @@
 """The ``repro worker`` process: one member of a distributed pool.
 
 A worker dials a :class:`~repro.campaign.pool.PoolBackend` coordinator
-(``repro worker --connect HOST:PORT``, ``python -m
-repro.campaign.worker``, or a child the pool forked for ``workers=N``
-or a :class:`~repro.campaign.pool.LocalBackend` forked for a pass),
-introduces itself, then loops: receive a point-unit, simulate it
+(``repro worker --connect HOST:PORT`` or ``python -m
+repro.campaign.worker``), or is a child the coordinator forked — for a
+pool's ``workers=N`` or a :class:`~repro.campaign.pool.LocalBackend`
+pass — and handed one end of a socket pair. Either way it introduces
+itself, then loops: receive a point-unit, simulate it
 through :func:`~repro.core.suite._run_point`, ship the result (or the
 exception) back. While a unit simulates, a daemon thread heartbeats every
 ``heartbeat_secs`` so the coordinator keeps the unit's lease alive;
@@ -17,10 +18,10 @@ unit, sends the result, and exits. The exit code is 130, mirroring
 ``repro campaign run``'s interrupted convention. A closed (or reset)
 coordinator connection is a normal exit (code 0), as is a ``shutdown``
 message. Only the wait for a unit is interrupted: a signal that lands
-anywhere else (closing the socket, returning from :func:`run_worker`,
-interpreter shutdown) just sets the flag, so the SIGTERM that
-``PoolBackend.close()`` sends a worker already on its way out never
-prints a traceback.
+anywhere else (closing the socket, returning from
+:func:`serve_connection`, interpreter shutdown) just sets the flag, so
+the SIGTERM that ``PoolBackend.close()`` sends a worker already on its
+way out never prints a traceback.
 
 Chaos hooks: each unit passes through :mod:`repro.campaign.chaos`,
 keyed by the *dispatch* counter so a reassigned unit demonstrably
@@ -125,11 +126,16 @@ def _execute_unit(sock, lock: threading.Lock, message) -> None:
 
 def run_worker(host: str, port: int,
                connect_timeout: float = 30.0) -> int:
-    """Serve units from one coordinator until told (or made) to stop."""
+    """Dial a coordinator and serve its units (:func:`serve_connection`)."""
+    return serve_connection(
+        socket.create_connection((host, port), timeout=connect_timeout))
+
+
+def serve_connection(sock: socket.socket) -> int:
+    """Serve units over a connected socket until told (or made) to stop."""
     global _waiting, _draining
     _waiting = False
     _draining = False
-    sock = socket.create_connection((host, port), timeout=connect_timeout)
     sock.settimeout(None)
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:

@@ -14,6 +14,7 @@ The hooks fire only in worker processes, so crash tests run at
 import json
 import multiprocessing
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -247,16 +248,16 @@ class TestTimeout:
 
 
 def spy_on_forks(backend, monkeypatch):
-    """The pool listener as of each worker fork of ``backend``."""
-    listeners = []
+    """The pool's connection to each worker ``backend`` forks."""
+    conns = []
     spawn = backend._spawn_worker
 
     def spy():
         spawn()
-        listeners.append(backend._listener)
+        conns.append(list(backend._conns)[-1])
 
     monkeypatch.setattr(backend, "_spawn_worker", spy)
-    return listeners
+    return conns
 
 
 class StopOnDispatch(Tracer):
@@ -279,7 +280,7 @@ class TestPassPool:
     def run_pass(self, campaign, tmp_path, monkeypatch, jobs=2,
                  policy=None, tracer=None, progress=None):
         backend = LocalBackend(jobs=jobs)
-        self.listeners = spy_on_forks(backend, monkeypatch)
+        self.conns = spy_on_forks(backend, monkeypatch)
         executor = CampaignExecutor(
             campaign.suite(ResultStore(tmp_path / "store")),
             policy=policy, handle_signals=False, tracer=tracer,
@@ -291,14 +292,32 @@ class TestPassPool:
         return report, time.monotonic() - started
 
     def assert_reaped(self):
-        assert self.listeners
-        assert all(listener.fileno() == -1 for listener in self.listeners)
+        assert self.conns
+        assert all(sock.fileno() == -1 for sock in self.conns)
         assert multiprocessing.active_children() == []
 
     def test_clean_pass(self, campaign, tmp_path, monkeypatch):
         report, _ = self.run_pass(campaign, tmp_path, monkeypatch)
         assert report.executed == 3 and report.backend == "local"
-        assert len(self.listeners) == 2
+        assert len(self.conns) == 2
+        self.assert_reaped()
+
+    def test_a_pass_opens_no_listener(self, campaign, tmp_path,
+                                      monkeypatch):
+        """Only the workers a pass forked can reach it: no other process
+        can connect to it, feed it pickles or take its units."""
+        listened = []
+        listen = socket.socket.listen
+
+        def spy(sock, *args):
+            listened.append(sock.getsockname())
+            return listen(sock, *args)
+
+        monkeypatch.setattr(socket.socket, "listen", spy)
+        report, _ = self.run_pass(campaign, tmp_path, monkeypatch)
+        assert report.executed == 3
+        assert listened == []
+        assert [sock.family for sock in self.conns] == [socket.AF_UNIX] * 2
         self.assert_reaped()
 
     def test_interrupted_pass_kills_its_workers_at_once(
@@ -346,7 +365,7 @@ class TestPassPool:
         campaign = Campaign(**dict(TINY3, shuffle_gbs=(0.02, 0.03)))
         report, _ = self.run_pass(campaign, tmp_path, monkeypatch, jobs=4)
         assert report.executed == 2
-        assert len(self.listeners) == 2
+        assert len(self.conns) == 2
         self.assert_reaped()
 
 

@@ -62,6 +62,7 @@ from tests.store.conftest import store_root
 from tests.subproc import REPO, child_env
 from tests.campaign.test_batch import GOLDEN, POINTS, _golden_config, \
     _golden_suite
+from tests.campaign.test_chaos import StopOnDispatch
 
 #: Three tiny points (~ms of simulation each), one network.
 TINY3 = dict(
@@ -759,6 +760,42 @@ class TestGracefulDrain:
                          "--store", root, "--quiet"])
         assert rc == 0
         assert store.stats()["puts"] == 3
+
+    def test_a_pool_keeps_its_worker_after_a_drained_pass(
+            self, campaign, tmp_path, monkeypatch):
+        """A unit abandoned at the drain deadline leaves its worker in
+        the pool. The next pass runs on it: the abandoned unit's late
+        result is dropped without costing the new pass its unit."""
+        monkeypatch.setenv(ENV_CHAOS_HANG, "0")
+        monkeypatch.setenv(ENV_CHAOS_HANG_SECS, "1")
+        store = ResultStore(tmp_path / "store")
+        configs = [point.config for point in campaign.points()]
+        backend = PoolBackend(workers=1, lease=5.0, drain_timeout=0.0)
+        tracer = StopOnDispatch(0)
+        tracer.executor = CampaignExecutor(
+            campaign.suite(store), handle_signals=False, tracer=tracer,
+            backend=backend)
+        second = CampaignExecutor(campaign.suite(store),
+                                  handle_signals=False, backend=backend)
+        reports = []
+        try:
+            reports.append(tracer.executor.execute(configs))
+            forked = list(backend._procs)
+            thread = threading.Thread(
+                target=lambda: reports.append(second.execute(configs)),
+                daemon=True)
+            thread.start()
+            thread.join(30)
+            if thread.is_alive():  # the pass lost track of a unit
+                second.request_stop()
+                thread.join(10)
+            kept = backend._procs == forked and forked[0].exitcode is None
+        finally:
+            backend.close()
+        assert reports[0].interrupted and reports[0].executed == 0
+        assert kept
+        assert not reports[1].interrupted
+        assert reports[1].executed == 3 and reports[1].failed == 0
 
 
 #: Child body for the clean-shutdown test: the real CLI, pool backend.

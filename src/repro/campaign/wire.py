@@ -5,7 +5,8 @@ The coordinator (:class:`~repro.campaign.pool.PoolBackend`) and its
 frame prefixed with a 4-byte big-endian length. Everything is stdlib:
 no external wire dependencies, and the payloads are the picklable
 point payloads of :meth:`~repro.core.suite.MicroBenchmarkSuite.\
-point_payload`. The local backend's forked workers speak it too.
+point_payload`. Workers a coordinator forks, the local backend's
+too, speak it over a socket pair instead of TCP.
 
 Message vocabulary (first tuple element is the type tag):
 

@@ -44,33 +44,27 @@ Subpackages
     Declarative benchmark campaigns over the store.
 """
 
-from repro.core.benchmarks import (
-    ALL_BENCHMARKS,
-    MR_AVG,
-    MR_RAND,
-    MR_SKEW,
-    MicroBenchmark,
-    get_benchmark,
-)
-from repro.core.config import BenchmarkConfig
-from repro.core.report import render_report
-from repro.core.suite import (MicroBenchmarkSuite, SweepResult, SweepRow,
-                              clear_result_cache, result_cache_stats)
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    LinkFault,
-    NodeCrash,
-    ResilienceReport,
-    SlowNode,
-)
-from repro.campaign import Campaign, load_campaign, load_campaigns, run_campaign
-from repro.hadoop.cluster import ClusterSpec, cluster_a, cluster_b
-from repro.hadoop.job import JobConf
-from repro.hadoop.result import SimJobResult
-from repro.hadoop.simulation import run_simulated_job
-from repro.net.interconnect import INTERCONNECTS, get_interconnect
-from repro.store import ResultStore, StoredResult, point_key
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.campaign": ("Campaign", "load_campaign", "load_campaigns",
+                       "run_campaign"),
+    "repro.core.benchmarks": ("ALL_BENCHMARKS", "MR_AVG", "MR_RAND",
+                              "MR_SKEW", "MicroBenchmark",
+                              "get_benchmark"),
+    "repro.core.config": ("BenchmarkConfig",),
+    "repro.core.report": ("render_report",),
+    "repro.core.suite": ("MicroBenchmarkSuite", "SweepResult", "SweepRow",
+                         "clear_result_cache", "result_cache_stats"),
+    "repro.faults": ("FaultInjector", "FaultPlan", "LinkFault", "NodeCrash",
+                     "ResilienceReport", "SlowNode"),
+    "repro.hadoop.cluster": ("ClusterSpec", "cluster_a", "cluster_b"),
+    "repro.hadoop.job": ("JobConf",),
+    "repro.hadoop.result": ("SimJobResult",),
+    "repro.hadoop.simulation": ("run_simulated_job",),
+    "repro.net.interconnect": ("INTERCONNECTS", "get_interconnect"),
+    "repro.store": ("ResultStore", "StoredResult", "point_key"),
+})
 
 __version__ = "1.0.0"
 

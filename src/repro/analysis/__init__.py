@@ -1,26 +1,19 @@
 """Result analysis: statistics, tables, exports, and the Experiment
 Book generator (:mod:`repro.analysis.book`)."""
 
-from repro.analysis.book import build_book, git_describe
-from repro.analysis.charts import bar_chart, line_chart, sweep_chart
-from repro.analysis.export import (
-    chrome_trace_json,
-    parse_csv_floats,
-    results_to_csv,
-    sweep_to_csv,
-    trace_to_chrome,
-    write_chrome_trace,
-    write_csv,
-)
-from repro.analysis.stats import (
-    geometric_mean,
-    improvement_pct,
-    mean,
-    median,
-    percentile,
-    speedup,
-)
-from repro.analysis.tables import format_cell, format_table
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.book": ("build_book", "git_describe"),
+    "repro.analysis.charts": ("bar_chart", "line_chart", "sweep_chart"),
+    "repro.analysis.export": ("chrome_trace_json", "parse_csv_floats",
+                              "results_to_csv", "sweep_to_csv",
+                              "trace_to_chrome", "write_chrome_trace",
+                              "write_csv"),
+    "repro.analysis.stats": ("geometric_mean", "improvement_pct", "mean",
+                             "median", "percentile", "speedup"),
+    "repro.analysis.tables": ("format_cell", "format_table"),
+})
 
 __all__ = [
     "bar_chart",

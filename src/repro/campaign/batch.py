@@ -21,7 +21,7 @@ The seed rule
 -------------
 ``BenchmarkConfig.seed`` reaches the simulation through exactly two
 doors: the shuffle matrix (captured by
-:func:`~repro.core.matrix.matrix_cache_key`, which already normalizes
+:func:`~repro.core.config.matrix_cache_key`, which already normalizes
 the seed away for MR-AVG) and the jobconf-level failure coins
 (``attempt_fails``), which return immediately when
 ``task_failure_probability == 0``. A campaign-level
@@ -36,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.config import BenchmarkConfig
-from repro.core.matrix import EXACT_LIMIT, matrix_cache_key
+from repro.core.config import EXACT_LIMIT, BenchmarkConfig, matrix_cache_key
 from repro.hadoop.job import DEFAULT_JOB_CONF
 from repro.net.interconnect import canonical_name
 from repro.store.records import StoredResult

@@ -66,10 +66,17 @@ from repro.campaign.backend import (
 from repro.campaign.batch import plan_batches, replicate_result
 from repro.campaign.pool import LocalBackend
 from repro.core.config import BenchmarkConfig
-from repro.core.matrix import precompute_matrices
 from repro.core.suite import MicroBenchmarkSuite, ResultLike
 from repro.sim.trace import CAT_HARNESS, Tracer
 from repro.store import StoredResult
+
+
+def precompute_matrices(configs) -> int:
+    """:func:`repro.core.matrix.precompute_matrices`, imported on the
+    first cold pass, so a warm campaign never loads numpy."""
+    from repro.core.matrix import precompute_matrices as precompute
+
+    return precompute(configs)
 
 
 @dataclass(frozen=True)

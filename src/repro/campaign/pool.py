@@ -90,6 +90,7 @@ from repro.campaign.wire import (
     send_message,
 )
 from repro.campaign.worker import serve_connection
+from repro.core.suite import load_simulator
 from repro.hadoop.result import SimJobResult
 
 #: Default lease duration (seconds without a heartbeat before a
@@ -619,13 +620,15 @@ class PoolBackend(ExecutionBackend):
         """Start one local worker as a child of this process.
 
         The default :mod:`multiprocessing` context forks it on Linux,
-        so the worker needs no interpreter start or imports of its own.
+        so the worker needs no interpreter start or imports of its own:
+        the simulator is loaded here first, once per coordinator.
         It is a daemon: an interpreter that exits without :meth:`close`
         terminates it instead of waiting for it. Its connection is one
         end of a socket pair, so no listener is involved and no other
         process can stand in for it. It lets go of the other sockets it
         inherited (see :func:`_local_worker`).
         """
+        load_simulator()
         ours, theirs = socket.socketpair()
         proc = multiprocessing.get_context().Process(
             target=_local_worker, args=(theirs,),

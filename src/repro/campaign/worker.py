@@ -52,7 +52,7 @@ from repro.campaign.wire import (
     recv_message,
     send_message,
 )
-from repro.core.suite import _run_point
+from repro.core.suite import _run_point, load_simulator
 
 #: Exit code when a signal drained the worker (mirrors campaign run).
 EXIT_INTERRUPTED = 130
@@ -132,7 +132,11 @@ def run_worker(host: str, port: int,
 
 
 def serve_connection(sock: socket.socket) -> int:
-    """Serve units over a connected socket until told (or made) to stop."""
+    """Serve units over a connected socket until told (or made) to stop.
+
+    The simulator is loaded before the hello, so no unit's attempt or
+    timeout pays for the import (a forked worker inherited it).
+    """
     global _waiting, _draining
     _waiting = False
     _draining = False
@@ -145,6 +149,7 @@ def serve_connection(sock: socket.socket) -> int:
     lock = threading.Lock()
     ident = f"{socket.gethostname()}:{os.getpid()}"
     try:
+        load_simulator()
         with lock:
             send_message(sock, (MSG_HELLO, {"worker": ident,
                                             "pid": os.getpid()}))

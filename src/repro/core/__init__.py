@@ -13,55 +13,34 @@ Modules:
 * :mod:`repro.core.cli` — ``mr-microbench`` command-line driver.
 """
 
-from repro.core.benchmarks import (
-    ALL_BENCHMARKS,
-    MR_AVG,
-    MR_RAND,
-    MR_SKEW,
-    MicroBenchmark,
-    get_benchmark,
-)
-from repro.core.config import (
-    BenchmarkConfig,
-    PATTERN_AVG,
-    PATTERN_RAND,
-    PATTERN_SKEW,
-    PATTERN_SKEW_SPLIT,
-    PATTERN_ZIPF,
-    PATTERNS,
-    SUPPORTED_DATA_TYPES,
-)
-from repro.core.datagen import KeyValueGenerator
-from repro.core.formats import (
-    DummyRecordReader,
-    DummySplit,
-    NullInputFormat,
-    NullOutputFormat,
-    NullRecordWriter,
-)
-from repro.core.matrix import (
-    ShuffleMatrix,
-    clear_matrix_cache,
-    compute_shuffle_matrix,
-)
-from repro.core.partitioners import (
-    AveragePartitioner,
-    HashPartitioner,
-    Partitioner,
-    RandomPartitioner,
-    SkewedPartitioner,
-    distribution_stats,
-    make_partitioner,
-)
-from repro.core.report import render_phase_table, render_report
-from repro.core.suite import (MicroBenchmarkSuite, SweepResult, SweepRow,
-                              clear_result_cache, result_cache_stats)
-from repro.core.validate import (
-    ShapeCheck,
-    ValidationReport,
-    validate_headline_shapes,
-)
-from repro.core.workloads import WORKLOADS, WorkloadProfile, get_workload
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.benchmarks": ("ALL_BENCHMARKS", "MR_AVG", "MR_RAND",
+                              "MR_SKEW", "MicroBenchmark",
+                              "get_benchmark"),
+    "repro.core.config": ("BenchmarkConfig", "PATTERN_AVG", "PATTERN_RAND",
+                          "PATTERN_SKEW", "PATTERN_SKEW_SPLIT",
+                          "PATTERN_ZIPF", "PATTERNS",
+                          "SUPPORTED_DATA_TYPES"),
+    "repro.core.datagen": ("KeyValueGenerator",),
+    "repro.core.formats": ("DummyRecordReader", "DummySplit",
+                           "NullInputFormat", "NullOutputFormat",
+                           "NullRecordWriter"),
+    "repro.core.matrix": ("ShuffleMatrix", "clear_matrix_cache",
+                          "compute_shuffle_matrix"),
+    "repro.core.partitioners": ("AveragePartitioner", "HashPartitioner",
+                                "Partitioner", "RandomPartitioner",
+                                "SkewedPartitioner", "distribution_stats",
+                                "make_partitioner"),
+    "repro.core.report": ("render_phase_table", "render_report"),
+    "repro.core.suite": ("MicroBenchmarkSuite", "SweepResult", "SweepRow",
+                         "clear_result_cache", "result_cache_stats"),
+    "repro.core.validate": ("ShapeCheck", "ValidationReport",
+                            "validate_headline_shapes"),
+    "repro.core.workloads": ("WORKLOADS", "WorkloadProfile",
+                             "get_workload"),
+})
 
 __all__ = [
     "ALL_BENCHMARKS",

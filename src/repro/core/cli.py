@@ -30,8 +30,6 @@ from typing import List, Optional
 
 from repro.core.benchmarks import EXTENDED_BENCHMARKS, get_benchmark
 from repro.core.config import SUPPORTED_DATA_TYPES, BenchmarkConfig
-from repro.core.report import (render_phase_table, render_report,
-                               render_stored_report)
 from repro.core.suite import MicroBenchmarkSuite
 from repro.hadoop.cluster import cluster_a, cluster_b
 from repro.hadoop.job import VERSIONS, JobConf
@@ -202,6 +200,10 @@ def _build_fault_plan(args):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # Deferred: the report reaches numpy, which `repro` never needs.
+    from repro.core.report import (render_phase_table, render_report,
+                                   render_stored_report)
+
     args = build_parser().parse_args(argv)
 
     factory = cluster_a if args.cluster == "a" else cluster_b

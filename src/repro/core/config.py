@@ -9,6 +9,7 @@ reduce tasks, data type, and network configuration.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Type
 
@@ -61,7 +62,9 @@ class BenchmarkConfig:
     ``seed``
         Seed for the generator and the random/skew partitioners; fixed
         by default so every run sees the same mapping, as the paper
-        requires for fair cross-network comparison.
+        requires for fair cross-network comparison. A non-negative
+        integer, which may be spelled as a float (``7.0`` draws what
+        ``7`` draws, under its own store key).
     """
 
     pattern: str = PATTERN_AVG
@@ -90,6 +93,9 @@ class BenchmarkConfig:
             raise ValueError(f"num_pairs must be >= 1, got {self.num_pairs}")
         if self.num_maps < 1 or self.num_reduces < 1:
             raise ValueError("num_maps and num_reduces must be >= 1")
+        if not _valid_seed(self.seed):
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         for attr in ("data_type", "key_type", "value_type"):
             name = getattr(self, attr)
             if name is None:
@@ -217,6 +223,40 @@ class BenchmarkConfig:
             "record_size": self.record_size,
             "shuffle_bytes": self.shuffle_bytes,
         }
+
+
+def _valid_seed(seed: object) -> bool:
+    """A seed every PRNG the simulator seeds accepts, and that draws the
+    same in every process: NaN seeds ``random.Random`` by the object's
+    identity, and numpy refuses negative and fractional seeds."""
+    if isinstance(seed, float):
+        return math.isfinite(seed) and seed.is_integer() and seed >= 0
+    try:
+        return operator.index(seed) >= 0
+    except TypeError:
+        return False
+
+
+#: Per-map record count above which a shuffle matrix row is sampled
+#: instead of counted exactly (see :mod:`repro.core.matrix`).
+EXACT_LIMIT = 250_000
+
+
+def matrix_cache_key(
+    config: BenchmarkConfig, exact_limit: int = EXACT_LIMIT
+) -> tuple:
+    """The fields of ``config`` that determine its shuffle matrix.
+
+    Two configs with equal keys share one (bit-identical) matrix. The
+    matrix is network/cluster independent, and for MR-AVG it is also
+    seed independent (round-robin has a closed form that never touches
+    a PRNG), so the AVG key normalizes the seed away — trials of an
+    MR-AVG sweep all share a single matrix. It lives here, not beside
+    the matrix, so campaign planning keys points without numpy.
+    """
+    seed = None if config.pattern == PATTERN_AVG else config.seed
+    return (config.pattern, config.num_maps, config.num_reduces,
+            config.num_pairs, seed, exact_limit)
 
 
 # Re-export the concrete types for convenience in configs/tests.

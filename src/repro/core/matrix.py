@@ -25,15 +25,13 @@ from typing import List
 
 import numpy as np
 
-from repro.core.config import BenchmarkConfig, PATTERN_AVG
+from repro.core.config import (EXACT_LIMIT, PATTERN_AVG, BenchmarkConfig,
+                               matrix_cache_key)
 from repro.core.partitioners import (
     make_partitioner,
     seat_generator,
     thread_generator,
 )
-
-#: Per-map record count above which the sampled path is used.
-EXACT_LIMIT = 250_000
 
 
 class ShuffleMatrix:
@@ -95,7 +93,7 @@ def _sampled_counts(config: BenchmarkConfig, map_id: int) -> np.ndarray:
         config.pattern, config.num_reduces, seed=config.seed + map_id
     )
     probs = np.asarray(partitioner.expected_distribution())
-    rng = np.random.default_rng(config.seed * 1_000_003 + map_id)
+    rng = np.random.default_rng(int(config.seed) * 1_000_003 + map_id)
     return rng.multinomial(config.pairs_for_map(map_id), probs).astype(np.int64)
 
 
@@ -158,22 +156,6 @@ MATRIX_CACHE_LIMIT = 512
 def clear_matrix_cache() -> None:
     """Drop all cached shuffle matrices (mainly for tests)."""
     _MATRIX_CACHE.clear()
-
-
-def matrix_cache_key(
-    config: BenchmarkConfig, exact_limit: int = EXACT_LIMIT
-) -> tuple:
-    """The fields of ``config`` that determine its shuffle matrix.
-
-    Two configs with equal keys share one (bit-identical) matrix. The
-    matrix is network/cluster independent, and for MR-AVG it is also
-    seed independent (round-robin has a closed form that never touches
-    a PRNG), so the AVG key normalizes the seed away — trials of an
-    MR-AVG sweep all share a single matrix.
-    """
-    seed = None if config.pattern == PATTERN_AVG else config.seed
-    return (config.pattern, config.num_maps, config.num_reduces,
-            config.num_pairs, seed, exact_limit)
 
 
 def compute_shuffle_matrix(

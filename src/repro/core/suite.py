@@ -44,7 +44,6 @@ from repro.hadoop.cluster import ClusterSpec, cluster_a
 from repro.hadoop.costmodel import CostModel
 from repro.hadoop.job import JobConf
 from repro.hadoop.result import SimJobResult
-from repro.hadoop.simulation import run_simulated_job
 from repro.net.transport import TransportModel
 from repro.sim.trace import Tracer
 from repro.store import (
@@ -106,6 +105,29 @@ def _memoize(key: str, result: ResultLike) -> None:
     if len(_RESULT_CACHE) >= RESULT_CACHE_LIMIT:
         _RESULT_CACHE.clear()
     _RESULT_CACHE[key] = result
+
+
+def load_simulator() -> None:
+    """Import everything a cold point runs: numpy, the shuffle matrices,
+    the fabric and the Hadoop task models and runtimes.
+
+    The control plane (store, campaign, service, CLI) starts without
+    them, and the first simulation imports them. A process about to
+    fork workers calls this first, so each worker inherits them instead
+    of importing them on its first unit.
+    """
+    # create_runtime imports the two runtime policies on its first call.
+    import repro.hadoop.jobtracker  # noqa: F401
+    import repro.hadoop.simulation  # noqa: F401
+    import repro.hadoop.yarn  # noqa: F401
+
+
+def run_simulated_job(config: BenchmarkConfig, **kwargs) -> SimJobResult:
+    """:func:`repro.hadoop.simulation.run_simulated_job`, imported on
+    the first call (see :func:`load_simulator`)."""
+    from repro.hadoop.simulation import run_simulated_job as simulate
+
+    return simulate(config, **kwargs)
 
 
 def _run_point(payload: tuple) -> SimJobResult:

@@ -19,39 +19,35 @@ substitutes a discrete-event model of those systems:
 * :mod:`repro.hadoop.simulation` — :func:`run_simulated_job`.
 """
 
-from repro.hadoop.cluster import (
-    ClusterSpec,
-    NodeSpec,
-    STAMPEDE_NODE,
-    WESTMERE_NODE,
-    cluster_a,
-    cluster_b,
-)
-from repro.hadoop.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.hadoop.counters import counters_dict, format_counters, job_counters
-from repro.hadoop.events_log import JobEvent, JobEventLog
-from repro.hadoop.history import history_json, job_history, render_timeline
-from repro.hadoop.job import DEFAULT_JOB_CONF, JobConf, MRV1, YARN
-from repro.hadoop.maptask import MapOutput, MapTask, MapTaskStats
-from repro.hadoop.node import SimNode, StorageService
-from repro.hadoop.reducetask import ReduceTask, ReduceTaskStats
-from repro.hadoop.result import SimJobResult
-from repro.hadoop.rdma import (
-    mroib_transport,
-    overlap_only_transport,
-    zero_copy_only_transport,
-)
-from repro.hadoop.shuffle import MapOutputRegistry, ReducerShuffle, ShuffleStats
-from repro.hadoop.autotune import TuningResult, grid_search
-from repro.hadoop.simulation import JOB_OVERHEAD, TaskFailedError, run_simulated_job
-from repro.hadoop.multijob import (
-    ConcurrentJobResult,
-    JobRequest,
-    run_concurrent_jobs,
-)
-from repro.hadoop.runtime import JobExecution, Runtime, create_runtime
-from repro.hadoop.jobtracker import JobTrackerScheduler
-from repro.hadoop.yarn import YarnScheduler
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hadoop.autotune": ("TuningResult", "grid_search"),
+    "repro.hadoop.cluster": ("ClusterSpec", "NodeSpec", "STAMPEDE_NODE",
+                             "WESTMERE_NODE", "cluster_a", "cluster_b"),
+    "repro.hadoop.costmodel": ("DEFAULT_COST_MODEL", "CostModel"),
+    "repro.hadoop.counters": ("counters_dict", "format_counters",
+                              "job_counters"),
+    "repro.hadoop.events_log": ("JobEvent", "JobEventLog"),
+    "repro.hadoop.history": ("history_json", "job_history",
+                             "render_timeline"),
+    "repro.hadoop.job": ("DEFAULT_JOB_CONF", "JobConf", "MRV1", "YARN"),
+    "repro.hadoop.jobtracker": ("JobTrackerScheduler",),
+    "repro.hadoop.maptask": ("MapOutput", "MapTask", "MapTaskStats"),
+    "repro.hadoop.multijob": ("ConcurrentJobResult", "JobRequest",
+                              "run_concurrent_jobs"),
+    "repro.hadoop.node": ("SimNode", "StorageService"),
+    "repro.hadoop.rdma": ("mroib_transport", "overlap_only_transport",
+                          "zero_copy_only_transport"),
+    "repro.hadoop.reducetask": ("ReduceTask", "ReduceTaskStats"),
+    "repro.hadoop.result": ("SimJobResult",),
+    "repro.hadoop.runtime": ("JobExecution", "Runtime", "create_runtime"),
+    "repro.hadoop.shuffle": ("MapOutputRegistry", "ReducerShuffle",
+                             "ShuffleStats"),
+    "repro.hadoop.simulation": ("JOB_OVERHEAD", "TaskFailedError",
+                                "run_simulated_job"),
+    "repro.hadoop.yarn": ("YarnScheduler",),
+})
 
 __all__ = [
     "ClusterSpec",

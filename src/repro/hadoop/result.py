@@ -14,18 +14,20 @@ in :attr:`~SimJobResult.trace` for Chrome ``trace_event`` export.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.config import BenchmarkConfig
-from repro.core.matrix import ShuffleMatrix
 from repro.faults import ResilienceReport
 from repro.hadoop.cluster import ClusterSpec
 from repro.hadoop.events_log import JobEventLog
 from repro.hadoop.job import JobConf
-from repro.hadoop.maptask import MapTaskStats
-from repro.hadoop.reducetask import ReduceTaskStats
-from repro.sim.monitor import ResourceMonitor
 from repro.sim.trace import Tracer
+
+if TYPE_CHECKING:  # simulator types: the store reads this module too
+    from repro.core.matrix import ShuffleMatrix
+    from repro.hadoop.maptask import MapTaskStats
+    from repro.hadoop.reducetask import ReduceTaskStats
+    from repro.sim.monitor import ResourceMonitor
 
 #: The five phases of the decomposition, in pipeline order.
 PHASES = ("map", "spill_merge", "shuffle", "merge", "reduce")

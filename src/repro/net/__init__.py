@@ -18,18 +18,16 @@ simulation*:
   for the stock framework, RDMA verbs for the MRoIB case study).
 """
 
-from repro.net.interconnect import (
-    INTERCONNECTS,
-    IPOIB_FDR,
-    IPOIB_QDR,
-    ONE_GIGE,
-    RDMA_FDR,
-    TEN_GIGE,
-    InterconnectSpec,
-    get_interconnect,
-)
-from repro.net.fabric import FabricNode, Flow, NetworkFabric, compute_max_min
-from repro.net.transport import TransportModel, transport_for
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.fabric": ("FabricNode", "Flow", "NetworkFabric",
+                         "compute_max_min"),
+    "repro.net.interconnect": ("INTERCONNECTS", "IPOIB_FDR", "IPOIB_QDR",
+                               "ONE_GIGE", "RDMA_FDR", "TEN_GIGE",
+                               "InterconnectSpec", "get_interconnect"),
+    "repro.net.transport": ("TransportModel", "transport_for"),
+})
 
 __all__ = [
     "FabricNode",

@@ -105,6 +105,22 @@ def test_from_shuffle_size_rejects_non_positive_sizes(shuffle_bytes):
         BenchmarkConfig.from_shuffle_size(shuffle_bytes)
 
 
+@pytest.mark.parametrize("seed", [float("nan"), float("inf"),
+                                  float("-inf"), -3, -3.0, 7.5, "7", None])
+def test_seed_rejects_what_is_not_a_non_negative_integer(seed):
+    """A NaN seed draws differently in every process, and numpy refuses
+    negative and fractional ones mid-simulation: each is a ValueError
+    naming the value, at construction."""
+    with pytest.raises(ValueError, match=f"seed must be a non-negative "
+                                         f"integer, got {seed!r}"):
+        BenchmarkConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 7.0, 0.0, 2**64])
+def test_seed_accepts_non_negative_integers_in_either_spelling(seed):
+    assert BenchmarkConfig(seed=seed).seed == seed
+
+
 def test_describe_contains_all_parameters():
     desc = BenchmarkConfig().describe()
     for key in ("pattern", "key_size", "value_size", "num_pairs",

@@ -104,6 +104,24 @@ def test_sampled_matches_exact_in_distribution():
     np.testing.assert_allclose(exact, sampled, atol=0.01)
 
 
+def test_float_seed_spelling_samples_the_int_seeds_matrix():
+    """A 2 GB MR-RAND point samples its rows; seed 7.0 must seed numpy
+    as 7 does, then simulate to the same time."""
+    from repro.core.suite import run_simulated_job
+
+    configs = [BenchmarkConfig.from_shuffle_size(
+        2e9, pattern="rand", num_maps=2, num_reduces=2, seed=seed)
+        for seed in (7.0, 7)]
+    assert configs[0].pairs_for_map(0) > EXACT_LIMIT  # sampled rows
+    matrices, times = [], []
+    for config in configs:
+        clear_matrix_cache()  # 7 and 7.0 share one memo entry
+        matrices.append(compute_shuffle_matrix(config).records)
+        times.append(run_simulated_job(config).execution_time.hex())
+    assert np.array_equal(matrices[0], matrices[1])
+    assert times[0] == times[1]
+
+
 def test_deterministic():
     config = cfg(pattern="rand")
     a = compute_shuffle_matrix(config)

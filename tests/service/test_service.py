@@ -295,6 +295,18 @@ class TestFailures:
         assert service._counters["bad_requests"] == 1
         assert service._counters["cold_misses"] == 0
 
+    @pytest.mark.parametrize("seed", [float("nan"), float("inf"), -3, 7.5])
+    def test_seed_that_is_not_a_non_negative_integer_answers_400(
+            self, service, seed):
+        """A seed that no process can reproduce (NaN) or that numpy
+        refuses is a bad request, refused before anything simulates."""
+        params = dict(TINY_POINT["params"], seed=seed)
+        response = service.query_point(tiny_query(params=params, wait=True))
+        assert response.status == 400
+        assert "seed must be a non-negative integer" in (
+            response.payload["error"])
+        assert service._counters["cold_misses"] == 0
+
     def test_unknown_key_lookup_is_404(self, service):
         response = service.lookup("deadbeef" * 8)
         assert response.status == 404
